@@ -208,7 +208,7 @@ def _cmd_info(args) -> int:
     print(f"total: {len(blob)} bytes, {bitrate(bs):.4f} bpppb")
     for k, (tag, body) in enumerate(bs.segments):
         try:
-            seg = segment_from_bytes(body if tag != 0x01 else body[8:])
+            seg = segment_from_bytes(body)
             detail = f"mode={seg.mode} original={seg.original_len}"
         except CodecError:
             detail = "unparsed"

@@ -9,9 +9,11 @@ as the next band's input. Because the encoder only ever uses information
 the decoder will have, decoder output matches the encoder-side
 reconstruction bit for bit.
 
-Bitstream layout: magic "BIPN", version byte, fixed-width little-endian
-header fields, then tagged segments (0x01 first band, 0x02 params, 0x03
-ranges plus band min/max, 0x04 offsets), each varint-length-prefixed.
+Bitstream layout (version 2): magic "BIPN", version byte, fixed-width
+little-endian header fields, then tagged segments (0x01 first band as
+int16 byte planes, 0x02 params, 0x03 ranges plus band min/max, 0x04
+offsets), each varint-length-prefixed and coded by ``entropy``. A segment
+declaring more bytes than the header allows is rejected before inflating.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .cube import (
 from .entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
-from .mlp import forward
+from .mlp import N_PARAMS, forward
 from .quantize import (
     dequantize_params,
     from_payloads,
@@ -49,10 +51,10 @@ from .quantize import (
     quantize_params,
     ranges_payload,
 )
-from .wire import read_varint, write_varint
+from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 MAGIC = b"BIPN"
-VERSION = 1
+VERSION = 2
 
 TAG_FIRST_BAND = 0x01
 TAG_PARAMS = 0x02
@@ -161,34 +163,24 @@ class EncodeResult:
     train_reports: list[TrainReport]
 
 
-def _pack_band(band: np.ndarray, lo: int, hi: int) -> bytes:
-    """Offset-by-min, minimum-bit-width, MSB-first packing of a band."""
-    vals = (band.astype(np.int64).ravel() - lo).astype(np.uint32)
-    width = int(hi - lo).bit_length()
-    if width == 0:
-        return b""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    bits = ((vals[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+def _pack_band(band: np.ndarray) -> bytes:
+    """A band as int16 little-endian byte planes."""
+    return to_byte_planes(band, "<i2")
 
 
-def _unpack_band(blob: bytes, lo: int, hi: int, shape) -> np.ndarray:
-    width = int(hi - lo).bit_length()
-    n = int(np.prod(shape))
-    if width == 0:
-        return np.full(shape, lo, dtype=np.int64)
-    if len(blob) != (n * width + 7) // 8:
+def _unpack_band(blob: bytes, shape) -> np.ndarray:
+    if len(blob) != 2 * int(np.prod(shape)):
         raise CorruptStreamError("first-band payload does not match declared size")
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))[: n * width]
-    weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-    vals = bits.reshape(n, width).astype(np.int64) @ weights
-    return (vals + lo).reshape(shape)
+    return from_byte_planes(blob, "<i2").astype(np.int64).reshape(shape)
 
 
-def _predict_band(dq_params, recon_prev: np.ndarray, src_min: int, src_max: int) -> np.ndarray:
-    """Shared encoder/decoder reconstruction of one band from its predecessor."""
-    nb_prev = normalize_band(recon_prev)
-    x = band_to_blocks(nb_prev.values)
+def _band_blocks(band: np.ndarray) -> BlockMatrix:
+    """The network input built from a reconstructed band."""
+    return band_to_blocks(normalize_band(band).values)
+
+
+def _predict_band(dq_params, x: BlockMatrix, src_min: int, src_max: int) -> np.ndarray:
+    """Shared encoder/decoder reconstruction of one band from its predecessor's blocks."""
     pred = forward(dq_params, x.data)
     band_values = blocks_to_band(
         BlockMatrix(data=pred, block_rows=x.block_rows, block_cols=x.block_cols)
@@ -237,26 +229,21 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     segments: list[tuple[int, bytes]] = []
 
     first = resized[0]
-    lo, hi = int(first.min()), int(first.max())
-    first_body = struct.pack("<ii", lo, hi) + segment_to_bytes(
-        encode_bytes(_pack_band(first, lo, hi))
-    )
-    segments.append((TAG_FIRST_BAND, first_body))
+    segments.append((TAG_FIRST_BAND, segment_to_bytes(encode_bytes(_pack_band(first)))))
 
     recon_bands = [first.copy()]
     reports: list[TrainReport] = []
 
     for band in resized[1:]:
-        nb_prev = normalize_band(recon_bands[-1])
+        x = _band_blocks(recon_bands[-1])
         nb_tgt = normalize_band(band)
-        x = band_to_blocks(nb_prev.values)
         t = band_to_blocks(nb_tgt.values)
         params, report = train(x.data, t.data, cfg.train)
         reports.append(report)
 
         qp = quantize_params(params)
         dq = dequantize_params(qp)
-        recon = _predict_band(dq, recon_bands[-1], nb_tgt.src_min, nb_tgt.src_max)
+        recon = _predict_band(dq, x, nb_tgt.src_min, nb_tgt.src_max)
 
         off_map = None
         if comp.enabled:
@@ -298,6 +285,14 @@ def _expect(segments, pos: int, tag: int) -> bytes:
     return body
 
 
+def _decode_segment(body: bytes, max_len: int) -> bytes:
+    """Decode one segment body, refusing a declared length above max_len."""
+    seg = segment_from_bytes(body)
+    if seg.original_len > max_len:
+        raise CorruptStreamError(f"segment declares {seg.original_len} bytes, at most {max_len}")
+    return decode_bytes(seg)
+
+
 def decode_cube(bs: Bitstream) -> HyperCube:
     h = bs.header
     if (h.rows, h.cols) != (BAND_SIZE, BAND_SIZE):
@@ -305,28 +300,23 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     if h.coded_bands < 1:
         raise CorruptStreamError("stream declares no coded bands")
 
+    try:
+        comp = CompensationConfig(lam=h.comp_lambda, q_step=h.comp_qstep, enabled=h.comp_enabled)
+    except ValueError as exc:
+        raise CorruptStreamError(f"bad compensation header: {exc}") from exc
+    pixels = h.rows * h.cols
+
     pos = 0
     body = _expect(bs.segments, pos, TAG_FIRST_BAND)
     pos += 1
-    if len(body) < 8:
-        raise CorruptStreamError("first-band segment too short for min/max")
-    lo, hi = struct.unpack_from("<ii", body, 0)
-    if lo > hi:
-        raise CorruptStreamError("first-band min exceeds max")
-    packed = decode_bytes(segment_from_bytes(body[8:]))
-    first = _unpack_band(packed, lo, hi, (h.rows, h.cols))
-    if int(first.min()) < lo or int(first.max()) > hi:
-        raise CorruptStreamError("first-band samples outside declared range")
-
-    comp = CompensationConfig(lam=h.comp_lambda, q_step=h.comp_qstep, enabled=h.comp_enabled)
-    bands = [first]
+    bands = [_unpack_band(_decode_segment(body, 2 * pixels), (h.rows, h.cols))]
     for _ in range(h.coded_bands - 1):
         param_body = _expect(bs.segments, pos, TAG_PARAMS)
         pos += 1
         ranges_body = _expect(bs.segments, pos, TAG_RANGES)
         pos += 1
-        param_bytes = decode_bytes(segment_from_bytes(param_body))
-        rng_bytes = decode_bytes(segment_from_bytes(ranges_body))
+        param_bytes = _decode_segment(param_body, N_PARAMS)
+        rng_bytes = _decode_segment(ranges_body, 40)
         if len(rng_bytes) != 40:
             raise CorruptStreamError(f"ranges segment {pos - 1} has {len(rng_bytes)} bytes, expected 40")
         qp = from_payloads(param_bytes, rng_bytes[:32])
@@ -334,12 +324,12 @@ def decode_cube(bs: Bitstream) -> HyperCube:
         if src_min > src_max:
             raise CorruptStreamError("band min exceeds max")
 
-        recon = _predict_band(dequantize_params(qp), bands[-1], src_min, src_max)
+        recon = _predict_band(dequantize_params(qp), _band_blocks(bands[-1]), src_min, src_max)
         off_map = None
         if comp.enabled:
             off_body = _expect(bs.segments, pos, TAG_OFFSETS)
             pos += 1
-            off_map = offsets_from_bytes(decode_bytes(segment_from_bytes(off_body)))
+            off_map = offsets_from_bytes(_decode_segment(off_body, 8 * pixels))
         bands.append(_finalize_band(recon, off_map))
 
     if pos != len(bs.segments):

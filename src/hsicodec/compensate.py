@@ -6,6 +6,10 @@ transmitted integer offset. The corrected value aims at round(target *
 it is high, so after compensation every flagged pixel sits within
 tol * |target| + q_step/2 of the target. With tol = 0 and q_step = 1 the
 mechanism is exactly lossless on integer bands.
+
+Offsets serialize as two little-endian uint32 arrays of one entry each:
+the index deltas, then the zigzag-mapped offsets, each stored as byte
+planes (see ``wire``). The entry count is the payload length / 8.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import CorruptStreamError, DimensionError
 from .rounding import round_half_away
-from .wire import read_varint, write_varint, zigzag_decode, zigzag_encode
+from .wire import from_byte_planes, to_byte_planes
 
 
 @dataclass
@@ -26,7 +30,7 @@ class CompensationConfig:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lambda must be non-negative")
         if not 1 <= self.q_step <= 32767:
             raise ValueError("q_step must be a positive integer below 32768")
@@ -95,31 +99,22 @@ def apply_offsets(recon: np.ndarray, off_map: OffsetMap) -> np.ndarray:
 
 
 def offsets_to_bytes(off_map: OffsetMap) -> bytes:
-    """Varint entry count, then per entry a varint index delta and a zigzag offset."""
-    out = bytearray()
-    write_varint(out, len(off_map))
-    prev = 0
-    for idx, off in zip(off_map.indices.tolist(), off_map.offsets.tolist()):
-        write_varint(out, idx - prev)
-        write_varint(out, zigzag_encode(off))
-        prev = idx
-    return bytes(out)
+    """Index deltas, then zigzag offsets, each as uint32 byte planes."""
+    deltas = np.diff(off_map.indices, prepend=0)
+    zigzag = (off_map.offsets << 1) ^ (off_map.offsets >> 63)
+    if np.any((deltas >> 32) | (zigzag >> 32)):
+        raise ValueError("offset map entry does not fit 32 bits")
+    return to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")
 
 
 def offsets_from_bytes(blob: bytes) -> OffsetMap:
-    count, offset = read_varint(blob, 0)
-    indices = np.empty(count, dtype=np.int64)
-    offsets = np.empty(count, dtype=np.int64)
-    prev = 0
-    for k in range(count):
-        delta, offset = read_varint(blob, offset)
-        zz, offset = read_varint(blob, offset)
-        prev += delta
-        indices[k] = prev
-        offsets[k] = zigzag_decode(zz)
-    if offset != len(blob):
-        raise CorruptStreamError("trailing bytes after offset entries")
+    if len(blob) % 8:
+        raise CorruptStreamError(f"offset payload of {len(blob)} bytes is not 8 per entry")
+    half = len(blob) // 2
+    deltas = from_byte_planes(blob[:half], "<u4")
+    zigzag = from_byte_planes(blob[half:], "<u4").astype(np.int64)
+    indices = np.cumsum(deltas, dtype=np.int64)
     try:
-        return OffsetMap(indices=indices, offsets=offsets)
+        return OffsetMap(indices=indices, offsets=(zigzag >> 1) ^ -(zigzag & 1))
     except DimensionError as exc:
         raise CorruptStreamError(f"invalid offset map: {exc}") from exc

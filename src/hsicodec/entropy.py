@@ -1,155 +1,39 @@
-"""Lossless byte-stream coder: order-0 canonical Huffman with fallbacks.
+"""Lossless byte-stream coder: DEFLATE (RFC 1951, via ``zlib``) with a raw fallback.
 
-Determinism is normative here (identical input bytes must yield identical
-coded bytes, or reproducible bitstreams are impossible), so the Huffman
-build breaks frequency ties by the smallest symbol value carried in each
-subtree, and code lengths above 15 bits are reduced by demoting the
-deepest still-shortenable leaves in a fixed order.
-
-Modes: ``huffman`` (128-byte nibble-packed code-length table + MSB-first
-bit-packed payload), ``raw`` (verbatim bytes, used whenever Huffman does
-not win), and ``single`` (one distinct symbol; the count is the segment's
-original length).
+Modes: ``zlib`` (level 6) and ``raw`` (verbatim bytes, used whenever
+DEFLATE does not shrink the input). Coded bytes are deterministic for one
+zlib build; another build may emit different, equally valid DEFLATE
+bytes, and any build decodes them. Decoding never inflates past the
+segment's declared original length.
 
 Segment wire layout: 1 mode byte, varint original length, mode body.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
+import zlib
 from dataclasses import dataclass
 
 from .errors import CorruptStreamError
 from .wire import read_varint, write_varint
 
-MAX_CODE_LEN = 15
-
-MODE_RAW = 0
-MODE_HUFFMAN = 1
-MODE_SINGLE = 2
-
-_MODE_NAMES = {MODE_RAW: "raw", MODE_HUFFMAN: "huffman", MODE_SINGLE: "single"}
-_MODE_CODES = {name: code for code, name in _MODE_NAMES.items()}
+MODES = ("raw", "zlib")  # indexed by the segment's mode byte
 
 
 @dataclass
 class CodedSegment:
-    mode: str                       # "raw" | "huffman" | "single"
+    mode: str                       # "raw" | "zlib"
     original_len: int
     payload: bytes
-    table: tuple[int, ...] | None = None  # 256 code lengths, huffman only
-
-
-def _code_lengths(freqs: Counter) -> list[int]:
-    """Huffman code lengths with (frequency, min-symbol) tie-breaking."""
-    # heap entries are (frequency, smallest symbol in subtree); the smallest
-    # symbol is unique per live node, so ordering is total and deterministic
-    depths = {sym: 0 for sym in freqs}
-    groups = {sym: [sym] for sym in freqs}
-    heap = [(count, sym) for sym, count in sorted(freqs.items())]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        f1, s1 = heapq.heappop(heap)
-        f2, s2 = heapq.heappop(heap)
-        merged_min = min(s1, s2)
-        for s in groups[s1]:
-            depths[s] += 1
-        for s in groups[s2]:
-            depths[s] += 1
-        groups[merged_min] = groups[s1] + groups[s2]
-        heapq.heappush(heap, (f1 + f2, merged_min))
-    lengths = [0] * 256
-    for sym, depth in depths.items():
-        lengths[sym] = max(depth, 1)
-    return _limit_lengths(lengths)
-
-
-def _limit_lengths(lengths: list[int]) -> list[int]:
-    """Cap code lengths at MAX_CODE_LEN, restoring the Kraft inequality."""
-    if max(lengths) <= MAX_CODE_LEN:
-        return lengths
-    lengths = [min(n, MAX_CODE_LEN) for n in lengths]
-    kraft = sum(1 << (MAX_CODE_LEN - n) for n in lengths if n)
-    budget = 1 << MAX_CODE_LEN
-    while kraft > budget:
-        # demote the deepest leaf that can still grow; ties -> smaller symbol
-        pick = max(
-            (n, -s) for s, n in enumerate(lengths) if 0 < n < MAX_CODE_LEN
-        )
-        sym = -pick[1]
-        kraft -= 1 << (MAX_CODE_LEN - lengths[sym] - 1)
-        lengths[sym] += 1
-    return lengths
-
-
-def _canonical_codes(lengths) -> dict[int, tuple[int, int]]:
-    """Map symbol -> (code, length), codes assigned in (length, symbol) order."""
-    order = sorted((n, s) for s, n in enumerate(lengths) if n)
-    codes = {}
-    code = 0
-    prev_len = order[0][0] if order else 0
-    for n, s in order:
-        code <<= n - prev_len
-        codes[s] = (code, n)
-        code += 1
-        prev_len = n
-    return codes
-
-
-def _pack_bits(data: bytes, codes) -> bytes:
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for sym in data:
-        code, n = codes[sym]
-        acc = (acc << n) | code
-        nbits += n
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-        acc &= (1 << nbits) - 1
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
-
-
-def _pack_table(lengths) -> bytes:
-    return bytes(
-        (lengths[2 * k] << 4) | lengths[2 * k + 1] for k in range(128)
-    )
-
-
-def _unpack_table(blob: bytes) -> tuple[int, ...]:
-    if len(blob) != 128:
-        raise CorruptStreamError("huffman table must be 128 bytes")
-    lengths = []
-    for byte in blob:
-        lengths.append(byte >> 4)
-        lengths.append(byte & 0x0F)
-    return tuple(lengths)
 
 
 def encode_bytes(data: bytes) -> CodedSegment:
-    """Compress bytes; falls back to raw when Huffman would not shrink them."""
+    """Compress bytes; falls back to raw when DEFLATE would not shrink them."""
     data = bytes(data)
-    if not data:
-        return CodedSegment(mode="raw", original_len=0, payload=b"")
-    freqs = Counter(data)
-    if len(freqs) == 1:
-        return CodedSegment(mode="single", original_len=len(data), payload=data[:1])
-    lengths = _code_lengths(freqs)
-    codes = _canonical_codes(lengths)
-    coded_bits = sum(freqs[s] * codes[s][1] for s in freqs)
-    coded_size = 128 + (coded_bits + 7) // 8
-    if coded_size >= len(data):
+    packed = zlib.compress(data, 6)
+    if len(packed) >= len(data):
         return CodedSegment(mode="raw", original_len=len(data), payload=data)
-    return CodedSegment(
-        mode="huffman",
-        original_len=len(data),
-        payload=_pack_bits(data, codes),
-        table=tuple(lengths),
-    )
+    return CodedSegment(mode="zlib", original_len=len(data), payload=packed)
 
 
 def decode_bytes(seg: CodedSegment) -> bytes:
@@ -160,47 +44,26 @@ def decode_bytes(seg: CodedSegment) -> bytes:
         if len(seg.payload) != seg.original_len:
             raise CorruptStreamError("raw payload length mismatch")
         return bytes(seg.payload)
-    if seg.mode == "single":
-        if len(seg.payload) != 1:
-            raise CorruptStreamError("single-symbol payload must be one byte")
-        return seg.payload * seg.original_len
-    if seg.mode != "huffman":
+    if seg.mode != "zlib":
         raise CorruptStreamError(f"unknown segment mode {seg.mode!r}")
-    if seg.table is None or len(seg.table) != 256:
-        raise CorruptStreamError("huffman segment without a 256-entry table")
-    if any(n < 0 or n > MAX_CODE_LEN for n in seg.table):
-        raise CorruptStreamError("code length out of range")
-    present = [n for n in seg.table if n]
-    if len(present) < 2:
-        raise CorruptStreamError("huffman table needs at least two symbols")
-    if sum(1 << (MAX_CODE_LEN - n) for n in present) > (1 << MAX_CODE_LEN):
-        raise CorruptStreamError("code lengths violate the Kraft inequality")
-
-    codes = _canonical_codes(seg.table)
-    # sentinel-prefixed integer codes make prefix-free lookup a dict hit
-    lookup = {(1 << n) | code: sym for sym, (code, n) in codes.items()}
-    out = bytearray()
-    acc = 1
-    need = seg.original_len
-    for byte in seg.payload:
-        for shift in (7, 6, 5, 4, 3, 2, 1, 0):
-            acc = (acc << 1) | ((byte >> shift) & 1)
-            sym = lookup.get(acc)
-            if sym is not None:
-                out.append(sym)
-                acc = 1
-                if len(out) == need:
-                    return bytes(out)
-            elif acc >> MAX_CODE_LEN:
-                raise CorruptStreamError("invalid code in huffman payload")
-    raise CorruptStreamError("huffman payload exhausted before all symbols")
+    if seg.original_len == 0:
+        # max_length 0 would mean "no limit" to zlib; the encoder stores b"" raw
+        raise CorruptStreamError("empty zlib segment")
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(seg.payload, seg.original_len)
+    except zlib.error as exc:
+        raise CorruptStreamError(f"bad zlib payload: {exc}") from exc
+    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+        raise CorruptStreamError("zlib payload does not end where its length says")
+    if len(out) != seg.original_len:
+        raise CorruptStreamError("zlib payload length mismatch")
+    return out
 
 
 def segment_to_bytes(seg: CodedSegment) -> bytes:
-    out = bytearray([_MODE_CODES[seg.mode]])
+    out = bytearray([MODES.index(seg.mode)])
     write_varint(out, seg.original_len)
-    if seg.mode == "huffman":
-        out += _pack_table(seg.table)
     out += seg.payload
     return bytes(out)
 
@@ -208,17 +71,7 @@ def segment_to_bytes(seg: CodedSegment) -> bytes:
 def segment_from_bytes(blob: bytes) -> CodedSegment:
     if not blob:
         raise CorruptStreamError("empty segment")
-    mode_code = blob[0]
-    if mode_code not in _MODE_NAMES:
-        raise CorruptStreamError(f"unknown segment mode byte {mode_code}")
-    mode = _MODE_NAMES[mode_code]
+    if blob[0] >= len(MODES):
+        raise CorruptStreamError(f"unknown segment mode byte {blob[0]}")
     original_len, offset = read_varint(blob, 1)
-    table = None
-    if mode == "huffman":
-        if len(blob) < offset + 128:
-            raise CorruptStreamError("truncated huffman table")
-        table = _unpack_table(blob[offset : offset + 128])
-        offset += 128
-    return CodedSegment(
-        mode=mode, original_len=original_len, payload=bytes(blob[offset:]), table=table
-    )
+    return CodedSegment(MODES[blob[0]], original_len, bytes(blob[offset:]))

@@ -1,11 +1,15 @@
 """Low-level byte-stream primitives shared by the coded formats.
 
-Unsigned LEB128 varints and zigzag mapping for signed values. Decoders
-take (buffer, offset) and return (value, new_offset) so callers can walk
-a stream without copying.
+Unsigned LEB128 varints, and byte planes for fixed-width little-endian
+integer arrays. Varint decoders take (buffer, offset) and return
+(value, new_offset) so callers can walk a stream without copying. Byte
+planes store every value's lowest byte, then every value's next byte, and
+so on, which leaves the runs of equal high bytes DEFLATE compresses well.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import CorruptStreamError
 
@@ -39,9 +43,16 @@ def read_varint(buf, offset: int) -> tuple[int, int]:
             raise CorruptStreamError("varint too long")
 
 
-def zigzag_encode(value: int) -> int:
-    return -2 * value - 1 if value < 0 else 2 * value
+def to_byte_planes(values: np.ndarray, dtype: str) -> bytes:
+    """Byte planes of ``values`` cast to the little-endian ``dtype`` (e.g. "<i2")."""
+    fixed = np.ascontiguousarray(values, dtype=dtype).ravel()
+    return fixed.view(np.uint8).reshape(-1, fixed.itemsize).T.tobytes()
 
 
-def zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def from_byte_planes(blob: bytes, dtype: str) -> np.ndarray:
+    """Inverse of to_byte_planes: a 1-D array of ``dtype`` values."""
+    width = np.dtype(dtype).itemsize
+    if len(blob) % width:
+        raise CorruptStreamError(f"{len(blob)} plane bytes do not split into {width} planes")
+    planes = np.frombuffer(blob, dtype=np.uint8).reshape(width, -1)
+    return np.ascontiguousarray(planes.T).view(dtype).ravel()

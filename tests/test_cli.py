@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, run
+from hsicodec.codec import Bitstream
 from hsicodec.cube import HyperCube, load_cube, store_cube
 
 
@@ -74,6 +75,18 @@ def test_decode_garbage_stream(tmp_path):
     bad = tmp_path / "bad.bip"
     bad.write_bytes(b"not a stream at all")
     assert run(["decode", str(bad), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+
+
+@pytest.mark.parametrize(
+    "field, value", [("comp_qstep", 0), ("comp_qstep", -5), ("comp_lambda", float("nan"))]
+)
+def test_decode_corrupt_compensation_header(tmp_path, cube_file, field, value):
+    out = tmp_path / "out.bip"
+    assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
+    bs = Bitstream.from_bytes(out.read_bytes())
+    setattr(bs.header, field, value)
+    out.write_bytes(bs.to_bytes())
+    assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
 
 
 def test_missing_input_file(tmp_path):

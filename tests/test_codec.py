@@ -1,3 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,8 +50,9 @@ def test_pack_band_round_trip():
     rng = np.random.default_rng(3)
     for lo, hi in [(0, 0), (5, 6), (0, 255), (-1000, 4000), (-32768, 32767)]:
         band = rng.integers(lo, hi + 1, (16, 16)).astype(np.int64)
-        packed = _pack_band(band, lo, hi)
-        back = _unpack_band(packed, lo, hi, band.shape)
+        packed = _pack_band(band)
+        assert len(packed) == 2 * band.size
+        back = _unpack_band(packed, band.shape)
         assert np.array_equal(back, band)
 
 
@@ -87,6 +95,27 @@ def test_deterministic_bitstream():
     a = encode_cube(cube, fast_cfg(seed=7)).to_bytes()
     b = encode_cube(cube, fast_cfg(seed=7)).to_bytes()
     assert a == b
+
+
+def test_bitstream_identical_across_processes():
+    # the same cube and seed, encoded by two fresh interpreters
+    code = (
+        "import hashlib, sys; sys.path.insert(0, 'tests'); "
+        "from test_codec import encode_cube, fast_cfg, smooth_cube; "
+        "print(hashlib.sha256(encode_cube(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7))"
+        ".to_bytes()).hexdigest())"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout.strip()
+        for _ in range(2)
+    ]
+    here = hashlib.sha256(encode_cube(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7)).to_bytes())
+    assert digests == [here.hexdigest()] * 2, f"zlib {zlib.ZLIB_RUNTIME_VERSION}"
 
 
 def test_segment_grammar():

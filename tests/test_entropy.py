@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from hsicodec.entropy import (
     CodedSegment,
-    MAX_CODE_LEN,
-    _canonical_codes,
-    _code_lengths,
     decode_bytes,
     encode_bytes,
     segment_from_bytes,
@@ -28,20 +25,6 @@ def test_empty_input():
     assert decode_bytes(seg) == b""
 
 
-def test_single_symbol_mode():
-    seg = encode_bytes(bytes([7]) * 1000)
-    assert seg.mode == "single"
-    assert seg.original_len == 1000
-    assert seg.payload == bytes([7])
-    assert len(segment_to_bytes(seg)) <= 6
-    assert decode_bytes(seg) == bytes([7]) * 1000
-
-
-def test_single_symbol_small():
-    seg = CodedSegment(mode="single", original_len=3, payload=bytes([7]))
-    assert decode_bytes(seg) == bytes([7, 7, 7])
-
-
 def test_random_bytes_fall_back_to_raw():
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, 4096, dtype=np.uint8).tobytes()
@@ -50,10 +33,10 @@ def test_random_bytes_fall_back_to_raw():
     assert decode_bytes(seg) == data
 
 
-def test_compressible_data_uses_huffman():
+def test_compressible_data_uses_zlib():
     data = b"aaaaabbbbbccc" * 200
     seg = encode_bytes(data)
-    assert seg.mode == "huffman"
+    assert seg.mode == "zlib"
     assert len(segment_to_bytes(seg)) < len(data)
     assert round_trip(data) == data
 
@@ -66,28 +49,31 @@ def test_determinism():
 def test_truncated_payload_detected():
     data = bytes(np.random.default_rng(2).integers(0, 16, 1000, dtype=np.uint8))
     seg = encode_bytes(data)
-    assert seg.mode == "huffman"
+    assert seg.mode == "zlib"
     bad = CodedSegment(
         mode=seg.mode,
         original_len=seg.original_len,
         payload=seg.payload[:-1],
-        table=seg.table,
     )
     with pytest.raises(CorruptStreamError):
         decode_bytes(bad)
 
 
-def test_invalid_table_detected():
+def test_corrupt_zlib_payload_detected():
     seg = encode_bytes(b"aaabbbccc" * 100)
-    # all-ones lengths violate the Kraft inequality
-    bad = CodedSegment(
-        mode="huffman",
-        original_len=seg.original_len,
-        payload=seg.payload,
-        table=tuple([1] * 256),
-    )
-    with pytest.raises(CorruptStreamError):
-        decode_bytes(bad)
+    assert seg.mode == "zlib"
+    flipped = bytearray(seg.payload)
+    flipped[len(flipped) // 2] ^= 0xFF
+    bad_segments = [
+        CodedSegment(mode="zlib", original_len=seg.original_len, payload=bytes(flipped)),
+        CodedSegment(mode="zlib", original_len=seg.original_len - 1, payload=seg.payload),
+        CodedSegment(mode="zlib", original_len=seg.original_len + 1, payload=seg.payload),
+        CodedSegment(mode="zlib", original_len=seg.original_len, payload=seg.payload + b"\0"),
+        CodedSegment(mode="zlib", original_len=0, payload=seg.payload),
+    ]
+    for bad in bad_segments:
+        with pytest.raises(CorruptStreamError):
+            decode_bytes(bad)
 
 
 def test_wire_round_trip_all_modes():
@@ -101,28 +87,12 @@ def test_wire_round_trip_all_modes():
 
 
 def test_length_limit_on_skewed_frequencies():
-    # Fibonacci frequencies drive Huffman depth past MAX_CODE_LEN
+    # Fibonacci frequencies: the worst case for a length-limited prefix code
     freqs = [1, 1]
     while len(freqs) < 24:
         freqs.append(freqs[-1] + freqs[-2])
     data = b"".join(bytes([s]) * f for s, f in enumerate(freqs))
-    lengths = _code_lengths(__import__("collections").Counter(data))
-    assert max(lengths) == MAX_CODE_LEN
-    codes = _canonical_codes(lengths)
-    kraft = sum(2 ** -n for _, n in codes.values())
-    assert kraft <= 1.0
     assert round_trip(data) == data
-
-
-def test_canonical_codes_are_prefix_free():
-    data = bytes(np.random.default_rng(4).integers(0, 40, 3000, dtype=np.uint8))
-    seg = encode_bytes(data)
-    codes = _canonical_codes(seg.table)
-    items = [(format(code, f"0{n}b")) for code, n in codes.values()]
-    for a in items:
-        for b in items:
-            if a is not b:
-                assert not b.startswith(a)
 
 
 def test_coded_size_bound():
