@@ -3,62 +3,16 @@
 Each spectral band is predicted from the previously reconstructed band by
 a small trained network; only the quantized network parameters (and, for
 near-lossless operation, sparse compensation offsets) are transmitted.
+
+The package namespace holds the names the scripts and the benchmark use;
+everything else is imported from its submodule.
 """
 
 from .blocks import BlockMatrix, band_to_blocks, blocks_to_band
-from .codec import (
-    Bitstream,
-    BitstreamHeader,
-    EncodeResult,
-    EncoderConfig,
-    bitrate,
-    decode_cube,
-    encode_cube,
-    encode_cube_full,
-)
-from .compensate import CompensationConfig, OffsetMap, apply_offsets, compute_offsets
-from .cube import (
-    BAND_SIZE,
-    CubeHeader,
-    HyperCube,
-    NormalizedBand,
-    denormalize_band,
-    load_cube,
-    normalize_band,
-    read_header,
-    resize_band,
-    store_cube,
-)
-from .entropy import CodedSegment, decode_bytes, encode_bytes
-from .errors import (
-    CodecError,
-    CorruptInputError,
-    CorruptStreamError,
-    DimensionError,
-    FormatError,
-    NoContentError,
-    NumericError,
-    UndefinedCorrelationError,
-    WriteError,
-)
-from .lm import TrainConfig, TrainReport, compute_jacobian, init_params, lm_step, train
-from .metrics import (
-    MetricsRecord,
-    RdPoint,
-    band_records,
-    correlation_coefficient,
-    psnr,
-    rd_csv,
-    rd_points,
-    ssim,
-)
-from .mlp import MlpParams, forward, mse, tansig
-from .quantize import (
-    QuantizedParams,
-    dequantize_matrix,
-    dequantize_params,
-    quantize_matrix,
-    quantize_params,
-)
+from .codec import Bitstream, EncoderConfig, bitrate, decode_cube, encode_cube_full
+from .compensate import CompensationConfig
+from .cube import HyperCube, denormalize_band, load_cube, normalize_band, resize_band, store_cube
+from .lm import TrainConfig
+from .mlp import forward
 
 __version__ = "0.1.0"

@@ -145,11 +145,9 @@ def _cmd_encode(args) -> int:
     rate = bitrate(result.bitstream)
     print(f"coded {len(result.band_indices)} bands, {len(blob)} bytes, "
           f"{rate:.4f} bpppb", file=sys.stderr)
-    for k, band_idx in enumerate(result.band_indices):
-        ref = result.resized_bands[k]
-        rec = result.recon_bands[k]
-        line = (f"band {band_idx}: psnr {qm.psnr(ref, rec):.2f} dB, "
-                f"ssim {qm.ssim(ref, rec):.4f}")
+    records = qm.band_records(result.resized_bands, result.recon_bands)
+    for k, (band_idx, r) in enumerate(zip(result.band_indices, records)):
+        line = f"band {band_idx}: psnr {r.psnr_db:.2f} dB, ssim {r.ssim:.4f}"
         if k > 0:
             line += f", epochs {result.train_reports[k - 1].epochs_run}"
         print(line, file=sys.stderr)

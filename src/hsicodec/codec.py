@@ -2,12 +2,12 @@
 
 Encoding stores the first nonzero band losslessly, then walks the
 remaining bands: train the network to map the previous *reconstructed*
-band onto the current one, quantize the parameters, rebuild the band from
-the dequantized parameters exactly as the decoder will, optionally patch
-tolerance violations with transmitted offsets, and feed the result forward
-as the next band's input. Because the encoder only ever uses information
-the decoder will have, decoder output matches the encoder-side
-reconstruction bit for bit.
+band onto the current one, quantize the parameters, optionally patch
+tolerance violations with transmitted offsets, and feed the reconstruction
+forward as the next band's input. The encoder rebuilds each band by
+running the decoder's band step (``_decode_band`` and ``_finish_band``) on
+the payload bytes it emits, so decoder output matches the encoder-side
+reconstruction bit for bit by construction.
 
 Bitstream layout (version 2): magic "BIPN", version byte, fixed-width
 little-endian header fields, then tagged segments (0x01 first band as
@@ -26,7 +26,6 @@ import numpy as np
 from .blocks import BlockMatrix, band_to_blocks, blocks_to_band
 from .compensate import (
     CompensationConfig,
-    OffsetMap,
     apply_offsets,
     compute_offsets,
     offsets_from_bytes,
@@ -43,8 +42,10 @@ from .cube import (
 from .entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
-from .mlp import N_PARAMS, forward
+from .mlp import forward
 from .quantize import (
+    PARAM_BYTES,
+    RANGE_BYTES,
     dequantize_params,
     from_payloads,
     params_payload,
@@ -70,6 +71,18 @@ TAG_NAMES = {
 
 INT16_MIN = -32768
 INT16_MAX = 32767
+
+# the ranges payload is the four parameter (min, max) pairs, then the band's min and max
+BAND_RANGE = struct.Struct("<ii")
+RANGES_SEGMENT_BYTES = RANGE_BYTES + BAND_RANGE.size
+
+# the most pre-entropy bytes a segment of each tag may declare
+MAX_PAYLOAD = {
+    TAG_FIRST_BAND: 2 * BAND_SIZE * BAND_SIZE,
+    TAG_PARAMS: PARAM_BYTES,
+    TAG_RANGES: RANGES_SEGMENT_BYTES,
+    TAG_OFFSETS: 8 * BAND_SIZE * BAND_SIZE,
+}
 
 
 @dataclass
@@ -100,8 +113,7 @@ class Bitstream:
         out = bytearray(MAGIC)
         out.append(VERSION)
         out += struct.pack("<HHHH", h.rows, h.cols, h.coded_bands, len(h.exclusions))
-        for b in h.exclusions:
-            out += struct.pack("<H", b)
+        out += struct.pack(f"<{len(h.exclusions)}H", *h.exclusions)
         out += struct.pack("<Bdh", int(h.comp_enabled), h.comp_lambda, h.comp_qstep)
         for tag, body in self.segments:
             out.append(tag)
@@ -119,11 +131,8 @@ class Bitstream:
         try:
             rows, cols, coded, n_excl = struct.unpack_from("<HHHH", blob, offset)
             offset += 8
-            exclusions = []
-            for _ in range(n_excl):
-                (b,) = struct.unpack_from("<H", blob, offset)
-                exclusions.append(b)
-                offset += 2
+            exclusions = struct.unpack_from(f"<{n_excl}H", blob, offset)
+            offset += 2 * n_excl
             enabled, lam, qstep = struct.unpack_from("<Bdh", blob, offset)
             offset += struct.calcsize("<Bdh")
         except struct.error as exc:
@@ -132,7 +141,7 @@ class Bitstream:
             rows=rows,
             cols=cols,
             coded_bands=coded,
-            exclusions=tuple(exclusions),
+            exclusions=exclusions,
             comp_enabled=bool(enabled),
             comp_lambda=lam,
             comp_qstep=qstep,
@@ -179,19 +188,35 @@ def _band_blocks(band: np.ndarray) -> BlockMatrix:
     return band_to_blocks(normalize_band(band).values)
 
 
-def _predict_band(dq_params, x: BlockMatrix, src_min: int, src_max: int) -> np.ndarray:
-    """Shared encoder/decoder reconstruction of one band from its predecessor's blocks."""
-    pred = forward(dq_params, x.data)
+def _decode_band(x: BlockMatrix, param_bytes: bytes, range_bytes: bytes) -> np.ndarray:
+    """The one step both codec sides run: a band predicted from its payload bytes.
+
+    ``x`` holds the previous reconstructed band's blocks; ``param_bytes`` and
+    ``range_bytes`` are the pre-entropy params and ranges payloads. This is
+    the only place that parses them: a payload that does not describe a
+    valid network and band range raises CorruptStreamError.
+    """
+    if len(range_bytes) != RANGES_SEGMENT_BYTES:
+        raise CorruptStreamError(f"ranges payload has {len(range_bytes)} bytes")
+    src_min, src_max = BAND_RANGE.unpack_from(range_bytes, RANGE_BYTES)
+    if src_min > src_max:
+        raise CorruptStreamError("band min exceeds max")
+    try:
+        params = dequantize_params(from_payloads(param_bytes, range_bytes[:RANGE_BYTES]))
+    except DimensionError as exc:
+        raise CorruptStreamError(f"invalid band payload: {exc}") from exc
+    pred = forward(params, x.data)
     band_values = blocks_to_band(
         BlockMatrix(data=pred, block_rows=x.block_rows, block_cols=x.block_cols)
     )
     return denormalize_band(NormalizedBand(band_values, src_min, src_max))
 
 
-def _finalize_band(recon: np.ndarray, off_map: OffsetMap | None) -> np.ndarray:
-    if off_map is not None:
-        recon = apply_offsets(recon, off_map)
-    return np.clip(recon, INT16_MIN, INT16_MAX)
+def _finish_band(pred: np.ndarray, offset_bytes: bytes | None) -> np.ndarray:
+    """Apply the offsets payload (if compensation is on) and clip to int16."""
+    if offset_bytes is not None:
+        pred = apply_offsets(pred, offsets_from_bytes(offset_bytes))
+    return np.clip(pred, INT16_MIN, INT16_MAX)
 
 
 def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
@@ -237,27 +262,20 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     for band in resized[1:]:
         x = _band_blocks(recon_bands[-1])
         nb_tgt = normalize_band(band)
-        t = band_to_blocks(nb_tgt.values)
-        params, report = train(x.data, t.data, cfg.train)
+        params, report = train(x.data, band_to_blocks(nb_tgt.values).data, cfg.train)
         reports.append(report)
 
         qp = quantize_params(params)
-        dq = dequantize_params(qp)
-        recon = _predict_band(dq, x, nb_tgt.src_min, nb_tgt.src_max)
-
-        off_map = None
+        param_bytes = params_payload(qp)
+        range_bytes = ranges_payload(qp) + BAND_RANGE.pack(nb_tgt.src_min, nb_tgt.src_max)
+        pred = _decode_band(x, param_bytes, range_bytes)
+        payloads = [(TAG_PARAMS, param_bytes), (TAG_RANGES, range_bytes)]
+        offset_bytes = None
         if comp.enabled:
-            off_map = compute_offsets(band, recon, comp)
-        recon = _finalize_band(recon, off_map)
-        recon_bands.append(recon)
-
-        segments.append((TAG_PARAMS, segment_to_bytes(encode_bytes(params_payload(qp)))))
-        ranges_body = ranges_payload(qp) + struct.pack("<ii", nb_tgt.src_min, nb_tgt.src_max)
-        segments.append((TAG_RANGES, segment_to_bytes(encode_bytes(ranges_body))))
-        if comp.enabled:
-            segments.append(
-                (TAG_OFFSETS, segment_to_bytes(encode_bytes(offsets_to_bytes(off_map))))
-            )
+            offset_bytes = offsets_to_bytes(compute_offsets(band, pred, comp))
+            payloads.append((TAG_OFFSETS, offset_bytes))
+        recon_bands.append(_finish_band(pred, offset_bytes))
+        segments += [(tag, segment_to_bytes(encode_bytes(p))) for tag, p in payloads]
 
     return EncodeResult(
         bitstream=Bitstream(header=header, segments=segments),
@@ -272,24 +290,13 @@ def encode_cube(cube: HyperCube, cfg: EncoderConfig) -> Bitstream:
     return encode_cube_full(cube, cfg).bitstream
 
 
-def _expect(segments, pos: int, tag: int) -> bytes:
-    if pos >= len(segments):
-        raise CorruptStreamError(
-            f"stream ends where a {TAG_NAMES[tag]} segment was expected (segment {pos})"
-        )
-    got_tag, body = segments[pos]
-    if got_tag != tag:
-        raise CorruptStreamError(
-            f"segment {pos} is {TAG_NAMES[got_tag]}, expected {TAG_NAMES[tag]}"
-        )
-    return body
-
-
-def _decode_segment(body: bytes, max_len: int) -> bytes:
-    """Decode one segment body, refusing a declared length above max_len."""
+def _decode_segment(tag: int, body: bytes) -> bytes:
+    """Decode one segment body, refusing a declared length above its tag's cap."""
     seg = segment_from_bytes(body)
-    if seg.original_len > max_len:
-        raise CorruptStreamError(f"segment declares {seg.original_len} bytes, at most {max_len}")
+    if seg.original_len > MAX_PAYLOAD[tag]:
+        raise CorruptStreamError(
+            f"{TAG_NAMES[tag]} segment declares {seg.original_len} bytes, at most {MAX_PAYLOAD[tag]}"
+        )
     return decode_bytes(seg)
 
 
@@ -299,41 +306,23 @@ def decode_cube(bs: Bitstream) -> HyperCube:
         raise CorruptStreamError(f"unsupported band geometry {h.rows}x{h.cols}")
     if h.coded_bands < 1:
         raise CorruptStreamError("stream declares no coded bands")
-
     try:
         comp = CompensationConfig(lam=h.comp_lambda, q_step=h.comp_qstep, enabled=h.comp_enabled)
     except ValueError as exc:
         raise CorruptStreamError(f"bad compensation header: {exc}") from exc
-    pixels = h.rows * h.cols
+    per_band = [TAG_PARAMS, TAG_RANGES] + ([TAG_OFFSETS] if comp.enabled else [])
+    if [tag for tag, _ in bs.segments] != [TAG_FIRST_BAND] + per_band * (h.coded_bands - 1):
+        raise CorruptStreamError(
+            f"{len(bs.segments)} segments do not follow the grammar of {h.coded_bands} "
+            f"coded bands with compensation {'on' if comp.enabled else 'off'}"
+        )
 
-    pos = 0
-    body = _expect(bs.segments, pos, TAG_FIRST_BAND)
-    pos += 1
-    bands = [_unpack_band(_decode_segment(body, 2 * pixels), (h.rows, h.cols))]
+    # inflated lazily, so only one band's payloads are held at a time
+    payloads = (_decode_segment(tag, body) for tag, body in bs.segments)
+    bands = [_unpack_band(next(payloads), (h.rows, h.cols))]
     for _ in range(h.coded_bands - 1):
-        param_body = _expect(bs.segments, pos, TAG_PARAMS)
-        pos += 1
-        ranges_body = _expect(bs.segments, pos, TAG_RANGES)
-        pos += 1
-        param_bytes = _decode_segment(param_body, N_PARAMS)
-        rng_bytes = _decode_segment(ranges_body, 40)
-        if len(rng_bytes) != 40:
-            raise CorruptStreamError(f"ranges segment {pos - 1} has {len(rng_bytes)} bytes, expected 40")
-        qp = from_payloads(param_bytes, rng_bytes[:32])
-        src_min, src_max = struct.unpack_from("<ii", rng_bytes, 32)
-        if src_min > src_max:
-            raise CorruptStreamError("band min exceeds max")
-
-        recon = _predict_band(dequantize_params(qp), _band_blocks(bands[-1]), src_min, src_max)
-        off_map = None
-        if comp.enabled:
-            off_body = _expect(bs.segments, pos, TAG_OFFSETS)
-            pos += 1
-            off_map = offsets_from_bytes(_decode_segment(off_body, 8 * pixels))
-        bands.append(_finalize_band(recon, off_map))
-
-    if pos != len(bs.segments):
-        raise CorruptStreamError(f"{len(bs.segments) - pos} unexpected trailing segments")
+        pred = _decode_band(_band_blocks(bands[-1]), next(payloads), next(payloads))
+        bands.append(_finish_band(pred, next(payloads) if comp.enabled else None))
     return HyperCube(data=np.stack(bands).astype(np.int16))
 
 

@@ -9,12 +9,11 @@ quality numbers are quoted in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .codec import EncoderConfig, bitrate, decode_cube, encode_cube_full
-from .compensate import CompensationConfig
 from .cube import HyperCube
 from .errors import DimensionError, UndefinedCorrelationError
 
@@ -151,31 +150,18 @@ def rd_points(cube: HyperCube, lambda_sweep, cfg: EncoderConfig) -> list[RdPoint
         raise ValueError("lambda sweep must be non-empty")
     points = []
     for lam in lambda_sweep:
-        comp = CompensationConfig(
-            lam=float(lam), q_step=cfg.compensation.q_step, enabled=cfg.compensation.enabled
-        )
-        run_cfg = EncoderConfig(
-            train=cfg.train, compensation=comp, band_exclusions=cfg.band_exclusions
-        )
+        run_cfg = replace(cfg, compensation=replace(cfg.compensation, lam=float(lam)))
         result = encode_cube_full(cube, run_cfg)
         decoded = decode_cube(result.bitstream)
-        rate = bitrate(result.bitstream)
-        psnrs = [
-            psnr(ref, decoded.band(k))
-            for k, ref in enumerate(result.resized_bands)
-            if k > 0
-        ]
-        ssims = [
-            ssim(ref, decoded.band(k))
-            for k, ref in enumerate(result.resized_bands)
-            if k > 0
-        ]
+        records = band_records(
+            result.resized_bands[1:], [decoded.band(k) for k in range(1, decoded.bands)]
+        )
         points.append(
             RdPoint(
                 lam=float(lam),
-                bpppb=rate,
-                mean_psnr_db=float(np.mean(psnrs)) if psnrs else math.inf,
-                mean_ssim=float(np.mean(ssims)) if ssims else 1.0,
+                bpppb=bitrate(result.bitstream),
+                mean_psnr_db=float(np.mean([r.psnr_db for r in records])) if records else math.inf,
+                mean_ssim=float(np.mean([r.ssim for r in records])) if records else 1.0,
             )
         )
     points.sort(key=lambda p: p.bpppb)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, run
-from hsicodec.codec import Bitstream
+from hsicodec.codec import TAG_PARAMS, Bitstream
 from hsicodec.cube import HyperCube, load_cube, store_cube
+from hsicodec.entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
 
 
 @pytest.fixture
@@ -85,6 +86,17 @@ def test_decode_corrupt_compensation_header(tmp_path, cube_file, field, value):
     assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
     bs = Bitstream.from_bytes(out.read_bytes())
     setattr(bs.header, field, value)
+    out.write_bytes(bs.to_bytes())
+    assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+
+
+def test_decode_short_params_payload(tmp_path, cube_file):
+    out = tmp_path / "out.bip"
+    assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
+    bs = Bitstream.from_bytes(out.read_bytes())
+    assert bs.segments[1][0] == TAG_PARAMS
+    payload = decode_bytes(segment_from_bytes(bs.segments[1][1]))
+    bs.segments[1] = (TAG_PARAMS, segment_to_bytes(encode_bytes(payload[:10])))
     out.write_bytes(bs.to_bytes())
     assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
 

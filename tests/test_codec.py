@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -208,6 +209,22 @@ def test_wrong_tag_order_rejected():
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(CorruptStreamError):
         decode_cube(Bitstream(header=bs.header, segments=swapped))
+
+
+def test_trailing_segment_rejected():
+    cube = smooth_cube(bands=2)
+    bs = encode_cube(cube, fast_cfg())
+    extra = Bitstream(header=bs.header, segments=bs.segments + [bs.segments[-1]])
+    with pytest.raises(CorruptStreamError):
+        decode_cube(Bitstream.from_bytes(extra.to_bytes()))
+
+
+def test_header_declaring_more_bands_than_segments_rejected():
+    cube = smooth_cube(bands=2)
+    bs = encode_cube(cube, fast_cfg())
+    header = dataclasses.replace(bs.header, coded_bands=3)
+    with pytest.raises(CorruptStreamError):
+        decode_cube(Bitstream.from_bytes(Bitstream(header=header, segments=bs.segments).to_bytes()))
 
 
 def test_bitrate_arithmetic():

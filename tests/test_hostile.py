@@ -5,6 +5,7 @@ limit, so a decoder that trusts a declared length fails the test with a
 MemoryError instead of allocating what the stream asks for.
 """
 
+import functools
 import os
 import struct
 import subprocess
@@ -17,10 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.codec import TAG_FIRST_BAND, Bitstream, BitstreamHeader
-from hsicodec.compensate import offsets_from_bytes
-from hsicodec.entropy import decode_bytes, segment_from_bytes
+from hsicodec.codec import (
+    TAG_FIRST_BAND,
+    Bitstream,
+    BitstreamHeader,
+    EncoderConfig,
+    decode_cube,
+    encode_cube,
+)
+from hsicodec.compensate import CompensationConfig, offsets_from_bytes
+from hsicodec.cube import HyperCube
+from hsicodec.entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
+from hsicodec.lm import TrainConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_LIMIT = 1 << 30
@@ -119,3 +129,40 @@ def test_arbitrary_offsets_bytes(blob):
         return
     assert len(off) == len(blob) // 8
     assert np.all(np.diff(off.indices) > 0)
+
+
+@functools.lru_cache(maxsize=None)
+def two_band_stream() -> Bitstream:
+    """A valid 2-band stream at lambda 0.02: first band, params, ranges, offsets."""
+    i, j = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
+    base = 110 + 75 * np.sin(i / 9.0) * np.cos(j / 11.0) + 30 * np.sin((i + 2 * j) / 15.0)
+    cube = HyperCube(data=np.stack([np.round(base), np.round(base * 1.08 + 5)]).astype(np.int16))
+    cfg = EncoderConfig(
+        train=TrainConfig(max_epochs=2, seed=1), compensation=CompensationConfig(lam=0.02)
+    )
+    return encode_cube(cube, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.sampled_from([1, 2, 3]),  # the params, ranges and offsets segments
+    flips=st.lists(st.integers(min_value=0), max_size=4),
+    cut=st.none() | st.integers(min_value=0),
+)
+def test_mutated_band_payload(index, flips, cut):
+    # mutate one payload before entropy coding, so the segment itself stays well formed
+    bs = two_band_stream()
+    tag, body = bs.segments[index]
+    payload = bytearray(decode_bytes(segment_from_bytes(body)))
+    for bit in flips if payload else []:
+        payload[bit // 8 % len(payload)] ^= 1 << bit % 8
+    if cut is not None:
+        del payload[cut % (len(payload) + 1):]
+    segments = list(bs.segments)
+    segments[index] = (tag, segment_to_bytes(encode_bytes(bytes(payload))))
+    blob = Bitstream(header=bs.header, segments=segments).to_bytes()
+    try:
+        out = decode_cube(Bitstream.from_bytes(blob))
+    except CorruptStreamError:
+        return
+    assert out.data.shape == (2, 256, 256)
