@@ -206,6 +206,8 @@ def _decode_band(x: BlockMatrix, param_bytes: bytes, range_bytes: bytes) -> np.n
     except DimensionError as exc:
         raise CorruptStreamError(f"invalid band payload: {exc}") from exc
     pred = forward(params, x.data)
+    if not np.all(np.isfinite(pred)):
+        raise CorruptStreamError("band payload predicts non-finite values")
     band_values = blocks_to_band(
         BlockMatrix(data=pred, block_rows=x.block_rows, block_cols=x.block_cols)
     )

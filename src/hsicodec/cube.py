@@ -180,7 +180,12 @@ def normalize_band(band: np.ndarray) -> NormalizedBand:
 
 
 def denormalize_band(nb: NormalizedBand) -> np.ndarray:
-    """Invert normalize_band: scale back, round, clamp to [src_min, src_max]."""
-    scaled = nb.values * float(nb.src_max - nb.src_min)
+    """Invert normalize_band: scale back, round, clamp to [src_min, src_max].
+
+    Values are clipped to [0, 1] first, which maps them to the same integers
+    as clamping afterwards but keeps a huge value (a hostile band payload can
+    predict 1e39) from overflowing the integer cast.
+    """
+    scaled = np.clip(nb.values, 0.0, 1.0) * float(nb.src_max - nb.src_min)
     ints = round_half_away(scaled).astype(np.int64) + nb.src_min
     return np.clip(ints, nb.src_min, nb.src_max)

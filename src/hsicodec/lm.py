@@ -1,11 +1,14 @@
 """Levenberg-Marquardt training of the band-prediction network.
 
-One epoch builds the analytic Jacobian on the training columns, then
-damped Gauss-Newton steps are proposed with increasing damping until one
-strictly reduces the training MSE. Columns are split train/validation/test
-by a seeded shuffle; early stopping watches consecutive validation-MSE
-failures and the best-validation parameters are what training returns
-(except when the MSE goal is hit, where the goal-hitting parameters win).
+One epoch forms the Gauss-Newton normal equations J'J and J'e on the
+training columns in closed form from the layer quantities, never storing
+the (16 M) x 346 Jacobian J (Wilamowski & Yu, "Improved Computation for
+Levenberg-Marquardt Training", IEEE TNN 21(6), 2010). Damped steps are
+then proposed with increasing damping until one strictly reduces the
+training MSE. Columns are split train/validation/test by a seeded shuffle;
+early stopping watches consecutive validation-MSE failures and the
+best-validation parameters are what training returns (except when the MSE
+goal is hit, where the goal-hitting parameters win).
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ def compute_jacobian(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
 
     Row 16*c + r holds d output(r, c) / d theta, with theta flattened as
     w1 row-major, b1, w2 row-major, b2. Uses tansig'(z) = 1 - tansig(z)^2.
+    Training never builds it: this is the reference that the tests check
+    ``normal_equations`` against.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
@@ -113,13 +118,65 @@ def compute_jacobian(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return jac.reshape(m * N_OUTPUT, N_PARAMS)
 
 
-def _residual(params: MlpParams, inputs, target) -> np.ndarray:
-    """Flattened output - target in the Jacobian's row order (16*c + r)."""
-    return (forward(params, inputs) - target).T.ravel()
+def _gram_order() -> np.ndarray:
+    """Index map from the Gram form's layer order to ``MlpParams.to_vector``.
+
+    ``normal_equations`` numbers the parameters layer by layer with each
+    neuron's bias after its weights, [w1 | b1] (10 x 17) then [w2 | b2]
+    (16 x 11); flattening those indices the way ``to_vector`` flattens the
+    parameters gives, for each vector position, its Gram-form index.
+    """
+    first = np.arange(N_HIDDEN * (N_INPUT + 1)).reshape(N_HIDDEN, N_INPUT + 1)
+    second = first.size + np.arange(N_OUTPUT * (N_HIDDEN + 1)).reshape(N_OUTPUT, N_HIDDEN + 1)
+    order = MlpParams(w1=first[:, :-1], b1=first[:, -1], w2=second[:, :-1], b2=second[:, -1])
+    return order.to_vector().astype(np.intp)
+
+
+_GRAM_ORDER = _gram_order()
+
+
+def normal_equations(params: MlpParams, inputs, target) -> tuple[np.ndarray, np.ndarray]:
+    """J'J and J'e for e = forward(params, inputs) - target, without forming J.
+
+    With x~ = [x; 1], h~ = [h; 1], dh = 1 - h^2, Z = dh (x) x~ (170 x M, row
+    17u + v = dh[u] * x~[v]) and E = output - target (16 x M):
+    the first-layer block is (Z Z') * (W2'W2 (x) ones(17, 17)), the cross
+    block is w2[s, u] * (Z H~')[(u, v), t], the second-layer block is
+    I16 (x) H~H~', and J'e is ((W2'E) * dh) x~' and E H~'. Both come back in
+    the order of ``MlpParams.to_vector``, matching ``compute_jacobian``.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] != N_INPUT or target.shape != inputs.shape:
+        raise DimensionError(
+            f"input/target must both be {N_INPUT} x M, got {inputs.shape} and {target.shape}"
+        )
+    m = inputs.shape[1]
+    ones = np.ones((1, m))
+    hidden = tansig(params.w1 @ inputs + params.b1[:, None])     # 10 x M
+    err = params.w2 @ hidden + params.b2[:, None] - target       # 16 x M, as forward()
+    dh = 1.0 - hidden * hidden                                   # 10 x M
+    x1 = np.vstack([inputs, ones])                               # 17 x M
+    h1 = np.vstack([hidden, ones])                               # 11 x M
+    z = (dh[:, None, :] * x1[None, :, :]).reshape(-1, m)         # 170 x M
+
+    n1 = z.shape[0]
+    jtj = np.empty((N_PARAMS, N_PARAMS))
+    gram = params.w2.T @ params.w2                               # 10 x 10
+    jtj[:n1, :n1] = (z @ z.T) * np.kron(gram, np.ones((N_INPUT + 1, N_INPUT + 1)))
+    zh = (z @ h1.T).reshape(N_HIDDEN, N_INPUT + 1, 1, N_HIDDEN + 1)
+    cross = (params.w2.T[:, None, :, None] * zh).reshape(n1, -1)  # 170 x 176
+    jtj[:n1, n1:] = cross
+    jtj[n1:, :n1] = cross.T
+    jtj[n1:, n1:] = np.kron(np.eye(N_OUTPUT), h1 @ h1.T)
+
+    jte = np.concatenate([(((params.w2.T @ err) * dh) @ x1.T).ravel(), (err @ h1.T).ravel()])
+    return jtj[np.ix_(_GRAM_ORDER, _GRAM_ORDER)], jte[_GRAM_ORDER]
 
 
 def _solve_step(jtj: np.ndarray, jte: np.ndarray, mu: float) -> np.ndarray:
-    damped = jtj + mu * np.eye(jtj.shape[0])
+    damped = jtj.copy()
+    damped[np.diag_indices_from(damped)] += mu
     try:
         return cho_solve(cho_factor(damped, lower=True), jte)
     except (LinAlgError, ValueError) as exc:
@@ -130,11 +187,7 @@ def lm_step(params: MlpParams, inputs, target, mu: float) -> MlpParams:
     """One damped Gauss-Newton update: params - (J'J + mu I)^-1 J' e."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    jac = compute_jacobian(params, inputs)
-    e = _residual(params, inputs, target)
-    delta = _solve_step(jac.T @ jac, jac.T @ e, mu)
+    delta = _solve_step(*normal_equations(params, inputs, target), mu)
     return MlpParams.from_vector(params.to_vector() - delta)
 
 
@@ -181,10 +234,7 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
             stop = "time"
             break
 
-        jac = compute_jacobian(params, x_tr)
-        e = _residual(params, x_tr, t_tr)
-        jtj = jac.T @ jac
-        jte = jac.T @ e
+        jtj, jte = normal_equations(params, x_tr, t_tr)
 
         accepted = False
         while not accepted:

@@ -23,6 +23,8 @@ from hsicodec.codec import (
     Bitstream,
     BitstreamHeader,
     EncoderConfig,
+    _band_blocks,
+    _decode_band,
     decode_cube,
     encode_cube,
 )
@@ -31,6 +33,10 @@ from hsicodec.cube import HyperCube
 from hsicodec.entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
 from hsicodec.lm import TrainConfig
+from hsicodec.quantize import RANGE_BYTES
+
+# a cast or overflow warning on hostile input is a defect, not a pass
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_LIMIT = 1 << 30
@@ -166,3 +172,23 @@ def test_mutated_band_payload(index, flips, cut):
     except CorruptStreamError:
         return
     assert out.data.shape == (2, 256, 256)
+
+
+def test_huge_parameter_ranges():
+    # every parameter range widened to float32 +-3e38: the prediction reaches
+    # about 1e39, which the band scaling used to cast to int64 out of range
+    bs = two_band_stream()
+    segments = list(bs.segments)
+    tag, body = segments[2]
+    payload = decode_bytes(segment_from_bytes(body))
+    payload = struct.pack("<8f", *[-3e38, 3e38] * 4) + payload[RANGE_BYTES:]
+    segments[2] = (tag, segment_to_bytes(encode_bytes(payload)))
+    try:
+        decode_cube(Bitstream(header=bs.header, segments=segments))
+    except CorruptStreamError:
+        return
+    params = decode_bytes(segment_from_bytes(segments[1][1]))
+    src_min, src_max = struct.unpack_from("<ii", payload, RANGE_BYTES)
+    x = _band_blocks(decode_cube(bs).data[0])
+    pred = _decode_band(x, params, payload)
+    assert src_min <= pred.min() and pred.max() <= src_max

@@ -3,11 +3,13 @@ import pytest
 
 from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import normalize_band
+from hsicodec import lm
 from hsicodec.lm import (
     TrainConfig,
     compute_jacobian,
     init_params,
     lm_step,
+    normal_equations,
     train,
 )
 from hsicodec.mlp import MlpParams, N_PARAMS, forward
@@ -96,6 +98,41 @@ def test_jacobian_matches_finite_differences():
         rel /= np.maximum(np.abs(fd_jacobian(params, x)), 1.0)
         worst = max(worst, rel.max())
     assert worst <= 1e-5
+
+
+def assert_matches_jacobian_oracle(params, x, target):
+    jac = compute_jacobian(params, x)
+    e = (forward(params, x) - target).T.ravel()
+    jtj, jte = normal_equations(params, x, target)
+    want_jtj, want_jte = jac.T @ jac, jac.T @ e
+    assert np.linalg.norm(jtj - want_jtj) <= 1e-12 * np.linalg.norm(want_jtj)
+    assert np.linalg.norm(jte - want_jte) <= 1e-12 * np.linalg.norm(want_jte)
+
+
+@pytest.mark.parametrize("m", [1, 17, 2867])
+@pytest.mark.parametrize("init", [0.3, 1.0, 3.0])  # 3.0 saturates tanh
+def test_normal_equations_match_jacobian(m, init):
+    params = init_params(TrainConfig(init_range=(-init, init), seed=m))
+    rng = np.random.default_rng(m)
+    x = rng.uniform(0, 1, (16, m))
+    assert_matches_jacobian_oracle(params, x, rng.uniform(0, 1, (16, m)))
+
+
+def test_normal_equations_zero_inputs():
+    params = init_params(TrainConfig(seed=12))
+    x = np.zeros((16, 5))
+    assert_matches_jacobian_oracle(params, x, np.random.default_rng(12).uniform(0, 1, (16, 5)))
+
+
+def test_train_never_builds_the_jacobian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training built the full Jacobian")
+
+    monkeypatch.setattr(lm, "compute_jacobian", refuse)
+    x = band_blocks(seed=7)[:, :512]
+    cfg = TrainConfig(max_epochs=3, mse_goal=1e-12, seed=7)
+    _, report = train(x, 0.6 * x + 0.1, cfg)
+    assert report.epochs_run == 3
 
 
 def test_lm_step_zero_residual_is_identity():
