@@ -18,7 +18,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hsicodec import (
-    BlockMatrix,
     TrainConfig,
     band_to_blocks,
     blocks_to_band,
@@ -28,7 +27,6 @@ from hsicodec import (
     normalize_band,
     resize_band,
 )
-from hsicodec.cube import NormalizedBand
 from hsicodec.lm import train
 from hsicodec.metrics import psnr, ssim
 from hsicodec.quantize import dequantize_params, quantize_params
@@ -50,25 +48,23 @@ def main():
 
     src = resize_band(cube.band(args.band)).astype(np.int64)
     tgt = resize_band(cube.band(args.band + 1)).astype(np.int64)
-    nb_src = normalize_band(src)
-    nb_tgt = normalize_band(tgt)
-    x = band_to_blocks(nb_src.values)
-    t = band_to_blocks(nb_tgt.values)
+    x = band_to_blocks(normalize_band(src)[0])
+    tgt_values, tgt_min, tgt_max = normalize_band(tgt)
+    t = band_to_blocks(tgt_values)
 
     cfg = TrainConfig(mse_goal=args.mse_goal, max_epochs=args.max_epochs, seed=args.seed)
     t0 = time.monotonic()
-    params, report = train(x.data, t.data, cfg)
+    params, report = train(x, t, cfg)
     elapsed = time.monotonic() - t0
     print(f"trained {report.epochs_run} epochs in {elapsed:.1f}s, "
           f"stop={report.stop_reason}, train MSE {report.final_mse:.3e}")
 
     def reconstruct(p):
-        pred = forward(p, x.data)
-        values = blocks_to_band(BlockMatrix(pred, x.block_rows, x.block_cols))
-        return denormalize_band(NormalizedBand(values, nb_tgt.src_min, nb_tgt.src_max))
+        values = blocks_to_band(forward(p, x), tgt.shape)
+        return denormalize_band(values, tgt_min, tgt_max)
 
     exact = reconstruct(params)
-    shipped = reconstruct(dequantize_params(quantize_params(params)))
+    shipped = reconstruct(dequantize_params(*quantize_params(params)))
     print(f"float params : psnr {psnr(tgt, exact):6.2f} dB  ssim {ssim(tgt, exact):.4f}")
     print(f"8-bit params : psnr {psnr(tgt, shipped):6.2f} dB  ssim {ssim(tgt, shipped):.4f}")
 

@@ -8,7 +8,7 @@ The package namespace holds the names the scripts and the benchmark use;
 everything else is imported from its submodule.
 """
 
-from .blocks import BlockMatrix, band_to_blocks, blocks_to_band
+from .blocks import band_to_blocks, blocks_to_band
 from .codec import Bitstream, EncoderConfig, bitrate, decode_cube, encode_cube_full
 from .compensate import CompensationConfig
 from .cube import HyperCube, denormalize_band, load_cube, normalize_band, resize_band, store_cube

@@ -1,4 +1,4 @@
-"""Rearrange a band into the 16 x M block-column matrix the network consumes.
+"""Rearrange a band into the 16 x M block-column array the network consumes.
 
 A 256x256 band splits into 64x64 blocks of 4x4 pixels. Blocks are scanned
 row-major; within a block, pixels are scanned row-major. Pixel (i, j) lands
@@ -8,8 +8,6 @@ Both directions are exact inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
@@ -17,21 +15,8 @@ from .errors import DimensionError
 BLOCK = 4
 
 
-@dataclass
-class BlockMatrix:
-    data: np.ndarray          # 16 x (block_rows * block_cols)
-    block_rows: int
-    block_cols: int
-
-    def __post_init__(self):
-        if self.data.shape != (BLOCK * BLOCK, self.block_rows * self.block_cols):
-            raise DimensionError(
-                f"block matrix shape {self.data.shape} does not match "
-                f"{self.block_rows}x{self.block_cols} blocks"
-            )
-
-
-def band_to_blocks(band: np.ndarray) -> BlockMatrix:
+def band_to_blocks(band: np.ndarray) -> np.ndarray:
+    """The 16 x M block columns of a band whose sides are multiples of 4."""
     band = np.asarray(band)
     if band.ndim != 2 or band.shape[0] % BLOCK or band.shape[1] % BLOCK:
         raise DimensionError(
@@ -44,15 +29,17 @@ def band_to_blocks(band: np.ndarray) -> BlockMatrix:
         .transpose(0, 2, 1, 3)
         .reshape(br * bc, BLOCK * BLOCK)
     )
-    return BlockMatrix(data=cols.T.copy(), block_rows=br, block_cols=bc)
+    return cols.T.copy()
 
 
-def blocks_to_band(bm: BlockMatrix) -> np.ndarray:
-    br, bc = bm.block_rows, bm.block_cols
-    if bm.data.shape != (BLOCK * BLOCK, br * bc):
-        raise DimensionError(f"bad block matrix shape {bm.data.shape}")
+def blocks_to_band(blocks: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Invert band_to_blocks for a band of the given shape."""
+    rows, cols = shape
+    br, bc = rows // BLOCK, cols // BLOCK
+    if rows % BLOCK or cols % BLOCK or blocks.shape != (BLOCK * BLOCK, br * bc):
+        raise DimensionError(f"block matrix shape {blocks.shape} does not fill a {rows}x{cols} band")
     return (
-        bm.data.T.reshape(br, bc, BLOCK, BLOCK)
+        blocks.T.reshape(br, bc, BLOCK, BLOCK)
         .transpose(0, 2, 1, 3)
-        .reshape(br * BLOCK, bc * BLOCK)
+        .reshape(rows, cols)
     )

@@ -44,9 +44,7 @@ EXIT_CORRUPT = 4
 EXIT_NUMERIC = 5
 
 
-def _parse_exclusions(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
+def _parse_exclusions(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
@@ -67,11 +65,7 @@ def _encoder_config(args) -> EncoderConfig:
     comp = CompensationConfig(
         lam=args.lam, q_step=args.qstep, enabled=not args.no_compensation
     )
-    return EncoderConfig(
-        train=_train_config(args),
-        compensation=comp,
-        band_exclusions=_parse_exclusions(args.exclude),
-    )
+    return EncoderConfig(train=_train_config(args), compensation=comp, band_exclusions=args.exclude)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -82,7 +76,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-range", type=float, default=1.0, dest="init_range",
                    help="weights start uniform in [-r, r]; smaller values "
                         "tend to quantize better")
-    p.add_argument("--exclude", default="", help="comma-separated damaged band indices")
+    p.add_argument("--exclude", type=_parse_exclusions, default="",
+                   help="comma-separated damaged band indices")
 
 
 def _add_comp_flags(p: argparse.ArgumentParser) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockMatrix, band_to_blocks, blocks_to_band
+from .blocks import band_to_blocks, blocks_to_band
 from .compensate import (
     CompensationConfig,
     apply_offsets,
@@ -31,27 +31,12 @@ from .compensate import (
     offsets_from_bytes,
     offsets_to_bytes,
 )
-from .cube import (
-    BAND_SIZE,
-    HyperCube,
-    NormalizedBand,
-    denormalize_band,
-    normalize_band,
-    resize_band,
-)
+from .cube import BAND_SIZE, HyperCube, denormalize_band, normalize_band, resize_band
 from .entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
 from .mlp import forward
-from .quantize import (
-    PARAM_BYTES,
-    RANGE_BYTES,
-    dequantize_params,
-    from_payloads,
-    params_payload,
-    quantize_params,
-    ranges_payload,
-)
+from .quantize import PARAM_BYTES, RANGE_BYTES, dequantize_params, quantize_params
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 MAGIC = b"BIPN"
@@ -183,12 +168,12 @@ def _unpack_band(blob: bytes, shape) -> np.ndarray:
     return from_byte_planes(blob, "<i2").astype(np.int64).reshape(shape)
 
 
-def _band_blocks(band: np.ndarray) -> BlockMatrix:
+def _band_blocks(band: np.ndarray) -> np.ndarray:
     """The network input built from a reconstructed band."""
-    return band_to_blocks(normalize_band(band).values)
+    return band_to_blocks(normalize_band(band)[0])
 
 
-def _decode_band(x: BlockMatrix, param_bytes: bytes, range_bytes: bytes) -> np.ndarray:
+def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.ndarray:
     """The one step both codec sides run: a band predicted from its payload bytes.
 
     ``x`` holds the previous reconstructed band's blocks; ``param_bytes`` and
@@ -202,16 +187,13 @@ def _decode_band(x: BlockMatrix, param_bytes: bytes, range_bytes: bytes) -> np.n
     if src_min > src_max:
         raise CorruptStreamError("band min exceeds max")
     try:
-        params = dequantize_params(from_payloads(param_bytes, range_bytes[:RANGE_BYTES]))
+        params = dequantize_params(param_bytes, range_bytes[:RANGE_BYTES])
     except DimensionError as exc:
         raise CorruptStreamError(f"invalid band payload: {exc}") from exc
-    pred = forward(params, x.data)
+    pred = forward(params, x)
     if not np.all(np.isfinite(pred)):
         raise CorruptStreamError("band payload predicts non-finite values")
-    band_values = blocks_to_band(
-        BlockMatrix(data=pred, block_rows=x.block_rows, block_cols=x.block_cols)
-    )
-    return denormalize_band(NormalizedBand(band_values, src_min, src_max))
+    return denormalize_band(blocks_to_band(pred, (BAND_SIZE, BAND_SIZE)), src_min, src_max)
 
 
 def _finish_band(pred: np.ndarray, offset_bytes: bytes | None) -> np.ndarray:
@@ -222,7 +204,7 @@ def _finish_band(pred: np.ndarray, offset_bytes: bytes | None) -> np.ndarray:
 
 
 def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
-    exclusions = set(cube.band_exclusions) | set(cfg.band_exclusions)
+    exclusions = set(cfg.band_exclusions)
     for b in exclusions:
         if not 0 <= b < cube.bands:
             raise DimensionError(f"excluded band {b} out of range [0, {cube.bands})")
@@ -263,13 +245,12 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     for band in resized[1:]:
         x = _band_blocks(recon_bands[-1])
-        nb_tgt = normalize_band(band)
-        params, report = train(x.data, band_to_blocks(nb_tgt.values).data, cfg.train)
+        target, src_min, src_max = normalize_band(band)
+        params, report = train(x, band_to_blocks(target), cfg.train)
         reports.append(report)
 
-        qp = quantize_params(params)
-        param_bytes = params_payload(qp)
-        range_bytes = ranges_payload(qp) + BAND_RANGE.pack(nb_tgt.src_min, nb_tgt.src_max)
+        param_bytes, range_bytes = quantize_params(params)
+        range_bytes += BAND_RANGE.pack(src_min, src_max)
         pred = _decode_band(x, param_bytes, range_bytes)
         payloads = [(TAG_PARAMS, param_bytes), (TAG_RANGES, range_bytes)]
         offset_bytes = None

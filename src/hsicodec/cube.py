@@ -5,13 +5,14 @@ Cubes live on disk as raw band-sequential little-endian int16 samples
 ``rows=``, ``cols=``, ``bands=``, ``dtype=i16le``, ``order=bsq``.
 
 Every band the codec touches is first resized to BAND_SIZE x BAND_SIZE by
-nearest-neighbor sampling and normalized to [0, 1]; the stored (src_min,
-src_max) pair makes the normalization exactly invertible on integers.
+nearest-neighbor sampling and normalized to [0, 1]; ``normalize_band``
+returns the values with the band's (src_min, src_max), and that pair makes
+the normalization exactly invertible on integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,10 @@ class HyperCube:
     """A rows x cols x bands stack of int16 reflectance samples.
 
     ``data`` is stored band-major, shape (bands, rows, cols), matching the
-    band-sequential file layout. ``band_exclusions`` lists band indices the
-    codec must treat as absent (damaged bands, user supplied).
+    band-sequential file layout.
     """
 
     data: np.ndarray
-    band_exclusions: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.int16)
@@ -47,10 +46,6 @@ class HyperCube:
             raise DimensionError(f"cube data must be 3-D, got {self.data.ndim}-D")
         if min(self.data.shape) < 1:
             raise DimensionError(f"cube dims must be positive, got {self.data.shape}")
-        self.band_exclusions = tuple(int(b) for b in self.band_exclusions)
-        for b in self.band_exclusions:
-            if not 0 <= b < self.bands:
-                raise DimensionError(f"excluded band {b} out of range [0, {self.bands})")
 
     @property
     def bands(self) -> int:
@@ -66,19 +61,6 @@ class HyperCube:
 
     def band(self, index: int) -> np.ndarray:
         return self.data[index]
-
-
-@dataclass
-class NormalizedBand:
-    """A [0, 1]-valued band plus the integer range it was scaled from."""
-
-    values: np.ndarray
-    src_min: int
-    src_max: int
-
-    def __post_init__(self):
-        if self.src_min > self.src_max:
-            raise DimensionError("src_min must not exceed src_max")
 
 
 def _header_path(raw_path) -> Path:
@@ -168,24 +150,26 @@ def resize_band(band: np.ndarray, size: int = BAND_SIZE) -> np.ndarray:
     return band[np.ix_(src_i, src_j)]
 
 
-def normalize_band(band: np.ndarray) -> NormalizedBand:
-    """Scale an integer band to [0, 1]; a constant band maps to all zeros."""
+def normalize_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Scale an integer band to [0, 1]: (values, src_min, src_max).
+
+    A constant band maps to all zeros.
+    """
     band = np.asarray(band)
     lo = int(band.min())
     hi = int(band.max())
     if hi == lo:
-        return NormalizedBand(np.zeros(band.shape, dtype=np.float64), lo, hi)
-    values = (band.astype(np.float64) - lo) / float(hi - lo)
-    return NormalizedBand(values, lo, hi)
+        return np.zeros(band.shape, dtype=np.float64), lo, hi
+    return (band.astype(np.float64) - lo) / float(hi - lo), lo, hi
 
 
-def denormalize_band(nb: NormalizedBand) -> np.ndarray:
+def denormalize_band(values: np.ndarray, src_min: int, src_max: int) -> np.ndarray:
     """Invert normalize_band: scale back, round, clamp to [src_min, src_max].
 
     Values are clipped to [0, 1] first, which maps them to the same integers
     as clamping afterwards but keeps a huge value (a hostile band payload can
     predict 1e39) from overflowing the integer cast.
     """
-    scaled = np.clip(nb.values, 0.0, 1.0) * float(nb.src_max - nb.src_min)
-    ints = round_half_away(scaled).astype(np.int64) + nb.src_min
-    return np.clip(ints, nb.src_min, nb.src_max)
+    scaled = np.clip(values, 0.0, 1.0) * float(src_max - src_min)
+    ints = round_half_away(scaled).astype(np.int64) + src_min
+    return np.clip(ints, src_min, src_max)

@@ -25,32 +25,29 @@ from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams, forward, mse,
 
 StopReason = Literal["goal", "epochs", "time", "mu_overflow", "patience"]
 
+# the trainlm defaults (Hagan & Menhaj): damping mu starts at 1e-3, is divided
+# by 10 after an accepted step and multiplied by 10 after a rejected one, and
+# stops training above 1e10; a 70/15/15 train/validation/test column split,
+# and 6 consecutive validation failures stop training
+MU_INIT = 1e-3
+MU_SCALE = 10.0
+MU_MAX = 1e10
+VALIDATION_FRACTION = 0.15
+TEST_FRACTION = 0.15
+PATIENCE = 6
+
 
 @dataclass
 class TrainConfig:
     mse_goal: float = 1e-4
     max_epochs: int = 1000
     max_seconds: float = 1000.0
-    mu_init: float = 1e-3
-    mu_scale: float = 10.0
-    mu_max: float = 1e10
     init_range: tuple[float, float] = (-1.0, 1.0)
     seed: int = 0
-    validation_fraction: float = 0.15
-    test_fraction: float = 0.15
-    patience: int = 6
 
     def __post_init__(self):
         if self.mse_goal <= 0:
             raise ValueError("mse_goal must be positive")
-        if self.mu_init <= 0:
-            raise ValueError("mu_init must be positive")
-        if self.mu_scale <= 1:
-            raise ValueError("mu_scale must exceed 1")
-        if not 0 <= self.validation_fraction < 1 or not 0 <= self.test_fraction < 1:
-            raise ValueError("split fractions must lie in [0, 1)")
-        if self.validation_fraction + self.test_fraction >= 1:
-            raise ValueError("validation_fraction + test_fraction must be < 1")
         lo, hi = self.init_range
         if not lo < hi:
             raise ValueError("init_range must be a non-empty interval")
@@ -191,11 +188,11 @@ def lm_step(params: MlpParams, inputs, target, mu: float) -> MlpParams:
     return MlpParams.from_vector(params.to_vector() - delta)
 
 
-def _split_columns(m: int, cfg: TrainConfig, rng: np.random.Generator):
+def _split_columns(m: int, rng: np.random.Generator):
     """Seeded shuffle of column indices into train / validation / test."""
     perm = rng.permutation(m)
-    n_val = int(round(cfg.validation_fraction * m))
-    n_test = int(round(cfg.test_fraction * m))
+    n_val = int(round(VALIDATION_FRACTION * m))
+    n_test = int(round(TEST_FRACTION * m))
     n_train = m - n_val - n_test
     if n_train < 1:
         raise ValueError("split leaves no training columns")
@@ -213,13 +210,13 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
 
     rng = np.random.default_rng(cfg.seed)
     params = _draw_params(rng, cfg.init_range)
-    tr_idx, val_idx, _ = _split_columns(inputs.shape[1], cfg, rng)
+    tr_idx, val_idx, _ = _split_columns(inputs.shape[1], rng)
     x_tr, t_tr = inputs[:, tr_idx], target[:, tr_idx]
     x_val, t_val = inputs[:, val_idx], target[:, val_idx]
     has_val = val_idx.size > 0
 
     start = time.monotonic()
-    mu = cfg.mu_init
+    mu = MU_INIT
     train_mse = mse(forward(params, x_tr), t_tr)
     best_params, best_train_mse = params, train_mse
     best_val = np.inf
@@ -247,11 +244,11 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
                 cand_mse = np.inf
             if cand_mse < train_mse:
                 params, train_mse = candidate, cand_mse
-                mu /= cfg.mu_scale
+                mu /= MU_SCALE
                 accepted = True
             else:
-                mu *= cfg.mu_scale
-                if mu > cfg.mu_max:
+                mu *= MU_SCALE
+                if mu > MU_MAX:
                     stop = "mu_overflow"
                     break
         if not accepted:
@@ -275,7 +272,7 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
         if train_mse <= cfg.mse_goal:
             stop = "goal"
             break
-        if has_val and val_fail >= cfg.patience:
+        if has_val and val_fail >= PATIENCE:
             stop = "patience"
             break
 

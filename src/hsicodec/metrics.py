@@ -16,6 +16,7 @@ import numpy as np
 from .codec import EncoderConfig, bitrate, decode_cube, encode_cube_full
 from .cube import HyperCube
 from .errors import DimensionError, UndefinedCorrelationError
+from .mlp import mse
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -47,20 +48,11 @@ def correlation_coefficient(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.sum(da * db) / denom, -1.0, 1.0))
 
 
-def band_mse(ref: np.ndarray, test: np.ndarray) -> float:
-    ref = np.asarray(ref, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if ref.shape != test.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {test.shape}")
-    diff = ref - test
-    return float(np.mean(diff * diff))
-
-
 def psnr(ref: np.ndarray, test: np.ndarray, peak: int = 255) -> float:
     """10 log10(peak^2 / MSE) in dB, +inf for identical bands."""
     if peak <= 0:
         raise ValueError("peak must be positive")
-    err = band_mse(ref, test)
+    err = mse(ref, test)
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / err)
@@ -123,7 +115,7 @@ def band_records(ref_bands, test_bands, peak: int = 255) -> list[MetricsRecord]:
         records.append(
             MetricsRecord(
                 band_index=k,
-                mse=band_mse(ref, test),
+                mse=mse(ref, test),
                 psnr_db=psnr(ref, test, peak),
                 ssim=ssim(ref, test),
                 cc_next=cc,

@@ -1,118 +1,62 @@
-"""8-bit quantization of network parameters with per-matrix (min, max).
+"""8-bit quantization of the flat parameter vector, one (min, max) per group.
 
-This is the lossy step that bounds the transmitted payload: each of the
-four parameter matrices maps onto [0, 255] bytes plus a (min, max) pair.
-The extrema are reduced to 32-bit float precision *before* quantizing and
-the reduced values are what both codec sides use, so dequantization is
+This is the lossy step that bounds the transmitted payload. The vector of
+``MlpParams.to_vector`` splits into its four parameter groups (w1, b1, w2,
+b2); each group maps onto [0, 255] bytes plus a (min, max) pair. The
+extrema are reduced to 32-bit float precision *before* quantizing and the
+reduced values are what both codec sides use, so dequantization is
 identical at encoder and decoder.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
-from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams
+from .errors import DimensionError
+from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams
 from .rounding import round_half_away
 
-# q_w1 + q_b1 + q_w2 + q_b2 bytes, then four (min, max) float32 pairs
-PARAM_BYTES = N_HIDDEN * N_INPUT + N_HIDDEN + N_OUTPUT * N_HIDDEN + N_OUTPUT
-RANGE_BYTES = 4 * 2 * 4
-PAYLOAD_BYTES = PARAM_BYTES + RANGE_BYTES
+# (start, end) of each group of the flat vector: w1, b1, w2, b2
+GROUPS = list(pairwise(np.cumsum([0, N_HIDDEN * N_INPUT, N_HIDDEN, N_OUTPUT * N_HIDDEN, N_OUTPUT])))
+
+# one byte per parameter, then the four (min, max) pairs as float32
+RANGES = struct.Struct("<8f")
+PARAM_BYTES = N_PARAMS
+RANGE_BYTES = RANGES.size
 
 
-@dataclass
-class QuantizedParams:
-    q_w1: bytes  # 160
-    q_b1: bytes  # 10
-    q_w2: bytes  # 160
-    q_b2: bytes  # 16
-    ranges: tuple[tuple[float, float], ...]  # (min, max) per matrix, float32 values
-
-    def __post_init__(self):
-        sizes = (len(self.q_w1), len(self.q_b1), len(self.q_w2), len(self.q_b2))
-        if sizes != (160, 10, 160, 16):
-            raise DimensionError(f"quantized byte counts {sizes}, expected (160, 10, 160, 16)")
-        if len(self.ranges) != 4 or any(lo > hi for lo, hi in self.ranges):
-            raise DimensionError("ranges must be four (min, max) pairs with min <= max")
-
-
-def quantize_matrix(m: np.ndarray) -> tuple[bytes, float, float]:
-    """Map a real matrix to bytes in [0, 255] plus float32 (min, max)."""
-    m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
-        raise NumericError("cannot quantize non-finite values")
-    lo = float(np.float32(m.min()))
-    hi = float(np.float32(m.max()))
-    if hi <= lo:
-        return bytes(m.size), lo, lo
-    q = round_half_away(255.0 * (m.ravel() - lo) / (hi - lo))
-    return np.clip(q, 0, 255).astype(np.uint8).tobytes(), lo, hi
+def quantize_params(params: MlpParams) -> tuple[bytes, bytes]:
+    """The params payload (346 bytes in vector order) and ranges payload (32 bytes)."""
+    vec = params.to_vector()
+    q = np.zeros(N_PARAMS, dtype=np.uint8)
+    ranges = []
+    for start, end in GROUPS:
+        group = vec[start:end]
+        lo = float(np.float32(group.min()))
+        hi = float(np.float32(group.max()))
+        if hi <= lo:
+            hi = lo  # a constant group: zero bytes
+        else:
+            q[start:end] = np.clip(round_half_away(255.0 * (group - lo) / (hi - lo)), 0, 255)
+        ranges += [lo, hi]
+    return q.tobytes(), RANGES.pack(*ranges)
 
 
-def dequantize_matrix(data: bytes, lo: float, hi: float, shape) -> np.ndarray:
-    """Invert quantize_matrix: v = min + q * (max - min) / 255."""
-    expected = int(np.prod(shape))
-    if len(data) != expected:
-        raise DimensionError(f"{len(data)} bytes cannot fill shape {shape}")
-    q = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
-    if hi <= lo:
-        values = np.full(expected, lo, dtype=np.float64)
-    else:
-        values = lo + q * (hi - lo) / 255.0
-    return values.reshape(shape)
-
-
-def quantize_params(params: MlpParams) -> QuantizedParams:
-    q_w1, *r1 = quantize_matrix(params.w1)
-    q_b1, *r2 = quantize_matrix(params.b1)
-    q_w2, *r3 = quantize_matrix(params.w2)
-    q_b2, *r4 = quantize_matrix(params.b2)
-    return QuantizedParams(
-        q_w1=q_w1, q_b1=q_b1, q_w2=q_w2, q_b2=q_b2,
-        ranges=(tuple(r1), tuple(r2), tuple(r3), tuple(r4)),
-    )
-
-
-def dequantize_params(qp: QuantizedParams) -> MlpParams:
-    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = qp.ranges
-    return MlpParams(
-        w1=dequantize_matrix(qp.q_w1, lo1, hi1, (N_HIDDEN, N_INPUT)),
-        b1=dequantize_matrix(qp.q_b1, lo2, hi2, (N_HIDDEN,)),
-        w2=dequantize_matrix(qp.q_w2, lo3, hi3, (N_OUTPUT, N_HIDDEN)),
-        b2=dequantize_matrix(qp.q_b2, lo4, hi4, (N_OUTPUT,)),
-    )
-
-
-def params_payload(qp: QuantizedParams) -> bytes:
-    """346 quantized bytes in wire order (w1 row-major, b1, w2 row-major, b2)."""
-    return qp.q_w1 + qp.q_b1 + qp.q_w2 + qp.q_b2
-
-
-def ranges_payload(qp: QuantizedParams) -> bytes:
-    """Four (min, max) pairs as interleaved little-endian float32."""
-    out = bytearray()
-    for lo, hi in qp.ranges:
-        out += struct.pack("<ff", lo, hi)
-    return bytes(out)
-
-
-def from_payloads(param_bytes: bytes, range_bytes: bytes) -> QuantizedParams:
+def dequantize_params(param_bytes: bytes, range_bytes: bytes) -> MlpParams:
+    """Invert quantize_params: v = min + q * (max - min) / 255 per group."""
     if len(param_bytes) != PARAM_BYTES:
         raise DimensionError(f"param payload must be {PARAM_BYTES} bytes")
     if len(range_bytes) != RANGE_BYTES:
         raise DimensionError(f"range payload must be {RANGE_BYTES} bytes")
-    ranges = []
-    for k in range(4):
-        lo, hi = struct.unpack_from("<ff", range_bytes, 8 * k)
-        ranges.append((lo, hi))
-    return QuantizedParams(
-        q_w1=param_bytes[:160],
-        q_b1=param_bytes[160:170],
-        q_w2=param_bytes[170:330],
-        q_b2=param_bytes[330:346],
-        ranges=tuple(ranges),
-    )
+    q = np.frombuffer(param_bytes, dtype=np.uint8).astype(np.float64)
+    ranges = RANGES.unpack(range_bytes)
+    vec = np.empty(N_PARAMS)
+    for k, (start, end) in enumerate(GROUPS):
+        lo, hi = ranges[2 * k], ranges[2 * k + 1]
+        if not lo <= hi:
+            raise DimensionError(f"parameter range ({lo}, {hi}) is not min <= max")
+        vec[start:end] = lo if hi == lo else lo + q[start:end] * (hi - lo) / 255.0
+    return MlpParams.from_vector(vec)

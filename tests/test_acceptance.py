@@ -100,7 +100,7 @@ def test_criterion_jacobian_correctness():
 
 def test_criterion_trainability_at_goal():
     """Affine band map at M=4096 reaches the 1e-4 MSE goal in time."""
-    x = band_to_blocks(normalize_band(smooth_band(seed=2)).values).data
+    x = band_to_blocks(normalize_band(smooth_band(seed=2))[0])
     target = 0.3 * x + 0.1
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, max_seconds=60, seed=0)
     start = time.monotonic()

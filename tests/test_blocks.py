@@ -3,42 +3,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.blocks import BlockMatrix, band_to_blocks, blocks_to_band
+from hsicodec.blocks import band_to_blocks, blocks_to_band
 from hsicodec.errors import DimensionError
 
 
 def test_round_trip_identity():
     rng = np.random.default_rng(0)
     band = rng.uniform(0, 1, (256, 256))
-    assert np.array_equal(blocks_to_band(band_to_blocks(band)), band)
+    assert np.array_equal(blocks_to_band(band_to_blocks(band), band.shape), band)
 
 
 def test_toy_8x8_index_oracle():
     # 8x8 band: 2x2 grid of 4x4 blocks. pixel (0,5): block col 1, in-block (0,1)
     band = np.zeros((8, 8))
     band[0, 5] = 1.0
-    bm = band_to_blocks(band)
-    assert bm.data.shape == (16, 4)
-    assert bm.data[1, 1] == 1.0
-    assert bm.data.sum() == 1.0
+    blocks = band_to_blocks(band)
+    assert blocks.shape == (16, 4)
+    assert blocks[1, 1] == 1.0
+    assert blocks.sum() == 1.0
 
 
 def test_constant_band_gives_identical_columns():
-    bm = band_to_blocks(np.full((256, 256), 3.5))
-    assert np.all(bm.data == bm.data[:, :1])
+    blocks = band_to_blocks(np.full((256, 256), 3.5))
+    assert np.all(blocks == blocks[:, :1])
 
 
 def test_column_zero_maps_to_top_left_block():
     data = np.zeros((16, 4096))
     data[:, 0] = np.arange(1, 17)
-    band = blocks_to_band(BlockMatrix(data=data, block_rows=64, block_cols=64))
+    band = blocks_to_band(data, (256, 256))
     assert np.array_equal(band[:4, :4], np.arange(1, 17).reshape(4, 4))
     assert band[4:, :].sum() == 0
     assert band[:, 4:].sum() == 0
 
 
 def test_zero_matrix_round_trip():
-    band = blocks_to_band(BlockMatrix(data=np.zeros((16, 4096)), block_rows=64, block_cols=64))
+    band = blocks_to_band(np.zeros((16, 4096)), (256, 256))
     assert band.shape == (256, 256)
     assert not band.any()
 
@@ -47,7 +47,9 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         band_to_blocks(np.zeros((10, 8)))
     with pytest.raises(DimensionError):
-        BlockMatrix(data=np.zeros((16, 100)), block_rows=64, block_cols=64)
+        blocks_to_band(np.zeros((16, 100)), (256, 256))
+    with pytest.raises(DimensionError):
+        blocks_to_band(np.zeros((16, 4)), (8, 10))
 
 
 @settings(max_examples=30)
@@ -55,8 +57,7 @@ def test_dimension_errors():
 def test_bijection_property(block_rows, block_cols, seed):
     rng = np.random.default_rng(seed)
     band = rng.uniform(-5, 5, (4 * block_rows, 4 * block_cols))
-    bm = band_to_blocks(band)
-    assert bm.block_rows == block_rows
-    assert bm.block_cols == block_cols
-    assert np.array_equal(blocks_to_band(bm), band)
-    assert bm.data.sum() == pytest.approx(band.sum(), rel=1e-12)
+    blocks = band_to_blocks(band)
+    assert blocks.shape == (16, block_rows * block_cols)
+    assert np.array_equal(blocks_to_band(blocks, band.shape), band)
+    assert blocks.sum() == pytest.approx(band.sum(), rel=1e-12)

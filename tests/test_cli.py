@@ -142,3 +142,10 @@ def test_exclude_flag(tmp_path, cube_file, capsys):
     rec = tmp_path / "rec.raw"
     assert run(["decode", str(out), str(rec)]) == EXIT_OK
     assert load_cube(rec).bands == 2
+
+
+@pytest.mark.parametrize("command", ["encode", "rd"])
+def test_bad_exclusion_list_is_a_usage_error(tmp_path, cube_file, command, capsys):
+    outputs = [str(tmp_path / "out.bip")] if command == "encode" else []
+    assert run([command, str(cube_file), *outputs, "--exclude", "a,b", *FAST]) == EXIT_USAGE
+    assert "bad exclusion list" in capsys.readouterr().err

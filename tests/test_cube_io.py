@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hsicodec.cube import (
     CubeHeader,
     HyperCube,
-    NormalizedBand,
     denormalize_band,
     load_cube,
     normalize_band,
@@ -102,37 +101,35 @@ def test_resize_idempotent_on_target_size():
 def test_normalize_endpoints():
     band = np.zeros((4, 4), dtype=np.int64)
     band[0, 0] = 255
-    nb = normalize_band(band)
-    assert nb.values[0, 0] == 1.0
-    assert nb.values[1, 1] == 0.0
-    assert (nb.src_min, nb.src_max) == (0, 255)
+    values, src_min, src_max = normalize_band(band)
+    assert values[0, 0] == 1.0
+    assert values[1, 1] == 0.0
+    assert (src_min, src_max) == (0, 255)
 
 
 def test_normalize_constant_band():
-    nb = normalize_band(np.full((4, 4), 42))
-    assert np.all(nb.values == 0.0)
-    assert nb.src_min == nb.src_max == 42
+    values, src_min, src_max = normalize_band(np.full((4, 4), 42))
+    assert np.all(values == 0.0)
+    assert src_min == src_max == 42
 
 
 def test_denormalize_endpoints():
-    lo = denormalize_band(NormalizedBand(np.zeros((2, 2)), 10, 99))
-    hi = denormalize_band(NormalizedBand(np.ones((2, 2)), 10, 200))
+    lo = denormalize_band(np.zeros((2, 2)), 10, 99)
+    hi = denormalize_band(np.ones((2, 2)), 10, 200)
     assert np.all(lo == 10)
     assert np.all(hi == 200)
 
 
 def test_denormalize_rounds_half_away_from_zero():
-    nb = NormalizedBand(np.full((1, 1), 0.5), 0, 255)
     # 0.5 * 255 = 127.5 -> 128
-    assert denormalize_band(nb)[0, 0] == 128
+    assert denormalize_band(np.full((1, 1), 0.5), 0, 255)[0, 0] == 128
 
 
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_normalize_round_trip_8bit(lo, hi):
     rng = np.random.default_rng(abs(hash((lo, hi))) % 2**32)
     band = rng.integers(min(lo, hi), max(lo, hi) + 1, (8, 8))
-    nb = normalize_band(band)
-    assert np.array_equal(denormalize_band(nb), band)
+    assert np.array_equal(denormalize_band(*normalize_band(band)), band)
 
 
 @settings(max_examples=50)
@@ -141,7 +138,7 @@ def test_normalize_output_in_unit_interval(base, spread):
     rng = np.random.default_rng(abs(hash((base, spread))) % 2**32)
     hi = min(base + spread, 32767)
     band = rng.integers(base, hi + 1, (6, 6))
-    nb = normalize_band(band)
-    assert nb.values.min() >= 0.0
-    assert nb.values.max() <= 1.0
-    assert np.array_equal(denormalize_band(nb), band)
+    values, src_min, src_max = normalize_band(band)
+    assert values.min() >= 0.0
+    assert values.max() <= 1.0
+    assert np.array_equal(denormalize_band(values, src_min, src_max), band)

@@ -1,56 +1,79 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.errors import DimensionError, NumericError
+from hsicodec.errors import DimensionError
 from hsicodec.lm import TrainConfig, init_params
-from hsicodec.quantize import (
-    PARAM_BYTES,
-    PAYLOAD_BYTES,
-    RANGE_BYTES,
-    dequantize_matrix,
-    dequantize_params,
-    from_payloads,
-    params_payload,
-    quantize_matrix,
-    quantize_params,
-    ranges_payload,
-)
+from hsicodec.mlp import MlpParams
+from hsicodec.quantize import PARAM_BYTES, RANGE_BYTES, dequantize_params, quantize_params
+
+# each group's slice of the flat vector and of the params payload
+W1, B1, W2, B2 = slice(0, 160), slice(160, 170), slice(170, 330), slice(330, 346)
+
+
+def params_with(vec) -> MlpParams:
+    return MlpParams.from_vector(np.asarray(vec, dtype=np.float64))
+
+
+def group_ranges(range_bytes: bytes) -> list[tuple[float, float]]:
+    values = struct.unpack("<8f", range_bytes)
+    return list(zip(values[::2], values[1::2]))
 
 
 def test_endpoints_map_to_0_and_255():
-    m = np.array([[-2.0, 5.0], [1.0, 3.0]])
-    data, lo, hi = quantize_matrix(m)
-    q = np.frombuffer(data, dtype=np.uint8).reshape(2, 2)
-    assert q[0, 0] == 0
-    assert q[0, 1] == 255
-    assert lo == np.float32(-2.0)
-    assert hi == np.float32(5.0)
+    vec = init_params(TrainConfig(seed=1)).to_vector()
+    vec[W1] = np.linspace(-2.0, 5.0, 160)
+    param_bytes, range_bytes = quantize_params(params_with(vec))
+    q = np.frombuffer(param_bytes, dtype=np.uint8)
+    assert q[0] == 0
+    assert q[159] == 255
+    assert group_ranges(range_bytes)[0] == (np.float32(-2.0), np.float32(5.0))
 
 
 def test_constant_matrix_degenerate():
-    data, lo, hi = quantize_matrix(np.full((3, 3), 1.25))
-    assert data == bytes(9)
-    assert lo == hi == 1.25
-    back = dequantize_matrix(data, lo, hi, (3, 3))
-    assert np.all(back == 1.25)
+    vec = init_params(TrainConfig(seed=2)).to_vector()
+    vec[W1] = 1.25
+    param_bytes, range_bytes = quantize_params(params_with(vec))
+    assert param_bytes[W1] == bytes(160)
+    assert group_ranges(range_bytes)[0] == (1.25, 1.25)
+    back = dequantize_params(param_bytes, range_bytes)
+    assert np.all(back.w1 == 1.25)
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(NumericError):
-        quantize_matrix(np.array([1.0, np.inf]))
+    # MlpParams refuses non-finite values, so none can reach quantization
+    vec = init_params(TrainConfig(seed=3)).to_vector()
+    vec[B2.start] = np.inf
+    with pytest.raises(DimensionError):
+        quantize_params(params_with(vec))
 
 
 def test_dequantize_endpoints():
-    back = dequantize_matrix(bytes([0, 255]), -1.0, 3.0, (2,))
-    assert back[0] == -1.0
-    assert back[1] == 3.0
+    ranges = struct.pack("<8f", -1.0, 3.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    param_bytes = bytearray(PARAM_BYTES)
+    param_bytes[1] = 255
+    back = dequantize_params(bytes(param_bytes), ranges)
+    assert back.w1[0, 0] == -1.0
+    assert back.w1[0, 1] == 3.0
 
 
 def test_dequantize_count_mismatch():
+    for param_len, range_len in [(345, 32), (347, 32), (0, 32), (346, 31), (346, 33)]:
+        with pytest.raises(DimensionError):
+            dequantize_params(bytes(param_len), bytes(range_len))
+
+
+@pytest.mark.parametrize("group", range(4))
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_range_min_above_max_rejected(group, bad):
+    values = [0.0, 1.0] * 4
+    values[2 * group : 2 * group + 2] = bad
     with pytest.raises(DimensionError):
-        dequantize_matrix(bytes(5), 0.0, 1.0, (2, 3))
+        dequantize_params(bytes(PARAM_BYTES), struct.pack("<8f", *values))
 
 
 @settings(max_examples=200)
@@ -58,45 +81,35 @@ def test_dequantize_count_mismatch():
 def test_half_step_error_bound(seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
-    m = rng.uniform(-scale, scale, (10, 16))
-    data, lo, hi = quantize_matrix(m)
-    back = dequantize_matrix(data, lo, hi, m.shape)
-    # half a quantization step plus float32 slack on the extrema
-    tol = (hi - lo) / 510.0 + 2.0 * np.spacing(np.float32(max(abs(lo), abs(hi), 1.0)))
-    assert np.abs(back - m).max() <= tol + 1e-15
+    vec = rng.uniform(-scale, scale, PARAM_BYTES)
+    param_bytes, range_bytes = quantize_params(params_with(vec))
+    back = dequantize_params(param_bytes, range_bytes).to_vector()
+    for group, (lo, hi) in zip((W1, B1, W2, B2), group_ranges(range_bytes)):
+        # half a quantization step plus float32 slack on the extrema
+        tol = (hi - lo) / 510.0 + 2.0 * np.spacing(np.float32(max(abs(lo), abs(hi), 1.0)))
+        assert np.abs(back[group] - vec[group]).max() <= tol + 1e-15
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_quantize_idempotent_on_its_own_grid(seed):
     rng = np.random.default_rng(seed)
-    m = rng.uniform(-4, 4, (4, 5))
-    data1, lo1, hi1 = quantize_matrix(m)
-    back = dequantize_matrix(data1, lo1, hi1, m.shape)
-    data2, lo2, hi2 = quantize_matrix(back)
-    assert data1 == data2
-    assert (lo1, hi1) == (lo2, hi2)
+    params = params_with(rng.uniform(-4, 4, PARAM_BYTES))
+    first = quantize_params(params)
+    assert quantize_params(dequantize_params(*first)) == first
 
 
 def test_params_round_trip_and_payload_sizes():
     params = init_params(TrainConfig(seed=20))
-    qp = quantize_params(params)
-    assert PARAM_BYTES == 346
-    assert RANGE_BYTES == 32
-    assert PAYLOAD_BYTES == 378
-    pb = params_payload(qp)
-    rb = ranges_payload(qp)
-    assert len(pb) == 346
-    assert len(rb) == 32
-    back = from_payloads(pb, rb)
-    assert back == qp
-    dq1 = dequantize_params(qp)
-    dq2 = dequantize_params(back)
-    assert np.array_equal(dq1.to_vector(), dq2.to_vector())
+    param_bytes, range_bytes = quantize_params(params)
+    assert PARAM_BYTES == len(param_bytes) == 346
+    assert RANGE_BYTES == len(range_bytes) == 32
+    back = dequantize_params(param_bytes, range_bytes)
+    assert quantize_params(back) == (param_bytes, range_bytes)
 
 
 def test_params_quantization_error_bounded():
     params = init_params(TrainConfig(seed=21))
-    dq = dequantize_params(quantize_params(params))
+    dq = dequantize_params(*quantize_params(params))
     for orig, back in [
         (params.w1, dq.w1),
         (params.b1, dq.b1),
@@ -108,10 +121,33 @@ def test_params_quantization_error_bounded():
 
 
 def test_payload_byte_order_is_w1_b1_w2_b2():
-    params = init_params(TrainConfig(seed=22))
-    qp = quantize_params(params)
-    pb = params_payload(qp)
-    assert pb[:160] == qp.q_w1
-    assert pb[160:170] == qp.q_b1
-    assert pb[170:330] == qp.q_w2
-    assert pb[330:] == qp.q_b2
+    # each group holds one distinct constant, so its bytes are zero and its
+    # range names the group: the ranges come in w1, b1, w2, b2 order
+    params = MlpParams(
+        w1=np.full((10, 16), 1.0), b1=np.full(10, 2.0), w2=np.full((16, 10), 3.0), b2=np.full(16, 4.0)
+    )
+    assert group_ranges(quantize_params(params)[1]) == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
+    # one extreme per group: its byte lands where that group's slice starts
+    vec = np.zeros(PARAM_BYTES)
+    for k, group in enumerate((W1, B1, W2, B2)):
+        vec[group] = -1.0
+        vec[group.start] = k + 1.0
+    q = np.frombuffer(quantize_params(params_with(vec))[0], dtype=np.uint8)
+    assert [int(i) for i in np.flatnonzero(q)] == [0, 160, 170, 330]
+
+
+GOLDEN = {
+    None: "0bc63a9ee023ce255de72340e824da1a3cf6a2a9c7093f53be572041a96414d3",
+    0.37: "05a3781f7cb65e01a75c8f8e85d29f7a82351d649c6a372be2f2c1409375a600",
+}
+
+
+@pytest.mark.parametrize("b1_value", GOLDEN)
+def test_payload_golden_digest(b1_value):
+    # the wire bytes of a fixed parameter set; the arithmetic is elementwise
+    # numpy and struct, so the digest depends on neither BLAS nor zlib
+    params = init_params(TrainConfig(seed=20))
+    if b1_value is not None:
+        params.b1[:] = b1_value
+    param_bytes, range_bytes = quantize_params(params)
+    assert hashlib.sha256(param_bytes + range_bytes).hexdigest() == GOLDEN[b1_value]
