@@ -309,10 +309,7 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     return HyperCube(data=np.stack(bands).astype(np.int16))
 
 
-def bitrate(bs: Bitstream, cube_dims: tuple[int, int, int] | None = None) -> float:
+def bitrate(bs: Bitstream) -> float:
     """Bits per pixel per band over the full serialized stream."""
-    if cube_dims is None:
-        h = bs.header
-        cube_dims = (h.rows, h.cols, h.coded_bands)
-    rows, cols, bands = cube_dims
-    return len(bs.to_bytes()) * 8 / (rows * cols * bands)
+    h = bs.header
+    return len(bs.to_bytes()) * 8 / (h.rows * h.cols * h.coded_bands)

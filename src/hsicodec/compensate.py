@@ -1,11 +1,11 @@
 """Near-lossless correction of predicted bands.
 
 Pixels whose relative reconstruction error exceeds the tolerance get a
-transmitted integer offset. The corrected value aims at round(target *
-(1 + tol)) when the prediction is low and round(target * (1 - tol)) when
-it is high, so after compensation every flagged pixel sits within
-tol * |target| + q_step/2 of the target. With tol = 0 and q_step = 1 the
-mechanism is exactly lossless on integer bands.
+transmitted integer offset: the residual target - recon rounded to a
+multiple of q_step, so each corrected pixel lands within q_step/2 of its
+target. Tolerance 0 and tolerance > 0 differ only in which pixels are
+corrected. With tol = 0 and q_step = 1 the mechanism is exactly lossless
+on integer bands.
 
 Offsets serialize as two little-endian uint32 arrays of one entry each:
 the index deltas, then the zigzag-mapped offsets, each stored as byte
@@ -72,13 +72,7 @@ def compute_offsets(
     denom = np.maximum(np.abs(t), 1).astype(np.float64)
     violating = np.abs(t - r) / denom > cfg.lam
 
-    aim = np.where(
-        r < t,
-        round_half_away(t * (1.0 + cfg.lam)),
-        round_half_away(t * (1.0 - cfg.lam)),
-    ).astype(np.int64)
-    raw = aim - r
-    offs = cfg.q_step * round_half_away(raw / cfg.q_step).astype(np.int64)
+    offs = cfg.q_step * round_half_away((t - r) / cfg.q_step).astype(np.int64)
 
     keep = violating & (offs != 0)
     idx = np.nonzero(keep)[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import EncoderConfig, bitrate, decode_cube, encode_cube_full
+from .codec import EncoderConfig, bitrate, encode_cube_full
 from .cube import HyperCube
 from .errors import DimensionError, UndefinedCorrelationError
 from .mlp import mse
@@ -144,10 +144,7 @@ def rd_points(cube: HyperCube, lambda_sweep, cfg: EncoderConfig) -> list[RdPoint
     for lam in lambda_sweep:
         run_cfg = replace(cfg, compensation=replace(cfg.compensation, lam=float(lam)))
         result = encode_cube_full(cube, run_cfg)
-        decoded = decode_cube(result.bitstream)
-        records = band_records(
-            result.resized_bands[1:], [decoded.band(k) for k in range(1, decoded.bands)]
-        )
+        records = band_records(result.resized_bands[1:], result.recon_bands[1:])
         points.append(
             RdPoint(
                 lam=float(lam),

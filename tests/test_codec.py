@@ -23,8 +23,9 @@ from hsicodec.codec import (
     encode_cube,
     encode_cube_full,
 )
-from hsicodec.compensate import CompensationConfig
+from hsicodec.compensate import CompensationConfig, offsets_from_bytes
 from hsicodec.cube import HyperCube
+from hsicodec.entropy import decode_bytes, segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig
 
@@ -81,6 +82,23 @@ def test_lossless_limit_round_trip():
     decoded = decode_cube(result.bitstream)
     for k in range(3):
         assert np.array_equal(decoded.band(k), result.resized_bands[k])
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.2])
+def test_offset_pixels_decode_to_their_target(lam):
+    # noise the network cannot predict, so every tolerance flags some pixels
+    rng = np.random.default_rng(5)
+    noisy = smooth_cube(bands=3).data + rng.normal(0, 25, (3, 64, 64))
+    cube = HyperCube(data=np.round(noisy).astype(np.int16))
+    result = encode_cube_full(cube, fast_cfg(lam=lam))
+    decoded = decode_cube(Bitstream.from_bytes(result.bitstream.to_bytes()))
+    offset_bodies = [body for tag, body in result.bitstream.segments if tag == TAG_OFFSETS]
+    assert len(offset_bodies) == 2
+    for k, body in enumerate(offset_bodies, start=1):
+        off = offsets_from_bytes(decode_bytes(segment_from_bytes(body)))
+        assert len(off) > 0
+        got = decoded.band(k).ravel()[off.indices]
+        assert np.array_equal(got, result.resized_bands[k].ravel()[off.indices])
 
 
 def test_serialization_round_trip():
@@ -232,7 +250,6 @@ def test_bitrate_arithmetic():
     bs = encode_cube(cube, fast_cfg())
     blob = bs.to_bytes()
     assert bitrate(bs) == pytest.approx(len(blob) * 8 / (256 * 256 * 2))
-    assert bitrate(bs, (256, 256, 1)) == pytest.approx(len(blob) * 8 / 65536)
     assert bitrate(bs) > 0
 
 

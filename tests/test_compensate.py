@@ -36,15 +36,14 @@ def test_lossless_limit_is_exact_residual():
 
 def test_hand_worked_example():
     # target 100, recon 90, lam 0.05: violation (10/100 > 0.05);
-    # aim = round(100 * 1.05) = 105, offset 15, compensated error exactly 0.05
+    # the offset is the residual itself, so the pixel lands on its target
     target = np.full((1, 1), 100)
     recon = np.full((1, 1), 90)
     off = compute_offsets(target, recon, CompensationConfig(lam=0.05, q_step=1))
     assert len(off) == 1
-    assert off.offsets[0] == 15
+    assert off.offsets[0] == 10
     fixed = apply_offsets(recon, off)
-    assert fixed[0, 0] == 105
-    assert abs(fixed[0, 0] - 100) / 100 == pytest.approx(0.05)
+    assert fixed[0, 0] == 100
 
 
 def test_within_tolerance_pixels_untouched():
@@ -119,13 +118,11 @@ def test_near_lossless_guarantee(seed, lam, q_step):
     recon = target + rng.integers(-300, 300, (8, 8))
     cfg = CompensationConfig(lam=lam, q_step=q_step)
     fixed = apply_offsets(recon, compute_offsets(target, recon, cfg))
-    t = target.ravel().astype(np.float64)
-    c = fixed.ravel().astype(np.float64)
-    mask = np.abs(t) >= 1
-    rel = np.abs(t - c)[mask] / np.abs(t)[mask]
-    # q_step/2 from offset quantization plus 1/2 from integer aiming
-    bound = lam + (q_step / 2 + 0.5) / np.abs(t)[mask] + 1e-12
-    assert np.all(rel <= bound)
+    t, r, c = target.ravel(), recon.ravel(), fixed.ravel()
+    flagged = np.abs(t - r) / np.maximum(np.abs(t), 1) > lam
+    # a pixel over lam ends within q_step/2 of its target; every other pixel is untouched
+    assert np.all(2 * np.abs(t - c)[flagged] <= q_step)
+    assert np.array_equal(c[~flagged], r[~flagged])
 
 
 def test_config_validation():
