@@ -1,10 +1,15 @@
 """Levenberg-Marquardt training of the band-prediction network.
 
-One epoch forms the Gauss-Newton normal equations J'J and J'e on the
-training columns in closed form from the layer quantities, never storing
-the (16 M) x 346 Jacobian J (Wilamowski & Yu, "Improved Computation for
-Levenberg-Marquardt Training", IEEE TNN 21(6), 2010). Damped steps are
-then proposed with increasing damping until one strictly reduces the
+One epoch builds the layer blocks of the Gauss-Newton normal equations J'J
+and J'e on the training columns in closed form from the layer quantities,
+never storing the (16 M) x 346 Jacobian J (Wilamowski & Yu, "Improved
+Computation for Levenberg-Marquardt Training", IEEE TNN 21(6), 2010). The
+first-layer block is a Khatri-Rao product whose input half, the per-band
+input moments, is built once per band and reused by every epoch. Each
+damped step eliminates the linear output layer in closed form, as variable
+projection does (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973), so it
+factors an 11 x 11 and a 170 x 170 matrix, never the 346 x 346 J'J. Damped
+steps are proposed with increasing damping until one strictly reduces the
 training MSE. Columns are split train/validation/test by a seeded shuffle;
 early stopping watches consecutive validation-MSE failures and the
 best-validation parameters are what training returns (except when the MSE
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import DimensionError, NumericError
 from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams, forward, mse, tansig
@@ -48,6 +53,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mse_goal <= 0:
             raise ValueError("mse_goal must be positive")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be non-negative")
         lo, hi = self.init_range
         if not lo < hi:
             raise ValueError("init_range must be a non-empty interval")
@@ -115,76 +122,144 @@ def compute_jacobian(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return jac.reshape(m * N_OUTPUT, N_PARAMS)
 
 
-def _gram_order() -> np.ndarray:
-    """Index map from the Gram form's layer order to ``MlpParams.to_vector``.
+# The Gram form numbers the parameters layer by layer, each neuron's bias
+# after its weights: [w1 | b1] (10 x 17) then [w2 | b2] (16 x 11).
+N_X1 = N_INPUT + 1
+N_H1 = N_HIDDEN + 1
+N_FIRST = N_HIDDEN * N_X1
 
-    ``normal_equations`` numbers the parameters layer by layer with each
-    neuron's bias after its weights, [w1 | b1] (10 x 17) then [w2 | b2]
-    (16 x 11); flattening those indices the way ``to_vector`` flattens the
-    parameters gives, for each vector position, its Gram-form index.
+
+def _pair_index(n: int) -> np.ndarray:
+    """The n x n map from (i, j) to the position of pair min(i, j) <= max(i, j) in triu order."""
+    rows, cols = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return index
+
+
+def _pair_products(a: np.ndarray) -> np.ndarray:
+    """Row products a[i] * a[j] for i <= j, in triu order: n(n+1)/2 x M for n x M."""
+    n = a.shape[0]
+    out = np.empty((n * (n + 1) // 2, a.shape[1]))
+    row = 0
+    for i in range(n):
+        np.multiply(a[i], a[i:], out=out[row : row + n - i])
+        row += n - i
+    return out
+
+
+# flat position in P Q' (55 x 153) of each (Z Z')[17u + v, 17u' + v']
+_ZZ_GATHER = (
+    _pair_index(N_HIDDEN)[:, None, :, None] * (N_X1 * (N_X1 + 1) // 2)
+    + _pair_index(N_X1)[None, :, None, :]
+).reshape(N_FIRST, N_FIRST)
+
+
+@dataclass(frozen=True)
+class BandMoments:
+    """The input side of the Gram form, fixed while one band trains.
+
+    x1 = [x; 1] (17 x M), and q holds the 153 column-wise products
+    x1[v] * x1[v'] for v <= v' (153 x M).
     """
-    first = np.arange(N_HIDDEN * (N_INPUT + 1)).reshape(N_HIDDEN, N_INPUT + 1)
-    second = first.size + np.arange(N_OUTPUT * (N_HIDDEN + 1)).reshape(N_OUTPUT, N_HIDDEN + 1)
-    order = MlpParams(w1=first[:, :-1], b1=first[:, -1], w2=second[:, :-1], b2=second[:, -1])
-    return order.to_vector().astype(np.intp)
+
+    x1: np.ndarray
+    q: np.ndarray
 
 
-_GRAM_ORDER = _gram_order()
-
-
-def normal_equations(params: MlpParams, inputs, target) -> tuple[np.ndarray, np.ndarray]:
-    """J'J and J'e for e = forward(params, inputs) - target, without forming J.
-
-    With x~ = [x; 1], h~ = [h; 1], dh = 1 - h^2, Z = dh (x) x~ (170 x M, row
-    17u + v = dh[u] * x~[v]) and E = output - target (16 x M):
-    the first-layer block is (Z Z') * (W2'W2 (x) ones(17, 17)), the cross
-    block is w2[s, u] * (Z H~')[(u, v), t], the second-layer block is
-    I16 (x) H~H~', and J'e is ((W2'E) * dh) x~' and E H~'. Both come back in
-    the order of ``MlpParams.to_vector``, matching ``compute_jacobian``.
-    """
+def band_moments(inputs) -> BandMoments:
+    """Build the per-band input moments once; every epoch on these inputs reuses them."""
     inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
+        raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
+    x1 = np.vstack([inputs, np.ones((1, inputs.shape[1]))])
+    return BandMoments(x1=x1, q=_pair_products(x1))
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """The layer blocks of J'J and J'e at one parameter point.
+
+    With Z = dh (x) x1 (170 x M, row 17u + v = dh[u] * x1[v]):
+    J'J = [[A, B], [B', I16 (x) g]], where A = zz * (W2'W2 (x) ones(17, 17))
+    and B[17u + v, 11s + t] = w2[s, u] * c[17u + v, t]; J'e = [g1; g2].
+    """
+
+    w2: np.ndarray  # 16 x 10, the output weights the blocks were built at
+    zz: np.ndarray  # 170 x 170, Z Z'
+    c: np.ndarray   # 170 x 11, Z H~'
+    g: np.ndarray   # 11 x 11, H~ H~'
+    g1: np.ndarray  # 10 x 17, J'e for [w1 | b1]
+    g2: np.ndarray  # 16 x 11, J'e for [w2 | b2]
+
+
+def normal_equations(params: MlpParams, moments: BandMoments, target) -> NormalEquations:
+    """The blocks of J'J and J'e for e = forward(params, x) - target, without forming J.
+
+    With h~ = [h; 1], dh = 1 - h^2 and E = output - target (16 x M):
+    g = H~H~' and g2 = E H~'; c = Z H~' is the (dh (x) h~) rows times x1';
+    g1 = ((W2'E) * dh) x1'. Z Z' is gathered from P Q', where P holds the
+    55 products dh[u] * dh[u'] for u <= u' and Q = ``moments.q``, so no
+    170 x M matrix is formed (Wilamowski & Yu, IEEE TNN 21(6), 2010).
+    """
+    x1 = moments.x1
     target = np.asarray(target, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] != N_INPUT or target.shape != inputs.shape:
-        raise DimensionError(
-            f"input/target must both be {N_INPUT} x M, got {inputs.shape} and {target.shape}"
-        )
-    m = inputs.shape[1]
-    ones = np.ones((1, m))
-    hidden = tansig(params.w1 @ inputs + params.b1[:, None])     # 10 x M
-    err = params.w2 @ hidden + params.b2[:, None] - target       # 16 x M, as forward()
-    dh = 1.0 - hidden * hidden                                   # 10 x M
-    x1 = np.vstack([inputs, ones])                               # 17 x M
-    h1 = np.vstack([hidden, ones])                               # 11 x M
-    z = (dh[:, None, :] * x1[None, :, :]).reshape(-1, m)         # 170 x M
+    m = x1.shape[1]
+    if target.shape != (N_OUTPUT, m):
+        raise DimensionError(f"target must be {N_OUTPUT} x {m}, got {target.shape}")
+    hidden = tansig(params.w1 @ x1[:N_INPUT] + params.b1[:, None])   # 10 x M
+    err = params.w2 @ hidden + params.b2[:, None] - target           # 16 x M, as forward()
+    dh = 1.0 - hidden * hidden                                       # 10 x M
+    h1 = np.vstack([hidden, np.ones((1, m))])                        # 11 x M
 
-    n1 = z.shape[0]
-    jtj = np.empty((N_PARAMS, N_PARAMS))
-    gram = params.w2.T @ params.w2                               # 10 x 10
-    jtj[:n1, :n1] = (z @ z.T) * np.kron(gram, np.ones((N_INPUT + 1, N_INPUT + 1)))
-    zh = (z @ h1.T).reshape(N_HIDDEN, N_INPUT + 1, 1, N_HIDDEN + 1)
-    cross = (params.w2.T[:, None, :, None] * zh).reshape(n1, -1)  # 170 x 176
-    jtj[:n1, n1:] = cross
-    jtj[n1:, :n1] = cross.T
-    jtj[n1:, n1:] = np.kron(np.eye(N_OUTPUT), h1 @ h1.T)
-
-    jte = np.concatenate([(((params.w2.T @ err) * dh) @ x1.T).ravel(), (err @ h1.T).ravel()])
-    return jtj[np.ix_(_GRAM_ORDER, _GRAM_ORDER)], jte[_GRAM_ORDER]
+    pq = _pair_products(dh) @ moments.q.T                            # 55 x 153
+    c = (dh[:, None, :] * h1[None, :, :]).reshape(-1, m) @ x1.T      # 110 x 17, row 11u + t
+    return NormalEquations(
+        w2=params.w2,
+        zz=pq.ravel()[_ZZ_GATHER],
+        c=c.reshape(N_HIDDEN, N_H1, N_X1).transpose(0, 2, 1).reshape(N_FIRST, N_H1),
+        g=h1 @ h1.T,
+        g1=((params.w2.T @ err) * dh) @ x1.T,
+        g2=err @ h1.T,
+    )
 
 
-def _solve_step(jtj: np.ndarray, jte: np.ndarray, mu: float) -> np.ndarray:
-    damped = jtj.copy()
-    damped[np.diag_indices_from(damped)] += mu
+def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
+    """The damped step (J'J + mu I)^-1 J'e, in the order of ``MlpParams.to_vector``.
+
+    The output layer is linear, so its block I16 (x) (g + mu I) is
+    eliminated in closed form, as variable projection does (Golub & Pereyra,
+    SIAM J. Numer. Anal. 10(2), 1973). With K = (g + mu I)^-1, the first
+    layer solves the 170 x 170 Schur complement
+    S = (zz - c K c') * (W2'W2 (x) ones(17, 17)) + mu I against
+    g1 - sum_s B_s K g2_s, and then each output row s is K (g2_s - B_s' d1).
+    """
+    w2 = eq.w2
     try:
-        return cho_solve(cho_factor(damped, lower=True), jte)
+        out = cho_factor(eq.g + mu * np.eye(N_H1), lower=True)        # L L' = K^-1
+        w = solve_triangular(out[0], eq.c.T, lower=True)              # 11 x 170, w'w = c K c'
+        reduced = (eq.zz - w.T @ w).reshape(N_HIDDEN, N_X1, N_HIDDEN, N_X1)
+        schur = (reduced * (w2.T @ w2)[:, None, :, None]).reshape(N_FIRST, N_FIRST)
+        schur[np.diag_indices_from(schur)] += mu
+        # (sum_s B_s K g2_s)[17u + v] = sum_s w2[s, u] (c K g2')[17u + v, s]
+        ckg2 = (eq.c @ cho_solve(out, eq.g2.T)).reshape(N_HIDDEN, N_X1, N_OUTPUT)
+        rhs = eq.g1 - np.einsum("uvs,su->uv", ckg2, w2)
+        d1 = cho_solve(cho_factor(schur, lower=True), rhs.ravel()).reshape(N_HIDDEN, N_X1)
     except (LinAlgError, ValueError) as exc:
         raise NumericError(f"damped normal equations not SPD (mu={mu})") from exc
+    # (B_s' d1)[t] = sum_u w2[s, u] sum_v d1[u, v] c[17u + v, t]
+    back = w2 @ np.einsum("uv,uvt->ut", d1, eq.c.reshape(N_HIDDEN, N_X1, N_H1))
+    d2 = cho_solve(out, (eq.g2 - back).T).T
+    return np.concatenate(
+        [d1[:, :N_INPUT].ravel(), d1[:, N_INPUT], d2[:, :N_HIDDEN].ravel(), d2[:, N_HIDDEN]]
+    )
 
 
 def lm_step(params: MlpParams, inputs, target, mu: float) -> MlpParams:
     """One damped Gauss-Newton update: params - (J'J + mu I)^-1 J' e."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    delta = _solve_step(*normal_equations(params, inputs, target), mu)
+    delta = solve_step(normal_equations(params, band_moments(inputs), target), mu)
     return MlpParams.from_vector(params.to_vector() - delta)
 
 
@@ -215,6 +290,7 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
     x_val, t_val = inputs[:, val_idx], target[:, val_idx]
     has_val = val_idx.size > 0
 
+    moments = band_moments(x_tr)
     start = time.monotonic()
     mu = MU_INIT
     train_mse = mse(forward(params, x_tr), t_tr)
@@ -231,11 +307,11 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
             stop = "time"
             break
 
-        jtj, jte = normal_equations(params, x_tr, t_tr)
+        eq = normal_equations(params, moments, t_tr)
 
         accepted = False
         while not accepted:
-            delta = _solve_step(jtj, jte, mu)
+            delta = solve_step(eq, mu)
             vec = params.to_vector() - delta
             if np.all(np.isfinite(vec)):
                 candidate = MlpParams.from_vector(vec)

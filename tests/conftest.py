@@ -1,9 +1,10 @@
 """Test-session setup.
 
-LM's 170 x M and 346 x 346 products are too small to gain from BLAS
-threads, and on a small machine a multi-threaded BLAS runs them several
-times slower. Pin one thread for the suite unless the caller has chosen a
-count. This must run before numpy is imported to take effect.
+LM's small products and solves are too small to gain from BLAS threads,
+and on a small machine a multi-threaded BLAS runs them several times
+slower. ``import hsicodec`` pins one thread the same way, but the test
+modules import numpy first, so the suite pins it here unless the caller
+has chosen a count. This must run before numpy is imported to take effect.
 """
 
 import os

@@ -118,6 +118,12 @@ def test_bad_flag_value_is_usage_error(tmp_path, cube_file):
     assert run(["encode", str(cube_file), str(out), "--qstep", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", [["--max-epochs", "-3"], ["--mse-goal", "-1"]])
+def test_bad_training_flag_is_usage_error(tmp_path, cube_file, flag):
+    assert run(["encode", str(cube_file), str(tmp_path / "o.bip"), *flag]) == EXIT_USAGE
+    assert not (tmp_path / "o.bip").exists()
+
+
 def test_rd_command_csv(tmp_path, cube_file, capsys):
     capsys.readouterr()
     rc = run(["rd", str(cube_file), "--lambdas", "0.0,0.05", *FAST])

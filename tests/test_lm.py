@@ -6,10 +6,12 @@ from hsicodec.cube import normalize_band
 from hsicodec import lm
 from hsicodec.lm import (
     TrainConfig,
+    band_moments,
     compute_jacobian,
     init_params,
     lm_step,
     normal_equations,
+    solve_step,
     train,
 )
 from hsicodec.mlp import MlpParams, N_PARAMS, forward
@@ -100,10 +102,26 @@ def test_jacobian_matches_finite_differences():
     assert worst <= 1e-5
 
 
+def assemble_normal_equations(eq):
+    """J'J and J'e in the order of ``MlpParams.to_vector``, from the layer blocks."""
+    gram = eq.w2.T @ eq.w2
+    a = (eq.zz.reshape(10, 17, 10, 17) * gram[:, None, :, None]).reshape(170, 170)
+    b = (eq.w2.T[:, None, :, None] * eq.c.reshape(10, 17, 1, 11)).reshape(170, 176)
+    jtj = np.block([[a, b], [b.T, np.kron(np.eye(16), eq.g)]])
+    jte = np.concatenate([eq.g1.ravel(), eq.g2.ravel()])
+    # the blocks number [w1 | b1] (10 x 17) then [w2 | b2] (16 x 11)
+    first = np.arange(170).reshape(10, 17)
+    second = 170 + np.arange(176).reshape(16, 11)
+    order = np.concatenate(
+        [first[:, :16].ravel(), first[:, 16], second[:, :10].ravel(), second[:, 10]]
+    )
+    return jtj[np.ix_(order, order)], jte[order]
+
+
 def assert_matches_jacobian_oracle(params, x, target):
     jac = compute_jacobian(params, x)
     e = (forward(params, x) - target).T.ravel()
-    jtj, jte = normal_equations(params, x, target)
+    jtj, jte = assemble_normal_equations(normal_equations(params, band_moments(x), target))
     want_jtj, want_jte = jac.T @ jac, jac.T @ e
     assert np.linalg.norm(jtj - want_jtj) <= 1e-12 * np.linalg.norm(want_jtj)
     assert np.linalg.norm(jte - want_jte) <= 1e-12 * np.linalg.norm(want_jte)
@@ -185,6 +203,26 @@ def test_lm_step_normal_equations_residual():
     jte = jac.T @ e
     lhs = (jac.T @ jac + mu * np.eye(N_PARAMS)) @ delta
     assert np.linalg.norm(lhs - jte) <= 1e-8 * np.linalg.norm(jte)
+
+
+@pytest.mark.parametrize("m", [1, 17, 2867])
+@pytest.mark.parametrize("init", [0.3, 1.0, 3.0])  # 3.0 saturates tanh
+def test_lm_step_solves_damped_normal_equations(m, init):
+    params = init_params(TrainConfig(init_range=(-init, init), seed=m))
+    rng = np.random.default_rng(m)
+    x = rng.uniform(0, 1, (16, m))
+    target = rng.uniform(0, 1, (16, m))
+    jac = compute_jacobian(params, x)
+    jtj = jac.T @ jac
+    jte = jac.T @ (forward(params, x) - target).T.ravel()
+    eq = normal_equations(params, band_moments(x), target)
+    for mu in (1e-3, 1.0, 1e4, 1e12):
+        # the step is checked as solved, before params - delta rounds it away
+        delta = solve_step(eq, mu)
+        stepped = lm_step(params, x, target, mu)
+        assert np.array_equal(stepped.to_vector(), params.to_vector() - delta)
+        residual = (jtj + mu * np.eye(N_PARAMS)) @ delta - jte
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(jte), mu
 
 
 def test_lm_step_rejects_nonpositive_mu():
@@ -277,3 +315,5 @@ def test_train_patience_stop_returns_best_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mse_goal=0.0)
+    with pytest.raises(ValueError, match="max_epochs"):
+        TrainConfig(max_epochs=-1)
