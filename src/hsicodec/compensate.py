@@ -15,6 +15,7 @@ planes (see ``wire``). The entry count is the payload length / 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class CompensationConfig:
     def __post_init__(self):
         if not self.lam >= 0:
             raise ValueError("lambda must be non-negative")
-        if not 1 <= self.q_step <= 32767:
+        if not isinstance(self.q_step, Integral) or not 1 <= self.q_step <= 32767:
             raise ValueError("q_step must be a positive integer below 32768")
 
 

@@ -10,10 +10,13 @@ damped step eliminates the linear output layer in closed form, as variable
 projection does (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973), so it
 factors an 11 x 11 and a 170 x 170 matrix, never the 346 x 346 J'J. Damped
 steps are proposed with increasing damping until one strictly reduces the
-training MSE. Columns are split train/validation/test by a seeded shuffle;
-early stopping watches consecutive validation-MSE failures and the
-best-validation parameters are what training returns (except when the MSE
-goal is hit, where the goal-hitting parameters win).
+training MSE. Every candidate is evaluated once, by ``mlp.layers``, and
+each epoch's normal equations are built from the accepted step's own
+evaluation: its hidden layer and error. Columns are split
+train/validation/test by a seeded shuffle; early stopping watches
+consecutive validation-MSE failures and the best-validation parameters are
+what training returns (except when the MSE goal is hit, where the
+goal-hitting parameters win).
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import DimensionError, NumericError
-from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams, forward, mse, tansig
+from .mlp import (
+    N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams, flatten, forward, layers, mse, tansig,
+)
 
 StopReason = Literal["goal", "epochs", "time", "mu_overflow", "patience"]
 
@@ -51,7 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mse_goal <= 0:
+        if not self.mse_goal > 0:
             raise ValueError("mse_goal must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
@@ -193,33 +198,32 @@ class NormalEquations:
     g2: np.ndarray  # 16 x 11, J'e for [w2 | b2]
 
 
-def normal_equations(params: MlpParams, moments: BandMoments, target) -> NormalEquations:
-    """The blocks of J'J and J'e for e = forward(params, x) - target, without forming J.
+def normal_equations(w2, moments: BandMoments, hidden, err) -> NormalEquations:
+    """The blocks of J'J and J'e at one evaluated point, without forming J.
 
-    With h~ = [h; 1], dh = 1 - h^2 and E = output - target (16 x M):
+    ``hidden`` (h, 10 x M) and ``err`` (E = output - target, 16 x M) are
+    the point's evaluation on the inputs of ``moments`` by ``mlp.layers``,
+    and w2 are its output weights. With h~ = [h; 1] and dh = 1 - h^2:
     g = H~H~' and g2 = E H~'; c = Z H~' is the (dh (x) h~) rows times x1';
     g1 = ((W2'E) * dh) x1'. Z Z' is gathered from P Q', where P holds the
     55 products dh[u] * dh[u'] for u <= u' and Q = ``moments.q``, so no
     170 x M matrix is formed (Wilamowski & Yu, IEEE TNN 21(6), 2010).
     """
     x1 = moments.x1
-    target = np.asarray(target, dtype=np.float64)
     m = x1.shape[1]
-    if target.shape != (N_OUTPUT, m):
-        raise DimensionError(f"target must be {N_OUTPUT} x {m}, got {target.shape}")
-    hidden = tansig(params.w1 @ x1[:N_INPUT] + params.b1[:, None])   # 10 x M
-    err = params.w2 @ hidden + params.b2[:, None] - target           # 16 x M, as forward()
+    if hidden.shape != (N_HIDDEN, m) or err.shape != (N_OUTPUT, m):
+        raise DimensionError(f"hidden, error must be 10, 16 x {m}, got {hidden.shape}, {err.shape}")
     dh = 1.0 - hidden * hidden                                       # 10 x M
     h1 = np.vstack([hidden, np.ones((1, m))])                        # 11 x M
 
     pq = _pair_products(dh) @ moments.q.T                            # 55 x 153
     c = (dh[:, None, :] * h1[None, :, :]).reshape(-1, m) @ x1.T      # 110 x 17, row 11u + t
     return NormalEquations(
-        w2=params.w2,
+        w2=w2,
         zz=pq.ravel()[_ZZ_GATHER],
         c=c.reshape(N_HIDDEN, N_H1, N_X1).transpose(0, 2, 1).reshape(N_FIRST, N_H1),
         g=h1 @ h1.T,
-        g1=((params.w2.T @ err) * dh) @ x1.T,
+        g1=((w2.T @ err) * dh) @ x1.T,
         g2=err @ h1.T,
     )
 
@@ -250,17 +254,7 @@ def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
     # (B_s' d1)[t] = sum_u w2[s, u] sum_v d1[u, v] c[17u + v, t]
     back = w2 @ np.einsum("uv,uvt->ut", d1, eq.c.reshape(N_HIDDEN, N_X1, N_H1))
     d2 = cho_solve(out, (eq.g2 - back).T).T
-    return np.concatenate(
-        [d1[:, :N_INPUT].ravel(), d1[:, N_INPUT], d2[:, :N_HIDDEN].ravel(), d2[:, N_HIDDEN]]
-    )
-
-
-def lm_step(params: MlpParams, inputs, target, mu: float) -> MlpParams:
-    """One damped Gauss-Newton update: params - (J'J + mu I)^-1 J' e."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    delta = solve_step(normal_equations(params, band_moments(inputs), target), mu)
-    return MlpParams.from_vector(params.to_vector() - delta)
+    return flatten(d1[:, :N_INPUT], d1[:, N_INPUT], d2[:, :N_HIDDEN], d2[:, N_HIDDEN])
 
 
 def _split_columns(m: int, rng: np.random.Generator):
@@ -271,6 +265,8 @@ def _split_columns(m: int, rng: np.random.Generator):
     n_train = m - n_val - n_test
     if n_train < 1:
         raise ValueError("split leaves no training columns")
+    if n_val < 1:
+        raise ValueError("split leaves no validation columns")
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
@@ -288,12 +284,17 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
     tr_idx, val_idx, _ = _split_columns(inputs.shape[1], rng)
     x_tr, t_tr = inputs[:, tr_idx], target[:, tr_idx]
     x_val, t_val = inputs[:, val_idx], target[:, val_idx]
-    has_val = val_idx.size > 0
+
+    def evaluate(p: MlpParams):
+        """The hidden layer, error and MSE of p on the training columns."""
+        hidden, out = layers(p, x_tr)
+        err = out - t_tr
+        return hidden, err, float(np.mean(err * err))
 
     moments = band_moments(x_tr)
     start = time.monotonic()
     mu = MU_INIT
-    train_mse = mse(forward(params, x_tr), t_tr)
+    hidden, err, train_mse = evaluate(params)
     best_params, best_train_mse = params, train_mse
     best_val = np.inf
     val_fail = 0
@@ -307,19 +308,17 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
             stop = "time"
             break
 
-        eq = normal_equations(params, moments, t_tr)
+        eq = normal_equations(params.w2, moments, hidden, err)
 
         accepted = False
         while not accepted:
-            delta = solve_step(eq, mu)
-            vec = params.to_vector() - delta
+            vec = params.to_vector() - solve_step(eq, mu)
+            cand_mse = np.inf
             if np.all(np.isfinite(vec)):
                 candidate = MlpParams.from_vector(vec)
-                cand_mse = mse(forward(candidate, x_tr), t_tr)
-            else:
-                cand_mse = np.inf
+                cand_hidden, cand_err, cand_mse = evaluate(candidate)
             if cand_mse < train_mse:
-                params, train_mse = candidate, cand_mse
+                params, hidden, err, train_mse = candidate, cand_hidden, cand_err, cand_mse
                 mu /= MU_SCALE
                 accepted = True
             else:
@@ -333,37 +332,29 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
         epochs_run += 1
         train_hist.append(train_mse)
 
-        if has_val:
-            val_mse = mse(forward(params, x_val), t_val)
-            val_hist.append(val_mse)
-            if val_mse < best_val:
-                best_val = val_mse
-                best_params, best_train_mse = params, train_mse
-                val_fail = 0
-            else:
-                val_fail += 1
-        else:
+        val_mse = mse(forward(params, x_val), t_val)
+        val_hist.append(val_mse)
+        if val_mse < best_val:
+            best_val = val_mse
             best_params, best_train_mse = params, train_mse
+            val_fail = 0
+        else:
+            val_fail += 1
 
         if train_mse <= cfg.mse_goal:
+            # the caller asked for this fit: it wins over a better-validating epoch
+            best_params, best_train_mse = params, train_mse
             stop = "goal"
             break
-        if has_val and val_fail >= PATIENCE:
+        if val_fail >= PATIENCE:
             stop = "patience"
             break
 
-    if stop == "goal":
-        # The caller asked for this fit quality; hand back the params that
-        # reached it even if an earlier epoch validated marginally better.
-        final_params, final_mse = params, train_mse
-    else:
-        final_params, final_mse = best_params, best_train_mse
-
     report = TrainReport(
-        final_mse=final_mse,
+        final_mse=best_train_mse,
         epochs_run=epochs_run,
         stop_reason=stop,
         validation_mse_history=val_hist,
         train_mse_history=train_hist,
     )
-    return final_params, report
+    return best_params, report

@@ -10,6 +10,8 @@ and decoder-side reconstructions agree bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
+from math import prod
 
 import numpy as np
 
@@ -19,8 +21,16 @@ N_INPUT = 16
 N_HIDDEN = 10
 N_OUTPUT = 16
 
-# w1 + b1 + w2 + b2, in the fixed flattening order used everywhere
-N_PARAMS = N_HIDDEN * N_INPUT + N_HIDDEN + N_OUTPUT * N_HIDDEN + N_OUTPUT
+# the four parameter groups w1, b1, w2, b2: their shapes, and the (start, end)
+# of each in the flat vector, which holds them in this order, matrices row-major
+SHAPES = ((N_HIDDEN, N_INPUT), (N_HIDDEN,), (N_OUTPUT, N_HIDDEN), (N_OUTPUT,))
+GROUPS = list(pairwise(accumulate((prod(s) for s in SHAPES), initial=0)))
+N_PARAMS = GROUPS[-1][1]
+
+
+def flatten(w1, b1, w2, b2) -> np.ndarray:
+    """The flat parameter vector (length 346) of four arrays shaped as ``SHAPES``."""
+    return np.concatenate([np.ravel(w1), b1, np.ravel(w2), b2])
 
 
 @dataclass
@@ -36,32 +46,21 @@ class MlpParams:
         self.w2 = np.asarray(self.w2, dtype=np.float64)
         self.b2 = np.asarray(self.b2, dtype=np.float64)
         shapes = (self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape)
-        expected = ((N_HIDDEN, N_INPUT), (N_HIDDEN,), (N_OUTPUT, N_HIDDEN), (N_OUTPUT,))
-        if shapes != expected:
-            raise DimensionError(f"parameter shapes {shapes}, expected {expected}")
+        if shapes != SHAPES:
+            raise DimensionError(f"parameter shapes {shapes}, expected {SHAPES}")
         if not all(np.all(np.isfinite(a)) for a in (self.w1, self.b1, self.w2, self.b2)):
             raise DimensionError("parameters must be finite")
 
     def to_vector(self) -> np.ndarray:
         """Flatten as w1 row-major, b1, w2 row-major, b2 (length 346)."""
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
-        )
+        return flatten(self.w1, self.b1, self.w2, self.b2)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "MlpParams":
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (N_PARAMS,):
             raise DimensionError(f"parameter vector must have length {N_PARAMS}")
-        n1 = N_HIDDEN * N_INPUT
-        n2 = n1 + N_HIDDEN
-        n3 = n2 + N_OUTPUT * N_HIDDEN
-        return cls(
-            w1=vec[:n1].reshape(N_HIDDEN, N_INPUT),
-            b1=vec[n1:n2],
-            w2=vec[n2:n3].reshape(N_OUTPUT, N_HIDDEN),
-            b2=vec[n3:],
-        )
+        return cls(*(vec[start:end].reshape(shape) for (start, end), shape in zip(GROUPS, SHAPES)))
 
 
 def tansig(x):
@@ -69,8 +68,8 @@ def tansig(x):
     return np.tanh(x)
 
 
-def forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Run the network on a 16 x M column batch.
+def layers(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the network on a 16 x M column batch: the hidden layer (10 x M) and output (16 x M).
 
     Order is fixed: matrix product, bias add, elementwise transfer. The
     same order on both codec sides is what makes the closed loop bit-exact.
@@ -79,7 +78,12 @@ def forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
         raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
     hidden = tansig(params.w1 @ inputs + params.b1[:, None])
-    return params.w2 @ hidden + params.b2[:, None]
+    return hidden, params.w2 @ hidden + params.b2[:, None]
+
+
+def forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
+    """The network's output (16 x M) on a 16 x M column batch."""
+    return layers(params, inputs)[1]
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:

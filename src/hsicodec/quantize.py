@@ -1,26 +1,22 @@
 """8-bit quantization of the flat parameter vector, one (min, max) per group.
 
 This is the lossy step that bounds the transmitted payload. The vector of
-``MlpParams.to_vector`` splits into its four parameter groups (w1, b1, w2,
-b2); each group maps onto [0, 255] bytes plus a (min, max) pair. The
-extrema are reduced to 32-bit float precision *before* quantizing and the
-reduced values are what both codec sides use, so dequantization is
-identical at encoder and decoder.
+``MlpParams.to_vector`` splits into its four parameter groups
+(``mlp.GROUPS``: w1, b1, w2, b2); each group maps onto [0, 255] bytes plus a
+(min, max) pair. The extrema are reduced to 32-bit float precision
+*before* quantizing and the reduced values are what both codec sides use,
+so dequantization is identical at encoder and decoder.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import pairwise
 
 import numpy as np
 
 from .errors import DimensionError
-from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams
+from .mlp import GROUPS, N_PARAMS, MlpParams
 from .rounding import round_half_away
-
-# (start, end) of each group of the flat vector: w1, b1, w2, b2
-GROUPS = list(pairwise(np.cumsum([0, N_HIDDEN * N_INPUT, N_HIDDEN, N_OUTPUT * N_HIDDEN, N_OUTPUT])))
 
 # one byte per parameter, then the four (min, max) pairs as float32
 RANGES = struct.Struct("<8f")

@@ -130,3 +130,6 @@ def test_config_validation():
         CompensationConfig(lam=-0.1)
     with pytest.raises(ValueError):
         CompensationConfig(q_step=0)
+    for q_step in (1.5, 2.0):
+        with pytest.raises(ValueError, match="q_step"):
+            CompensationConfig(q_step=q_step)

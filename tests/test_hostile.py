@@ -138,13 +138,17 @@ def test_arbitrary_offsets_bytes(blob):
 
 
 @functools.lru_cache(maxsize=None)
-def two_band_stream() -> Bitstream:
-    """A valid 2-band stream at lambda 0.02: first band, params, ranges, offsets."""
+def two_band_stream(lam: float | None = 0.02) -> Bitstream:
+    """A valid 2-band stream: first band, params, ranges, and offsets at tolerance lam.
+
+    lam None turns compensation off, so the stream carries no offsets segment.
+    """
     i, j = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
     base = 110 + 75 * np.sin(i / 9.0) * np.cos(j / 11.0) + 30 * np.sin((i + 2 * j) / 15.0)
     cube = HyperCube(data=np.stack([np.round(base), np.round(base * 1.08 + 5)]).astype(np.int16))
     cfg = EncoderConfig(
-        train=TrainConfig(max_epochs=2, seed=1), compensation=CompensationConfig(lam=0.02)
+        train=TrainConfig(max_epochs=2, seed=1),
+        compensation=CompensationConfig(lam=lam or 0.0, enabled=lam is not None),
     )
     return encode_cube(cube, cfg)
 
@@ -172,6 +176,31 @@ def test_mutated_band_payload(index, flips, cut):
     except CorruptStreamError:
         return
     assert out.data.shape == (2, 256, 256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.sampled_from([0.0, 0.05, None]),
+    header_byte=st.none() | st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+    flips=st.lists(st.integers(min_value=0), max_size=4),
+    cut=st.none() | st.integers(min_value=0),
+)
+def test_mutated_whole_stream(lam, header_byte, flips, cut):
+    # the serialized stream itself: header, segment framing and entropy-coded bodies
+    bs = two_band_stream(lam)
+    blob = bytearray(bs.to_bytes())
+    if header_byte is not None:
+        pos, value = header_byte
+        blob[pos % len(Bitstream(header=bs.header, segments=[]).to_bytes())] = value
+    for bit in flips:
+        blob[bit // 8 % len(blob)] ^= 1 << bit % 8
+    if cut is not None:
+        del blob[cut % (len(blob) + 1):]
+    try:
+        out = decode_cube(Bitstream.from_bytes(bytes(blob)))
+    except CorruptStreamError:
+        return
+    assert isinstance(out, HyperCube)
 
 
 def test_huge_parameter_ranges():

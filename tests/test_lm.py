@@ -3,18 +3,18 @@ import pytest
 
 from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import normalize_band
+from hsicodec.errors import DimensionError
 from hsicodec import lm
 from hsicodec.lm import (
     TrainConfig,
     band_moments,
     compute_jacobian,
     init_params,
-    lm_step,
     normal_equations,
     solve_step,
     train,
 )
-from hsicodec.mlp import MlpParams, N_PARAMS, forward
+from hsicodec.mlp import MlpParams, N_PARAMS, forward, layers
 
 
 def smooth_band(seed=0, size=256):
@@ -118,10 +118,22 @@ def assemble_normal_equations(eq):
     return jtj[np.ix_(order, order)], jte[order]
 
 
+def evaluated_normal_equations(params, x, target):
+    """``normal_equations`` at params, evaluated on x by ``mlp.layers`` as ``train`` does."""
+    hidden, out = layers(params, x)
+    return normal_equations(params.w2, band_moments(x), hidden, out - target)
+
+
+def lm_update(params, x, target, mu):
+    """params - (J'J + mu I)^-1 J'e, built as ``train`` builds its step."""
+    delta = solve_step(evaluated_normal_equations(params, x, target), mu)
+    return MlpParams.from_vector(params.to_vector() - delta)
+
+
 def assert_matches_jacobian_oracle(params, x, target):
     jac = compute_jacobian(params, x)
     e = (forward(params, x) - target).T.ravel()
-    jtj, jte = assemble_normal_equations(normal_equations(params, band_moments(x), target))
+    jtj, jte = assemble_normal_equations(evaluated_normal_equations(params, x, target))
     want_jtj, want_jte = jac.T @ jac, jac.T @ e
     assert np.linalg.norm(jtj - want_jtj) <= 1e-12 * np.linalg.norm(want_jtj)
     assert np.linalg.norm(jte - want_jte) <= 1e-12 * np.linalg.norm(want_jte)
@@ -142,6 +154,14 @@ def test_normal_equations_zero_inputs():
     assert_matches_jacobian_oracle(params, x, np.random.default_rng(12).uniform(0, 1, (16, 5)))
 
 
+def test_normal_equations_reject_mismatched_error():
+    params = init_params(TrainConfig(seed=13))
+    x = np.random.default_rng(13).uniform(0, 1, (16, 5))
+    hidden, out = layers(params, x)
+    with pytest.raises(DimensionError):
+        normal_equations(params.w2, band_moments(x), hidden, out[:, :4])
+
+
 def test_train_never_builds_the_jacobian(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("training built the full Jacobian")
@@ -153,11 +173,33 @@ def test_train_never_builds_the_jacobian(monkeypatch):
     assert report.epochs_run == 3
 
 
+def test_train_evaluates_each_point_once(monkeypatch):
+    # one evaluation of the training columns for the initial point and one per
+    # mu try; the accepted try's evaluation builds the next normal equations
+    x = band_blocks(seed=8)[:, :512]
+    n_train = len(lm._split_columns(x.shape[1], np.random.default_rng(0))[0])
+    counts = {"layers": 0, "solve_step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if name == "solve_step" or args[1].shape[1] == n_train:
+                counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lm, "layers", counted("layers", lm.layers))
+    monkeypatch.setattr(lm, "solve_step", counted("solve_step", lm.solve_step))
+    _, report = train(x, 0.6 * x + 0.1, TrainConfig(max_epochs=6, mse_goal=1e-12, seed=8))
+    assert report.epochs_run == 6
+    assert counts["solve_step"] >= report.epochs_run
+    assert counts["layers"] == counts["solve_step"] + 1
+
+
 def test_lm_step_zero_residual_is_identity():
     params = init_params(TrainConfig(seed=6))
     x = np.random.default_rng(6).uniform(0, 1, (16, 5))
     target = forward(params, x)
-    stepped = lm_step(params, x, target, mu=1e-3)
+    stepped = lm_update(params, x, target, mu=1e-3)
     assert np.allclose(stepped.to_vector(), params.to_vector(), atol=1e-12)
 
 
@@ -167,7 +209,7 @@ def test_lm_step_gradient_descent_limit():
     x = rng.uniform(0, 1, (16, 6))
     target = rng.uniform(0, 1, (16, 6))
     mu = 1e12
-    stepped = lm_step(params, x, target, mu)
+    stepped = lm_update(params, x, target, mu)
     delta = params.to_vector() - stepped.to_vector()
     jac = compute_jacobian(params, x)
     e = (forward(params, x) - target).T.ravel()
@@ -183,7 +225,7 @@ def test_lm_step_bias_only_closed_form():
     x = np.random.default_rng(8).uniform(0, 1, (16, 1))
     target = np.random.default_rng(9).uniform(0, 1, (16, 1))
     mu = 0.5
-    stepped = lm_step(params, x, target, mu)
+    stepped = lm_update(params, x, target, mu)
     expected_b2 = target[:, 0] / (1 + mu)
     assert np.allclose(stepped.b2, expected_b2, atol=1e-12)
     assert np.allclose(stepped.w1, 0)
@@ -196,7 +238,7 @@ def test_lm_step_normal_equations_residual():
     x = rng.uniform(0, 1, (16, 8))
     target = rng.uniform(0, 1, (16, 8))
     mu = 1e-3
-    stepped = lm_step(params, x, target, mu)
+    stepped = lm_update(params, x, target, mu)
     delta = params.to_vector() - stepped.to_vector()
     jac = compute_jacobian(params, x)
     e = (forward(params, x) - target).T.ravel()
@@ -215,21 +257,12 @@ def test_lm_step_solves_damped_normal_equations(m, init):
     jac = compute_jacobian(params, x)
     jtj = jac.T @ jac
     jte = jac.T @ (forward(params, x) - target).T.ravel()
-    eq = normal_equations(params, band_moments(x), target)
+    eq = evaluated_normal_equations(params, x, target)
     for mu in (1e-3, 1.0, 1e4, 1e12):
         # the step is checked as solved, before params - delta rounds it away
         delta = solve_step(eq, mu)
-        stepped = lm_step(params, x, target, mu)
-        assert np.array_equal(stepped.to_vector(), params.to_vector() - delta)
         residual = (jtj + mu * np.eye(N_PARAMS)) @ delta - jte
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(jte), mu
-
-
-def test_lm_step_rejects_nonpositive_mu():
-    params = init_params(TrainConfig(seed=1))
-    x = np.zeros((16, 1))
-    with pytest.raises(ValueError):
-        lm_step(params, x, x, mu=0.0)
 
 
 def test_train_identity_map_reaches_goal():
@@ -315,5 +348,7 @@ def test_train_patience_stop_returns_best_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mse_goal=0.0)
+    with pytest.raises(ValueError, match="mse_goal"):
+        TrainConfig(mse_goal=float("nan"))
     with pytest.raises(ValueError, match="max_epochs"):
         TrainConfig(max_epochs=-1)
