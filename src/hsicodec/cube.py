@@ -21,6 +21,7 @@ from .errors import CorruptInputError, DimensionError, FormatError, WriteError
 from .rounding import round_half_away
 
 BAND_SIZE = 256
+INT16 = np.iinfo(np.int16)
 
 
 @dataclass
@@ -41,7 +42,13 @@ class HyperCube:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int16)
+        data = np.asarray(self.data)
+        if data.dtype != np.int16:
+            # a bare cast would wrap 40000 to -25536 and truncate 1.7 to 1
+            in_range = np.all((data >= INT16.min) & (data <= INT16.max))
+            if not (in_range and np.array_equal(data.astype(np.int16), data)):
+                raise ValueError("cube samples must be integers that int16 holds exactly")
+        self.data = data.astype(np.int16, copy=False)
         if self.data.ndim != 3:
             raise DimensionError(f"cube data must be 3-D, got {self.data.ndim}-D")
         if min(self.data.shape) < 1:

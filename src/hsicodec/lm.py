@@ -8,11 +8,11 @@ first-layer block is a Khatri-Rao product whose input half, the per-band
 input moments, is built once per band and reused by every epoch. Each
 damped step eliminates the linear output layer in closed form, as variable
 projection does (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973), so it
-factors an 11 x 11 and a 170 x 170 matrix, never the 346 x 346 J'J. Damped
-steps are proposed with increasing damping until one strictly reduces the
-training MSE. Every candidate is evaluated once, by ``mlp.layers``, and
-each epoch's normal equations are built from the accepted step's own
-evaluation: its hidden layer and error. Columns are split
+factors an 11 x 11 and a 170 x 170 matrix with ``numpy.linalg``, never the
+346 x 346 J'J. Damped steps are proposed with increasing damping until one
+strictly reduces the training MSE. Every candidate is evaluated once, by
+``mlp.layers``, and each epoch's normal equations are built from the
+accepted step's own evaluation: its hidden layer and error. Columns are split
 train/validation/test by a seeded shuffle; early stopping watches
 consecutive validation-MSE failures and the best-validation parameters are
 what training returns (except when the MSE goal is hit, where the
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import DimensionError, NumericError
 from .mlp import (
@@ -58,8 +57,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.mse_goal > 0:
             raise ValueError("mse_goal must be positive")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be non-negative")
+        if not (self.max_epochs >= 0 and self.max_seconds >= 0):
+            raise ValueError("max_epochs and max_seconds must be non-negative")
         lo, hi = self.init_range
         if not lo < hi:
             raise ValueError("init_range must be a non-empty interval")
@@ -231,30 +230,33 @@ def normal_equations(w2, moments: BandMoments, hidden, err) -> NormalEquations:
 def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
     """The damped step (J'J + mu I)^-1 J'e, in the order of ``MlpParams.to_vector``.
 
-    The output layer is linear, so its block I16 (x) (g + mu I) is
-    eliminated in closed form, as variable projection does (Golub & Pereyra,
-    SIAM J. Numer. Anal. 10(2), 1973). With K = (g + mu I)^-1, the first
+    The linear output layer's block I16 (x) (g + mu I) is eliminated in
+    closed form. With K = (g + mu I)^-1 = (L L')^-1 by Cholesky, the first
     layer solves the 170 x 170 Schur complement
     S = (zz - c K c') * (W2'W2 (x) ones(17, 17)) + mu I against
     g1 - sum_s B_s K g2_s, and then each output row s is K (g2_s - B_s' d1).
+    Raises NumericError if g + mu I is not SPD or the step is not finite.
     """
-    w2 = eq.w2
+    damped = eq.g + mu * np.eye(N_H1)                                 # K^-1
     try:
-        out = cho_factor(eq.g + mu * np.eye(N_H1), lower=True)        # L L' = K^-1
-        w = solve_triangular(out[0], eq.c.T, lower=True)              # 11 x 170, w'w = c K c'
+        low = np.linalg.cholesky(damped)                              # L L' = K^-1
+        w = np.linalg.solve(low, eq.c.T)                              # 11 x 170, w'w = c K c'
         reduced = (eq.zz - w.T @ w).reshape(N_HIDDEN, N_X1, N_HIDDEN, N_X1)
-        schur = (reduced * (w2.T @ w2)[:, None, :, None]).reshape(N_FIRST, N_FIRST)
+        schur = (reduced * (eq.w2.T @ eq.w2)[:, None, :, None]).reshape(N_FIRST, N_FIRST)
         schur[np.diag_indices_from(schur)] += mu
         # (sum_s B_s K g2_s)[17u + v] = sum_s w2[s, u] (c K g2')[17u + v, s]
-        ckg2 = (eq.c @ cho_solve(out, eq.g2.T)).reshape(N_HIDDEN, N_X1, N_OUTPUT)
-        rhs = eq.g1 - np.einsum("uvs,su->uv", ckg2, w2)
-        d1 = cho_solve(cho_factor(schur, lower=True), rhs.ravel()).reshape(N_HIDDEN, N_X1)
-    except (LinAlgError, ValueError) as exc:
+        ckg2 = (eq.c @ np.linalg.solve(damped, eq.g2.T)).reshape(N_HIDDEN, N_X1, N_OUTPUT)
+        rhs = eq.g1 - np.einsum("uvs,su->uv", ckg2, eq.w2)
+        d1 = np.linalg.solve(schur, rhs.ravel()).reshape(N_HIDDEN, N_X1)
+        # (B_s' d1)[t] = sum_u w2[s, u] sum_v d1[u, v] c[17u + v, t]
+        back = eq.w2 @ np.einsum("uv,uvt->ut", d1, eq.c.reshape(N_HIDDEN, N_X1, N_H1))
+        d2 = np.linalg.solve(damped, (eq.g2 - back).T).T
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"damped normal equations not SPD (mu={mu})") from exc
-    # (B_s' d1)[t] = sum_u w2[s, u] sum_v d1[u, v] c[17u + v, t]
-    back = w2 @ np.einsum("uv,uvt->ut", d1, eq.c.reshape(N_HIDDEN, N_X1, N_H1))
-    d2 = cho_solve(out, (eq.g2 - back).T).T
-    return flatten(d1[:, :N_INPUT], d1[:, N_INPUT], d2[:, :N_HIDDEN], d2[:, N_HIDDEN])
+    step = flatten(d1[:, :N_INPUT], d1[:, N_INPUT], d2[:, :N_HIDDEN], d2[:, N_HIDDEN])
+    if not np.all(np.isfinite(step)):
+        raise NumericError(f"damped step is not finite (mu={mu})")
+    return step
 
 
 def _split_columns(m: int, rng: np.random.Generator):
@@ -312,11 +314,8 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
 
         accepted = False
         while not accepted:
-            vec = params.to_vector() - solve_step(eq, mu)
-            cand_mse = np.inf
-            if np.all(np.isfinite(vec)):
-                candidate = MlpParams.from_vector(vec)
-                cand_hidden, cand_err, cand_mse = evaluate(candidate)
+            candidate = MlpParams.from_vector(params.to_vector() - solve_step(eq, mu))
+            cand_hidden, cand_err, cand_mse = evaluate(candidate)
             if cand_mse < train_mse:
                 params, hidden, err, train_mse = candidate, cand_hidden, cand_err, cand_mse
                 mu /= MU_SCALE

@@ -118,7 +118,16 @@ def test_bad_flag_value_is_usage_error(tmp_path, cube_file):
     assert run(["encode", str(cube_file), str(out), "--qstep", "0"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("flag", [["--max-epochs", "-3"], ["--mse-goal", "-1"], ["--mse-goal", "nan"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--max-epochs", "-3"],
+        ["--mse-goal", "-1"],
+        ["--mse-goal", "nan"],
+        ["--max-seconds", "-1"],
+        ["--max-seconds", "nan"],
+    ],
+)
 def test_bad_training_flag_is_usage_error(tmp_path, cube_file, flag):
     assert run(["encode", str(cube_file), str(tmp_path / "o.bip"), *flag]) == EXIT_USAGE
     assert not (tmp_path / "o.bip").exists()

@@ -34,6 +34,15 @@ def test_store_load_round_trip(tmp_path):
     assert np.array_equal(back.data, data)
 
 
+@pytest.mark.parametrize("sample", [40000, 70000, 1.7])
+def test_cube_rejects_sample_int16_cannot_hold(sample):
+    # a bare cast would wrap 40000 to -25536 and 70000 to 4464, and truncate 1.7 to 1
+    data = np.full((1, 2, 2), 7, dtype=np.asarray(sample).dtype)
+    data[0, 1, 1] = sample
+    with pytest.raises(ValueError, match="int16"):
+        HyperCube(data=data)
+
+
 def test_load_size_mismatch(tmp_path):
     raw = tmp_path / "bad.raw"
     raw.write_bytes(bytes(10))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import normalize_band
-from hsicodec.errors import DimensionError
+from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
 from hsicodec.lm import (
     TrainConfig,
@@ -265,6 +267,20 @@ def test_lm_step_solves_damped_normal_equations(m, init):
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(jte), mu
 
 
+def test_solve_step_rejects_indefinite_or_nonfinite_system():
+    params = init_params(TrainConfig(seed=4))
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 1, (16, 40))
+    eq = evaluated_normal_equations(params, x, rng.uniform(0, 1, (16, 40)))
+    indefinite = dataclasses.replace(eq, g=-np.eye(11))
+    nonfinite = dataclasses.replace(eq, zz=np.full_like(eq.zz, np.nan))
+    for mu in (1e-3, 1.0):
+        with pytest.raises(NumericError):
+            solve_step(indefinite, mu)
+        with pytest.raises(NumericError):
+            solve_step(nonfinite, mu)
+
+
 def test_train_identity_map_reaches_goal():
     x = band_blocks(seed=1)
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=100, seed=1)
@@ -352,3 +368,8 @@ def test_config_validation():
         TrainConfig(mse_goal=float("nan"))
     with pytest.raises(ValueError, match="max_epochs"):
         TrainConfig(max_epochs=-1)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="max_seconds"):
+            TrainConfig(max_seconds=bad)
+    for ok in (0.0, float("inf")):
+        assert TrainConfig(max_seconds=ok).max_seconds == ok
