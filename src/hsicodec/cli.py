@@ -26,7 +26,7 @@ from .codec import (
 )
 from .compensate import CompensationConfig
 from .cube import HyperCube, load_cube, store_cube
-from .entropy import segment_from_bytes
+from .entropy import segment_header
 from .errors import (
     CodecError,
     CorruptInputError,
@@ -201,8 +201,8 @@ def _cmd_info(args) -> int:
     print(f"total: {len(blob)} bytes, {bitrate(bs):.4f} bpppb")
     for k, (tag, body) in enumerate(bs.segments):
         try:
-            seg = segment_from_bytes(body)
-            detail = f"mode={seg.mode} original={seg.original_len}"
+            mode, original_len, _ = segment_header(body)
+            detail = f"mode={mode} original={original_len}"
         except CodecError:
             detail = "unparsed"
         print(f"segment {k}: {TAG_NAMES[tag]}, {len(body)} bytes, {detail}")

@@ -12,8 +12,11 @@ reconstruction bit for bit by construction.
 Bitstream layout (version 2): magic "BIPN", version byte, fixed-width
 little-endian header fields, then tagged segments (0x01 first band as
 int16 byte planes, 0x02 params, 0x03 ranges plus band min/max, 0x04
-offsets), each varint-length-prefixed and coded by ``entropy``. A segment
-declaring more bytes than the header allows is rejected before inflating.
+offsets), each varint-length-prefixed and coded by ``entropy``.
+``Bitstream.from_bytes`` rejects a header with another band geometry or no
+coded band; ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
+``entropy.segment_from_bytes``, which rejects a segment declaring more
+before inflating.
 """
 
 from __future__ import annotations
@@ -24,15 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import band_to_blocks, blocks_to_band
-from .compensate import (
-    CompensationConfig,
-    apply_offsets,
-    compute_offsets,
-    offsets_from_bytes,
-    offsets_to_bytes,
-)
+from .compensate import CompensationConfig, apply_offsets, offsets_to_bytes
 from .cube import BAND_SIZE, HyperCube, denormalize_band, normalize_band, resize_band
-from .entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
+from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
 from .mlp import forward
@@ -122,6 +119,10 @@ class Bitstream:
             offset += struct.calcsize("<Bdh")
         except struct.error as exc:
             raise CorruptStreamError("truncated header") from exc
+        if (rows, cols) != (BAND_SIZE, BAND_SIZE):
+            raise CorruptStreamError(f"unsupported band geometry {rows}x{cols}")
+        if coded < 1:
+            raise CorruptStreamError("stream declares no coded bands")
         header = BitstreamHeader(
             rows=rows,
             cols=cols,
@@ -199,7 +200,7 @@ def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.nd
 def _finish_band(pred: np.ndarray, offset_bytes: bytes | None) -> np.ndarray:
     """Apply the offsets payload (if compensation is on) and clip to int16."""
     if offset_bytes is not None:
-        pred = apply_offsets(pred, offsets_from_bytes(offset_bytes))
+        pred = apply_offsets(pred, offset_bytes)
     return np.clip(pred, INT16_MIN, INT16_MAX)
 
 
@@ -238,7 +239,7 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     segments: list[tuple[int, bytes]] = []
 
     first = resized[0]
-    segments.append((TAG_FIRST_BAND, segment_to_bytes(encode_bytes(_pack_band(first)))))
+    segments.append((TAG_FIRST_BAND, segment_to_bytes(_pack_band(first))))
 
     recon_bands = [first.copy()]
     reports: list[TrainReport] = []
@@ -252,13 +253,10 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         param_bytes, range_bytes = quantize_params(params)
         range_bytes += BAND_RANGE.pack(src_min, src_max)
         pred = _decode_band(x, param_bytes, range_bytes)
-        payloads = [(TAG_PARAMS, param_bytes), (TAG_RANGES, range_bytes)]
-        offset_bytes = None
-        if comp.enabled:
-            offset_bytes = offsets_to_bytes(compute_offsets(band, pred, comp))
-            payloads.append((TAG_OFFSETS, offset_bytes))
+        offset_bytes = offsets_to_bytes(band, pred, comp) if comp.enabled else None
         recon_bands.append(_finish_band(pred, offset_bytes))
-        segments += [(tag, segment_to_bytes(encode_bytes(p))) for tag, p in payloads]
+        payloads = {TAG_PARAMS: param_bytes, TAG_RANGES: range_bytes, TAG_OFFSETS: offset_bytes}
+        segments += [(tag, segment_to_bytes(p)) for tag, p in payloads.items() if p is not None]
 
     return EncodeResult(
         bitstream=Bitstream(header=header, segments=segments),
@@ -273,22 +271,8 @@ def encode_cube(cube: HyperCube, cfg: EncoderConfig) -> Bitstream:
     return encode_cube_full(cube, cfg).bitstream
 
 
-def _decode_segment(tag: int, body: bytes) -> bytes:
-    """Decode one segment body, refusing a declared length above its tag's cap."""
-    seg = segment_from_bytes(body)
-    if seg.original_len > MAX_PAYLOAD[tag]:
-        raise CorruptStreamError(
-            f"{TAG_NAMES[tag]} segment declares {seg.original_len} bytes, at most {MAX_PAYLOAD[tag]}"
-        )
-    return decode_bytes(seg)
-
-
 def decode_cube(bs: Bitstream) -> HyperCube:
     h = bs.header
-    if (h.rows, h.cols) != (BAND_SIZE, BAND_SIZE):
-        raise CorruptStreamError(f"unsupported band geometry {h.rows}x{h.cols}")
-    if h.coded_bands < 1:
-        raise CorruptStreamError("stream declares no coded bands")
     try:
         comp = CompensationConfig(lam=h.comp_lambda, q_step=h.comp_qstep, enabled=h.comp_enabled)
     except ValueError as exc:
@@ -301,7 +285,7 @@ def decode_cube(bs: Bitstream) -> HyperCube:
         )
 
     # inflated lazily, so only one band's payloads are held at a time
-    payloads = (_decode_segment(tag, body) for tag, body in bs.segments)
+    payloads = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in bs.segments)
     bands = [_unpack_band(next(payloads), (h.rows, h.cols))]
     for _ in range(h.coded_bands - 1):
         pred = _decode_band(_band_blocks(bands[-1]), next(payloads), next(payloads))

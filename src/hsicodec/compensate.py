@@ -7,14 +7,17 @@ target. Tolerance 0 and tolerance > 0 differ only in which pixels are
 corrected. With tol = 0 and q_step = 1 the mechanism is exactly lossless
 on integer bands.
 
-Offsets serialize as two little-endian uint32 arrays of one entry each:
-the index deltas, then the zigzag-mapped offsets, each stored as byte
-planes (see ``wire``). The entry count is the payload length / 8.
+The offsets payload is two little-endian uint32 arrays of one entry per
+corrected pixel: the row-major index deltas, then the zigzag-mapped
+offsets, each stored as byte planes (see ``wire``). The entry count is the
+payload length / 8. ``offsets_to_bytes`` builds the payload from a target
+and its prediction; ``apply_offsets`` parses it and corrects the
+prediction, so the offsets exist as arrays only inside those two calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -37,79 +40,40 @@ class CompensationConfig:
             raise ValueError("q_step must be a positive integer below 32768")
 
 
-@dataclass
-class OffsetMap:
-    """Sparse nonzero corrections, indices strictly increasing row-major."""
-
-    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    offsets: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        if self.indices.shape != self.offsets.shape or self.indices.ndim != 1:
-            raise DimensionError("indices and offsets must be matching 1-D arrays")
-        if self.indices.size:
-            if np.any(np.diff(self.indices) <= 0):
-                raise DimensionError("offset indices must be strictly increasing")
-            if np.any(self.offsets == 0):
-                raise DimensionError("zero offsets must be dropped")
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-
-def compute_offsets(
-    target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig
-) -> OffsetMap:
-    """Offsets for every pixel whose relative error exceeds cfg.lam."""
-    target = np.asarray(target, dtype=np.int64)
-    recon = np.asarray(recon, dtype=np.int64)
-    if target.shape != recon.shape:
-        raise DimensionError(f"shape mismatch {target.shape} vs {recon.shape}")
-
-    t = target.ravel()
-    r = recon.ravel()
-    denom = np.maximum(np.abs(t), 1).astype(np.float64)
-    violating = np.abs(t - r) / denom > cfg.lam
-
+def offsets_to_bytes(target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig) -> bytes:
+    """The offsets payload for every pixel whose relative error exceeds cfg.lam."""
+    if np.shape(target) != np.shape(recon):
+        raise DimensionError(f"shape mismatch {np.shape(target)} vs {np.shape(recon)}")
+    t = np.asarray(target, dtype=np.int64).ravel()
+    r = np.asarray(recon, dtype=np.int64).ravel()
+    violating = np.abs(t - r) / np.maximum(np.abs(t), 1) > cfg.lam
     offs = cfg.q_step * round_half_away((t - r) / cfg.q_step).astype(np.int64)
-
-    keep = violating & (offs != 0)
-    idx = np.nonzero(keep)[0]
-    return OffsetMap(indices=idx, offsets=offs[idx])
-
-
-def apply_offsets(recon: np.ndarray, off_map: OffsetMap) -> np.ndarray:
-    """Add transmitted offsets at their pixel indices; other pixels unchanged."""
-    recon = np.asarray(recon)
-    out = recon.astype(np.int64).ravel().copy()
-    if off_map.indices.size:
-        if off_map.indices[-1] >= out.size or off_map.indices[0] < 0:
-            raise CorruptStreamError(
-                f"offset index {int(off_map.indices[-1])} outside band of {out.size} pixels"
-            )
-        out[off_map.indices] += off_map.offsets
-    return out.reshape(recon.shape)
-
-
-def offsets_to_bytes(off_map: OffsetMap) -> bytes:
-    """Index deltas, then zigzag offsets, each as uint32 byte planes."""
-    deltas = np.diff(off_map.indices, prepend=0)
-    zigzag = (off_map.offsets << 1) ^ (off_map.offsets >> 63)
+    idx = np.nonzero(violating & (offs != 0))[0]
+    offs = offs[idx]
+    deltas = np.diff(idx, prepend=0)
+    zigzag = (offs << 1) ^ (offs >> 63)
     if np.any((deltas >> 32) | (zigzag >> 32)):
-        raise ValueError("offset map entry does not fit 32 bits")
+        raise ValueError("offset entry does not fit 32 bits")
     return to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")
 
 
-def offsets_from_bytes(blob: bytes) -> OffsetMap:
+def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
+    """Add the offsets payload ``blob`` to ``recon``; other pixels unchanged.
+
+    A payload that does not describe strictly increasing in-band indices
+    with nonzero offsets raises CorruptStreamError.
+    """
     if len(blob) % 8:
         raise CorruptStreamError(f"offset payload of {len(blob)} bytes is not 8 per entry")
     half = len(blob) // 2
     deltas = from_byte_planes(blob[:half], "<u4")
     zigzag = from_byte_planes(blob[half:], "<u4").astype(np.int64)
-    indices = np.cumsum(deltas, dtype=np.int64)
-    try:
-        return OffsetMap(indices=indices, offsets=(zigzag >> 1) ^ -(zigzag & 1))
-    except DimensionError as exc:
-        raise CorruptStreamError(f"invalid offset map: {exc}") from exc
+    if np.any(deltas[1:] == 0) or np.any(zigzag == 0):
+        raise CorruptStreamError("offset payload repeats an index or holds a zero offset")
+    idx = np.cumsum(deltas, dtype=np.int64)
+    recon = np.asarray(recon)
+    out = recon.astype(np.int64).ravel()
+    if idx.size and idx[-1] >= out.size:
+        raise CorruptStreamError(f"offset index {int(idx[-1])} outside band of {out.size} pixels")
+    out[idx] += (zigzag >> 1) ^ -(zigzag & 1)
+    return out.reshape(recon.shape)

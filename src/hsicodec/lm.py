@@ -60,8 +60,8 @@ class TrainConfig:
         if not (self.max_epochs >= 0 and self.max_seconds >= 0):
             raise ValueError("max_epochs and max_seconds must be non-negative")
         lo, hi = self.init_range
-        if not lo < hi:
-            raise ValueError("init_range must be a non-empty interval")
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ValueError("init_range must be a non-empty interval of finite width")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from hsicodec.codec import (
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, normalize_band
 from hsicodec.blocks import band_to_blocks
-from hsicodec.entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
+from hsicodec.entropy import segment_from_bytes, segment_header, segment_to_bytes
 from hsicodec.lm import TrainConfig, compute_jacobian, train
 from hsicodec.metrics import correlation_coefficient, psnr, ssim
 from hsicodec.mlp import MlpParams, N_PARAMS, forward
@@ -192,8 +192,8 @@ def test_criterion_bit_budget():
     per_band = {}
     for tag, body in bs.segments:
         if tag in (TAG_PARAMS, TAG_RANGES):
-            seg = segment_from_bytes(body)
-            per_band.setdefault(tag, []).append(seg.original_len)
+            _, original_len, _ = segment_header(body)
+            per_band.setdefault(tag, []).append(original_len)
     assert per_band[TAG_PARAMS] == [346, 346]
     assert per_band[TAG_RANGES] == [40, 40]  # 32 range bytes + 8 min/max bytes
     per_band_total = 346 + 40
@@ -264,9 +264,9 @@ def test_criterion_entropy_coder():
         alphabet = int(rng.integers(1, 257))
         cases.append(rng.integers(0, alphabet, n, dtype=np.uint8).tobytes())
     for data in cases:
-        wire = segment_to_bytes(encode_bytes(data))
+        wire = segment_to_bytes(data)
         assert len(wire) <= len(data) + 64, f"expanded {len(data)} -> {len(wire)}"
-        assert decode_bytes(segment_from_bytes(wire)) == data
+        assert segment_from_bytes(wire, len(data)) == data
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     report(f"entropy coder ({len(cases)} buffers round-trip, {elapsed:.1f}s)")

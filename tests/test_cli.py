@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, run
-from hsicodec.codec import TAG_PARAMS, Bitstream
+from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, BitstreamHeader
 from hsicodec.cube import HyperCube, load_cube, store_cube
-from hsicodec.entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
+from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 
 
 @pytest.fixture
@@ -95,10 +95,25 @@ def test_decode_short_params_payload(tmp_path, cube_file):
     assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
     bs = Bitstream.from_bytes(out.read_bytes())
     assert bs.segments[1][0] == TAG_PARAMS
-    payload = decode_bytes(segment_from_bytes(bs.segments[1][1]))
-    bs.segments[1] = (TAG_PARAMS, segment_to_bytes(encode_bytes(payload[:10])))
+    payload = segment_from_bytes(bs.segments[1][1], MAX_PAYLOAD[TAG_PARAMS])
+    bs.segments[1] = (TAG_PARAMS, segment_to_bytes(payload[:10]))
     out.write_bytes(bs.to_bytes())
     assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+
+
+@pytest.mark.parametrize("command", ["info", "decode"])
+@pytest.mark.parametrize("geometry", [(256, 256, 0), (0, 256, 1)])
+def test_bad_header_geometry_is_corrupt(tmp_path, command, geometry):
+    # 0 coded bands or a 0x256 band: both commands reject the header alike
+    rows, cols, coded = geometry
+    header = BitstreamHeader(
+        rows=rows, cols=cols, coded_bands=coded, exclusions=(),
+        comp_enabled=False, comp_lambda=0.0, comp_qstep=1,
+    )
+    stream = tmp_path / "bad.bip"
+    stream.write_bytes(Bitstream(header=header, segments=[]).to_bytes())
+    args = [command, str(stream)] + ([str(tmp_path / "x.raw")] if command == "decode" else [])
+    assert run(args) == EXIT_CORRUPT
 
 
 def test_missing_input_file(tmp_path):
@@ -126,6 +141,8 @@ def test_bad_flag_value_is_usage_error(tmp_path, cube_file):
         ["--mse-goal", "nan"],
         ["--max-seconds", "-1"],
         ["--max-seconds", "nan"],
+        ["--init-range", "inf"],
+        ["--init-range", "1e308"],
     ],
 )
 def test_bad_training_flag_is_usage_error(tmp_path, cube_file, flag):

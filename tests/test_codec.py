@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hsicodec.codec import (
+    MAX_PAYLOAD,
     Bitstream,
     EncoderConfig,
     TAG_FIRST_BAND,
@@ -23,9 +24,9 @@ from hsicodec.codec import (
     encode_cube,
     encode_cube_full,
 )
-from hsicodec.compensate import CompensationConfig, offsets_from_bytes
+from hsicodec.compensate import CompensationConfig, apply_offsets
 from hsicodec.cube import HyperCube
-from hsicodec.entropy import decode_bytes, segment_from_bytes
+from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig
 
@@ -95,10 +96,12 @@ def test_offset_pixels_decode_to_their_target(lam):
     offset_bodies = [body for tag, body in result.bitstream.segments if tag == TAG_OFFSETS]
     assert len(offset_bodies) == 2
     for k, body in enumerate(offset_bodies, start=1):
-        off = offsets_from_bytes(decode_bytes(segment_from_bytes(body)))
-        assert len(off) > 0
-        got = decoded.band(k).ravel()[off.indices]
-        assert np.array_equal(got, result.resized_bands[k].ravel()[off.indices])
+        payload = segment_from_bytes(body, MAX_PAYLOAD[TAG_OFFSETS])
+        # offsets are nonzero, so the corrected pixels are the nonzero ones
+        indices = np.flatnonzero(apply_offsets(np.zeros((256, 256)), payload))
+        assert len(indices) > 0
+        got = decoded.band(k).ravel()[indices]
+        assert np.array_equal(got, result.resized_bands[k].ravel()[indices])
 
 
 def test_serialization_round_trip():

@@ -1,24 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.compensate import (
-    CompensationConfig,
-    OffsetMap,
-    apply_offsets,
-    compute_offsets,
-    offsets_from_bytes,
-    offsets_to_bytes,
-)
-from hsicodec.entropy import decode_bytes, encode_bytes
-from hsicodec.errors import CorruptStreamError, DimensionError
+from hsicodec.compensate import CompensationConfig, apply_offsets, offsets_to_bytes
+from hsicodec.entropy import segment_from_bytes, segment_to_bytes
+from hsicodec.errors import CorruptStreamError
+from hsicodec.wire import to_byte_planes
+
+
+def payload(deltas, zigzags) -> bytes:
+    """An offsets payload built entry by entry, valid or not."""
+    return to_byte_planes(np.asarray(deltas), "<u4") + to_byte_planes(np.asarray(zigzags), "<u4")
 
 
 def test_perfect_prediction_gives_empty_map():
     band = np.arange(64).reshape(8, 8)
-    off = compute_offsets(band, band, CompensationConfig(lam=0.0, q_step=1))
-    assert len(off) == 0
+    assert offsets_to_bytes(band, band, CompensationConfig(lam=0.0, q_step=1)) == b""
 
 
 def test_lossless_limit_is_exact_residual():
@@ -26,12 +26,11 @@ def test_lossless_limit_is_exact_residual():
     target = rng.integers(0, 256, (8, 8))
     recon = rng.integers(0, 256, (8, 8))
     cfg = CompensationConfig(lam=0.0, q_step=1)
-    off = compute_offsets(target, recon, cfg)
-    fixed = apply_offsets(recon, off)
+    blob = offsets_to_bytes(target, recon, cfg)
+    fixed = apply_offsets(recon, blob)
     assert np.array_equal(fixed, target)
-    flat_t, flat_r = target.ravel(), recon.ravel()
-    for idx, val in zip(off.indices, off.offsets):
-        assert val == flat_t[idx] - flat_r[idx]
+    # one entry per pixel whose residual is nonzero
+    assert len(blob) // 8 == np.count_nonzero(target - recon)
 
 
 def test_hand_worked_example():
@@ -39,28 +38,47 @@ def test_hand_worked_example():
     # the offset is the residual itself, so the pixel lands on its target
     target = np.full((1, 1), 100)
     recon = np.full((1, 1), 90)
-    off = compute_offsets(target, recon, CompensationConfig(lam=0.05, q_step=1))
-    assert len(off) == 1
-    assert off.offsets[0] == 10
-    fixed = apply_offsets(recon, off)
+    blob = offsets_to_bytes(target, recon, CompensationConfig(lam=0.05, q_step=1))
+    assert blob == payload([0], [20])  # zigzag(10) = 20
+    fixed = apply_offsets(recon, blob)
     assert fixed[0, 0] == 100
 
 
 def test_within_tolerance_pixels_untouched():
     target = np.full((2, 2), 100)
     recon = np.full((2, 2), 98)  # rel err 0.02
-    off = compute_offsets(target, recon, CompensationConfig(lam=0.05, q_step=1))
-    assert len(off) == 0
+    assert offsets_to_bytes(target, recon, CompensationConfig(lam=0.05, q_step=1)) == b""
+
+
+# fixed integer bands (no RNG), so the payload digests hold on any machine
+_K = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
+GOLDEN_TARGET = (_K * 7919) % 3001 - 500
+GOLDEN_RECON = GOLDEN_TARGET + (_K * 104729) % 401 - 200
+
+
+@pytest.mark.parametrize(
+    "lam, q_step, entries, digest",
+    [
+        (0.0, 1, 4086, "fef10e838c9ad7150a38e9e55e4fb989db9d3a2ac95fc3889ecff4cb24eb5239"),
+        (0.05, 1, 2986, "9d65ba2bab0e8bf24fb2e12c1b71206f3e697cbe067e777c0f4fa245c4aac19e"),
+        (0.01, 3, 3871, "11c93c1cb9d5e4f035d390150a2ed40cd5d38f7f6bea3e0bb05ceb563bb63fa4"),
+    ],
+)
+def test_offsets_payload_golden_digest(lam, q_step, entries, digest):
+    cfg = CompensationConfig(lam=lam, q_step=q_step)
+    blob = offsets_to_bytes(GOLDEN_TARGET, GOLDEN_RECON, cfg)
+    assert len(blob) == 8 * entries
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_apply_empty_map_is_identity():
     band = np.arange(16).reshape(4, 4)
-    assert np.array_equal(apply_offsets(band, OffsetMap()), band)
+    assert np.array_equal(apply_offsets(band, b""), band)
 
 
 def test_apply_single_entry():
     band = np.zeros((4, 4), dtype=np.int64)
-    out = apply_offsets(band, OffsetMap(indices=[0], offsets=[5]))
+    out = apply_offsets(band, payload([0], [10]))  # zigzag(5) = 10
     assert out[0, 0] == 5
     assert out.sum() == 5
 
@@ -68,21 +86,24 @@ def test_apply_single_entry():
 def test_apply_out_of_range_index():
     band = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(CorruptStreamError):
-        apply_offsets(band, OffsetMap(indices=[16], offsets=[1]))
+        apply_offsets(band, payload([16], [2]))
 
 
-def test_offset_map_invariants():
-    with pytest.raises(DimensionError):
-        OffsetMap(indices=[3, 3], offsets=[1, 2])
-    with pytest.raises(DimensionError):
-        OffsetMap(indices=[1, 2], offsets=[1, 0])
+def test_offsets_payload_invariants():
+    band = np.zeros((4, 4), dtype=np.int64)
+    with pytest.raises(CorruptStreamError):
+        apply_offsets(band, payload([3, 0], [2, 4]))  # index 3 twice
+    with pytest.raises(CorruptStreamError):
+        apply_offsets(band, payload([1, 1], [2, 0]))  # a zero offset
 
 
 def test_serialization_round_trip():
-    off = OffsetMap(indices=[0, 5, 65535], offsets=[-300, 7, 12345])
-    back = offsets_from_bytes(offsets_to_bytes(off))
-    assert np.array_equal(back.indices, off.indices)
-    assert np.array_equal(back.offsets, off.offsets)
+    recon = np.zeros((256, 256), dtype=np.int64)
+    target = recon.copy()
+    target.ravel()[[0, 5, 65535]] = [-300, 7, 12345]
+    blob = offsets_to_bytes(target, recon, CompensationConfig())
+    assert len(blob) == 3 * 8
+    assert np.array_equal(apply_offsets(recon, blob), target)
 
 
 def test_serialization_through_entropy_coder():
@@ -90,20 +111,21 @@ def test_serialization_through_entropy_coder():
     idx = np.sort(rng.choice(65536, 500, replace=False))
     offs = rng.integers(-1000, 1000, 500)
     offs[offs == 0] = 1
-    off = OffsetMap(indices=idx, offsets=offs)
-    blob = offsets_to_bytes(off)
-    back = offsets_from_bytes(decode_bytes(encode_bytes(blob)))
-    assert np.array_equal(back.indices, off.indices)
-    assert np.array_equal(back.offsets, off.offsets)
+    recon = np.zeros((256, 256), dtype=np.int64)
+    target = recon.copy()
+    target.ravel()[idx] = offs
+    blob = offsets_to_bytes(target, recon, CompensationConfig())
+    back = segment_from_bytes(segment_to_bytes(blob), len(blob))
+    assert np.array_equal(apply_offsets(recon, back), target)
 
 
 def test_corrupt_offset_bytes():
-    off = OffsetMap(indices=[1, 2], offsets=[3, 4])
-    blob = offsets_to_bytes(off)
+    band = np.zeros((4, 4), dtype=np.int64)
+    blob = payload([1, 1], [6, 8])
     with pytest.raises(CorruptStreamError):
-        offsets_from_bytes(blob + b"\x00")
+        apply_offsets(band, blob + b"\x00")
     with pytest.raises(CorruptStreamError):
-        offsets_from_bytes(blob[:-1])
+        apply_offsets(band, blob[:-1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,7 +139,7 @@ def test_near_lossless_guarantee(seed, lam, q_step):
     target = rng.integers(-500, 2000, (8, 8))
     recon = target + rng.integers(-300, 300, (8, 8))
     cfg = CompensationConfig(lam=lam, q_step=q_step)
-    fixed = apply_offsets(recon, compute_offsets(target, recon, cfg))
+    fixed = apply_offsets(recon, offsets_to_bytes(target, recon, cfg))
     t, r, c = target.ravel(), recon.ravel(), fixed.ravel()
     flagged = np.abs(t - r) / np.maximum(np.abs(t), 1) > lam
     # a pixel over lam ends within q_step/2 of its target; every other pixel is untouched

@@ -3,87 +3,92 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.entropy import (
-    CodedSegment,
-    decode_bytes,
-    encode_bytes,
-    segment_from_bytes,
-    segment_to_bytes,
-)
+from hsicodec.entropy import segment_from_bytes, segment_header, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
+from hsicodec.wire import write_varint
 
 
 def round_trip(data: bytes) -> bytes:
-    seg = segment_from_bytes(segment_to_bytes(encode_bytes(data)))
-    return decode_bytes(seg)
+    return segment_from_bytes(segment_to_bytes(data), len(data))
+
+
+def zlib_segment(original_len: int, body: bytes) -> bytes:
+    """A zlib-mode wire segment declaring ``original_len`` bytes."""
+    out = bytearray([1])
+    write_varint(out, original_len)
+    return bytes(out + body)
 
 
 def test_empty_input():
-    seg = encode_bytes(b"")
-    assert seg.original_len == 0
-    assert seg.payload == b""
-    assert decode_bytes(seg) == b""
+    wire = segment_to_bytes(b"")
+    assert segment_header(wire) == ("raw", 0, len(wire))
+    assert round_trip(b"") == b""
 
 
 def test_random_bytes_fall_back_to_raw():
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, 4096, dtype=np.uint8).tobytes()
-    seg = encode_bytes(data)
-    assert seg.mode == "raw"
-    assert decode_bytes(seg) == data
+    assert segment_header(segment_to_bytes(data))[0] == "raw"
+    assert round_trip(data) == data
 
 
 def test_compressible_data_uses_zlib():
     data = b"aaaaabbbbbccc" * 200
-    seg = encode_bytes(data)
-    assert seg.mode == "zlib"
-    assert len(segment_to_bytes(seg)) < len(data)
+    wire = segment_to_bytes(data)
+    assert segment_header(wire)[0] == "zlib"
+    assert len(wire) < len(data)
     assert round_trip(data) == data
 
 
 def test_determinism():
     data = bytes(np.random.default_rng(1).integers(0, 8, 5000, dtype=np.uint8))
-    assert segment_to_bytes(encode_bytes(data)) == segment_to_bytes(encode_bytes(data))
+    assert segment_to_bytes(data) == segment_to_bytes(data)
 
 
 def test_truncated_payload_detected():
     data = bytes(np.random.default_rng(2).integers(0, 16, 1000, dtype=np.uint8))
-    seg = encode_bytes(data)
-    assert seg.mode == "zlib"
-    bad = CodedSegment(
-        mode=seg.mode,
-        original_len=seg.original_len,
-        payload=seg.payload[:-1],
-    )
+    wire = segment_to_bytes(data)
+    assert segment_header(wire)[0] == "zlib"
     with pytest.raises(CorruptStreamError):
-        decode_bytes(bad)
+        segment_from_bytes(wire[:-1], len(data))
 
 
 def test_corrupt_zlib_payload_detected():
-    seg = encode_bytes(b"aaabbbccc" * 100)
-    assert seg.mode == "zlib"
-    flipped = bytearray(seg.payload)
+    data = b"aaabbbccc" * 100
+    wire = segment_to_bytes(data)
+    mode, original_len, offset = segment_header(wire)
+    assert mode == "zlib"
+    body = wire[offset:]
+    flipped = bytearray(body)
     flipped[len(flipped) // 2] ^= 0xFF
     bad_segments = [
-        CodedSegment(mode="zlib", original_len=seg.original_len, payload=bytes(flipped)),
-        CodedSegment(mode="zlib", original_len=seg.original_len - 1, payload=seg.payload),
-        CodedSegment(mode="zlib", original_len=seg.original_len + 1, payload=seg.payload),
-        CodedSegment(mode="zlib", original_len=seg.original_len, payload=seg.payload + b"\0"),
-        CodedSegment(mode="zlib", original_len=0, payload=seg.payload),
+        zlib_segment(original_len, bytes(flipped)),
+        zlib_segment(original_len - 1, body),
+        zlib_segment(original_len + 1, body),
+        zlib_segment(original_len, body + b"\0"),
+        zlib_segment(0, body),
     ]
     for bad in bad_segments:
         with pytest.raises(CorruptStreamError):
-            decode_bytes(bad)
+            segment_from_bytes(bad, 2 * len(data))
+
+
+def test_declared_length_above_cap_rejected():
+    for data in (b"abc", b"aaabbbccc" * 100):
+        wire = segment_to_bytes(data)
+        assert segment_from_bytes(wire, len(data)) == data
+        with pytest.raises(CorruptStreamError, match="declares"):
+            segment_from_bytes(wire, len(data) - 1)
 
 
 def test_wire_round_trip_all_modes():
     cases = [b"", bytes([9]) * 50, b"abcabcabd" * 300,
              bytes(np.random.default_rng(3).integers(0, 256, 2000, dtype=np.uint8))]
     for data in cases:
-        seg = encode_bytes(data)
-        back = segment_from_bytes(segment_to_bytes(seg))
-        assert back == seg
-        assert decode_bytes(back) == data
+        wire = segment_to_bytes(data)
+        back = segment_from_bytes(wire, len(data))
+        assert back == data
+        assert segment_to_bytes(back) == wire
 
 
 def test_length_limit_on_skewed_frequencies():
@@ -100,7 +105,7 @@ def test_coded_size_bound():
     for trial in range(50):
         n = int(rng.integers(0, 5000))
         data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
-        wire = segment_to_bytes(encode_bytes(data))
+        wire = segment_to_bytes(data)
         assert len(wire) <= n + 64
 
 

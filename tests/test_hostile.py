@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.codec import (
+    MAX_PAYLOAD,
     TAG_FIRST_BAND,
     Bitstream,
     BitstreamHeader,
@@ -28,9 +29,9 @@ from hsicodec.codec import (
     decode_cube,
     encode_cube,
 )
-from hsicodec.compensate import CompensationConfig, offsets_from_bytes
+from hsicodec.compensate import CompensationConfig, apply_offsets
 from hsicodec.cube import HyperCube
-from hsicodec.entropy import decode_bytes, encode_bytes, segment_from_bytes, segment_to_bytes
+from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
 from hsicodec.lm import TrainConfig
 from hsicodec.quantize import RANGE_BYTES
@@ -71,16 +72,16 @@ VARINT_2_TO_40 = bytes([0x80, 0x80, 0x80, 0x80, 0x80, 0x20])
 def test_segment_declaring_2_to_40_bytes(mode):
     blob = bytes([mode]) + VARINT_2_TO_40 + b"\x07"
     call = (
-        "from hsicodec.entropy import decode_bytes, segment_from_bytes; "
-        f"decode_bytes(segment_from_bytes({blob!r}))"
+        "from hsicodec.entropy import segment_from_bytes; "
+        f"segment_from_bytes({blob!r}, 1 << 41)"
     )
     assert outcome_under_rlimit(call) == "CorruptStreamError"
 
 
 def test_offsets_payload_with_2_to_40_varint_count():
     call = (
-        "from hsicodec.compensate import offsets_from_bytes; "
-        f"offsets_from_bytes({VARINT_2_TO_40!r})"
+        "import numpy as np; from hsicodec.compensate import apply_offsets; "
+        f"apply_offsets(np.zeros((256, 256)), {VARINT_2_TO_40!r})"
     )
     assert outcome_under_rlimit(call) == "CorruptStreamError"
 
@@ -120,7 +121,7 @@ def test_first_band_bomb_rejected_before_inflating(tmp_path):
 @given(st.binary(max_size=600))
 def test_arbitrary_segment_bytes(blob):
     try:
-        out = decode_bytes(segment_from_bytes(blob))
+        out = segment_from_bytes(blob, 1 << 41)
     except CorruptStreamError:
         return
     assert isinstance(out, bytes)
@@ -130,11 +131,11 @@ def test_arbitrary_segment_bytes(blob):
 @given(st.binary(max_size=600))
 def test_arbitrary_offsets_bytes(blob):
     try:
-        off = offsets_from_bytes(blob)
+        band = apply_offsets(np.zeros((256, 256), dtype=np.int64), blob)
     except CorruptStreamError:
         return
-    assert len(off) == len(blob) // 8
-    assert np.all(np.diff(off.indices) > 0)
+    # strictly increasing indices, each with a nonzero offset
+    assert np.count_nonzero(band) == len(blob) // 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,13 +164,13 @@ def test_mutated_band_payload(index, flips, cut):
     # mutate one payload before entropy coding, so the segment itself stays well formed
     bs = two_band_stream()
     tag, body = bs.segments[index]
-    payload = bytearray(decode_bytes(segment_from_bytes(body)))
+    payload = bytearray(segment_from_bytes(body, MAX_PAYLOAD[tag]))
     for bit in flips if payload else []:
         payload[bit // 8 % len(payload)] ^= 1 << bit % 8
     if cut is not None:
         del payload[cut % (len(payload) + 1):]
     segments = list(bs.segments)
-    segments[index] = (tag, segment_to_bytes(encode_bytes(bytes(payload))))
+    segments[index] = (tag, segment_to_bytes(bytes(payload)))
     blob = Bitstream(header=bs.header, segments=segments).to_bytes()
     try:
         out = decode_cube(Bitstream.from_bytes(blob))
@@ -209,14 +210,14 @@ def test_huge_parameter_ranges():
     bs = two_band_stream()
     segments = list(bs.segments)
     tag, body = segments[2]
-    payload = decode_bytes(segment_from_bytes(body))
+    payload = segment_from_bytes(body, MAX_PAYLOAD[tag])
     payload = struct.pack("<8f", *[-3e38, 3e38] * 4) + payload[RANGE_BYTES:]
-    segments[2] = (tag, segment_to_bytes(encode_bytes(payload)))
+    segments[2] = (tag, segment_to_bytes(payload))
     try:
         decode_cube(Bitstream(header=bs.header, segments=segments))
     except CorruptStreamError:
         return
-    params = decode_bytes(segment_from_bytes(segments[1][1]))
+    params = segment_from_bytes(segments[1][1], MAX_PAYLOAD[segments[1][0]])
     src_min, src_max = struct.unpack_from("<ii", payload, RANGE_BYTES)
     x = _band_blocks(decode_cube(bs).data[0])
     pred = _decode_band(x, params, payload)

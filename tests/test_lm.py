@@ -373,3 +373,6 @@ def test_config_validation():
             TrainConfig(max_seconds=bad)
     for ok in (0.0, float("inf")):
         assert TrainConfig(max_seconds=ok).max_seconds == ok
+    for r in (float("inf"), 1e308):
+        with pytest.raises(ValueError, match="init_range"):
+            TrainConfig(init_range=(-r, r))
