@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics as qm
 from .codec import (
     Bitstream,
@@ -134,8 +132,7 @@ def _cmd_encode(args) -> int:
         raise WriteError(f"cannot write {args.output}: {exc}") from exc
 
     if args.emit_resized:
-        resized = HyperCube(data=np.stack(result.resized_bands).astype(np.int16))
-        store_cube(resized, args.emit_resized)
+        store_cube(HyperCube(data=result.resized_bands), args.emit_resized)
 
     rate = bitrate(result.bitstream)
     print(f"coded {len(result.band_indices)} bands, {len(blob)} bytes, "
@@ -144,7 +141,9 @@ def _cmd_encode(args) -> int:
     for k, (band_idx, r) in enumerate(zip(result.band_indices, records)):
         line = f"band {band_idx}: psnr {r.psnr_db:.2f} dB, ssim {r.ssim:.4f}"
         if k > 0:
-            line += f", epochs {result.train_reports[k - 1].epochs_run}"
+            rep = result.train_reports[k - 1]
+            line += (f", epochs {rep.epochs_run}, stop {rep.stop_reason}, "
+                     f"train mse {rep.final_mse:.1e}")
         print(line, file=sys.stderr)
     return EXIT_OK
 

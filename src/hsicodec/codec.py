@@ -28,7 +28,7 @@ import numpy as np
 
 from .blocks import band_to_blocks, blocks_to_band
 from .compensate import CompensationConfig, apply_offsets, offsets_to_bytes
-from .cube import BAND_SIZE, HyperCube, denormalize_band, normalize_band, resize_band
+from .cube import BAND_SIZE, INT16, HyperCube, denormalize_band, normalize_band, resize_band
 from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
@@ -50,9 +50,6 @@ TAG_NAMES = {
     TAG_RANGES: "ranges",
     TAG_OFFSETS: "offsets",
 }
-
-INT16_MIN = -32768
-INT16_MAX = 32767
 
 # the ranges payload is the four parameter (min, max) pairs, then the band's min and max
 BAND_RANGE = struct.Struct("<ii")
@@ -152,9 +149,9 @@ class EncodeResult:
     """Bitstream plus the encoder-side state the caller may want to inspect."""
 
     bitstream: Bitstream
-    band_indices: list[int]          # original cube indices of coded bands
-    resized_bands: list[np.ndarray]  # resized originals (the codec's reference)
-    recon_bands: list[np.ndarray]    # encoder-side reconstructions
+    band_indices: list[int]    # original cube indices of coded bands
+    resized_bands: np.ndarray  # int16 (coded, rows, cols): resized originals, the codec's reference
+    recon_bands: np.ndarray    # int16 (coded, rows, cols): encoder-side reconstructions
     train_reports: list[TrainReport]
 
 
@@ -166,7 +163,7 @@ def _pack_band(band: np.ndarray) -> bytes:
 def _unpack_band(blob: bytes, shape) -> np.ndarray:
     if len(blob) != 2 * int(np.prod(shape)):
         raise CorruptStreamError("first-band payload does not match declared size")
-    return from_byte_planes(blob, "<i2").astype(np.int64).reshape(shape)
+    return from_byte_planes(blob, "<i2").reshape(shape)
 
 
 def _band_blocks(band: np.ndarray) -> np.ndarray:
@@ -198,10 +195,10 @@ def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.nd
 
 
 def _finish_band(pred: np.ndarray, offset_bytes: bytes | None) -> np.ndarray:
-    """Apply the offsets payload (if compensation is on) and clip to int16."""
+    """Apply the offsets payload (if compensation is on) and clip, so no band wraps in int16."""
     if offset_bytes is not None:
         pred = apply_offsets(pred, offset_bytes)
-    return np.clip(pred, INT16_MIN, INT16_MAX)
+    return np.clip(pred, INT16.min, INT16.max)
 
 
 def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
@@ -213,18 +210,19 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     # leading all-zero bands join the exclusion list so the stream grammar
     # stays uniform and the decoder needs no special case
     coded: list[int] = []
-    resized: list[np.ndarray] = []
+    bands: list[np.ndarray] = []
     for b in range(cube.bands):
         if b in exclusions:
             continue
-        rb = resize_band(cube.band(b)).astype(np.int64)
+        rb = resize_band(cube.band(b))
         if not coded and not rb.any():
             exclusions.add(b)
             continue
         coded.append(b)
-        resized.append(rb)
+        bands.append(rb)
     if not coded:
         raise NoContentError("cube has no nonzero non-excluded band")
+    resized = np.stack(bands)
 
     comp = cfg.compensation
     header = BitstreamHeader(
@@ -238,23 +236,22 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     )
     segments: list[tuple[int, bytes]] = []
 
-    first = resized[0]
-    segments.append((TAG_FIRST_BAND, segment_to_bytes(_pack_band(first))))
+    segments.append((TAG_FIRST_BAND, segment_to_bytes(_pack_band(resized[0]))))
 
-    recon_bands = [first.copy()]
+    recon = resized.copy()
     reports: list[TrainReport] = []
 
-    for band in resized[1:]:
-        x = _band_blocks(recon_bands[-1])
-        target, src_min, src_max = normalize_band(band)
+    for k in range(1, len(coded)):
+        x = _band_blocks(recon[k - 1])
+        target, src_min, src_max = normalize_band(resized[k])
         params, report = train(x, band_to_blocks(target), cfg.train)
         reports.append(report)
 
         param_bytes, range_bytes = quantize_params(params)
         range_bytes += BAND_RANGE.pack(src_min, src_max)
         pred = _decode_band(x, param_bytes, range_bytes)
-        offset_bytes = offsets_to_bytes(band, pred, comp) if comp.enabled else None
-        recon_bands.append(_finish_band(pred, offset_bytes))
+        offset_bytes = offsets_to_bytes(resized[k], pred, comp) if comp.enabled else None
+        recon[k] = _finish_band(pred, offset_bytes)
         payloads = {TAG_PARAMS: param_bytes, TAG_RANGES: range_bytes, TAG_OFFSETS: offset_bytes}
         segments += [(tag, segment_to_bytes(p)) for tag, p in payloads.items() if p is not None]
 
@@ -262,7 +259,7 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         bitstream=Bitstream(header=header, segments=segments),
         band_indices=coded,
         resized_bands=resized,
-        recon_bands=recon_bands,
+        recon_bands=recon,
         train_reports=reports,
     )
 
@@ -284,13 +281,15 @@ def decode_cube(bs: Bitstream) -> HyperCube:
             f"coded bands with compensation {'on' if comp.enabled else 'off'}"
         )
 
-    # inflated lazily, so only one band's payloads are held at a time
+    # inflated lazily, so only one band's payloads are held at a time; each
+    # band is written in place, so decoding holds the output and one band's work
     payloads = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in bs.segments)
-    bands = [_unpack_band(next(payloads), (h.rows, h.cols))]
-    for _ in range(h.coded_bands - 1):
-        pred = _decode_band(_band_blocks(bands[-1]), next(payloads), next(payloads))
-        bands.append(_finish_band(pred, next(payloads) if comp.enabled else None))
-    return HyperCube(data=np.stack(bands).astype(np.int16))
+    data = np.empty((h.coded_bands, h.rows, h.cols), np.int16)
+    data[0] = _unpack_band(next(payloads), (h.rows, h.cols))
+    for k in range(1, h.coded_bands):
+        pred = _decode_band(_band_blocks(data[k - 1]), next(payloads), next(payloads))
+        data[k] = _finish_band(pred, next(payloads) if comp.enabled else None)
+    return HyperCube(data=data)
 
 
 def bitrate(bs: Bitstream) -> float:

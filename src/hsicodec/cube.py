@@ -112,30 +112,30 @@ def load_cube(path, header: CubeHeader | None = None) -> HyperCube:
         header = read_header(raw)
     expected = header.rows * header.cols * header.bands * 2
     try:
-        blob = raw.read_bytes()
+        size = raw.stat().st_size
+        if size != expected:
+            raise CorruptInputError(
+                f"{raw}: file holds {size} bytes but header declares "
+                f"{header.rows}x{header.cols}x{header.bands} ({expected} bytes)"
+            )
+        data = np.fromfile(raw, dtype="<i2")
     except OSError as exc:
         raise CorruptInputError(f"cannot read cube {raw}: {exc}") from exc
-    if len(blob) != expected:
-        raise CorruptInputError(
-            f"{raw}: file holds {len(blob)} bytes but header declares "
-            f"{header.rows}x{header.cols}x{header.bands} ({expected} bytes)"
-        )
-    data = np.frombuffer(blob, dtype="<i2").reshape(
-        header.bands, header.rows, header.cols
-    )
-    return HyperCube(data=data.astype(np.int16))
+    return HyperCube(data=data.reshape(header.bands, header.rows, header.cols))
 
 
 def store_cube(cube: HyperCube, path) -> None:
-    """Write ``<path>`` (raw samples) and its ``.hdr`` sidecar."""
+    """Write ``<path>`` (raw samples) and its ``.hdr`` sidecar; a ``.hdr`` path is refused."""
     raw = Path(path)
     hdr = _header_path(raw)
+    if hdr == raw:
+        raise WriteError(f"cannot write cube samples to {raw}: the sidecar header goes there")
     text = (
         f"rows={cube.rows}\ncols={cube.cols}\nbands={cube.bands}\n"
         "dtype=i16le\norder=bsq\n"
     )
     try:
-        raw.write_bytes(cube.data.astype("<i2").tobytes())
+        cube.data.astype("<i2", copy=False).tofile(raw)
         hdr.write_text(text)
     except OSError as exc:
         raise WriteError(f"cannot write cube to {raw}: {exc}") from exc

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,10 @@ def test_encode_decode_metrics_pipeline(tmp_path, cube_file, capsys):
               "--emit-resized", str(resized), *FAST])
     assert rc == EXIT_OK
     assert out.exists() and resized.exists()
+    band_lines = capsys.readouterr().err.splitlines()[2:]
+    assert len(band_lines) == 2
+    for line in band_lines:
+        assert re.search(r", epochs 2, stop epochs, train mse \d\.\de[-+]\d\d$", line), line
 
     rec = tmp_path / "rec.raw"
     assert run(["decode", str(out), str(rec)]) == EXIT_OK
@@ -62,6 +68,15 @@ def test_info_command(tmp_path, cube_file, capsys):
     assert "3 coded bands" in dump
     assert "first-band" in dump
     assert "params" in dump
+
+
+def test_hdr_output_path_is_refused(tmp_path, cube_file):
+    stream = tmp_path / "out.bip"
+    ref = tmp_path / "ref.hdr"
+    assert run(["encode", str(cube_file), str(stream), "--emit-resized", str(ref), *FAST]) == EXIT_IO
+    rec = tmp_path / "rec.hdr"
+    assert run(["decode", str(stream), str(rec)]) == EXIT_IO
+    assert not ref.exists() and not rec.exists()
 
 
 def test_info_on_truncated_stream(tmp_path, cube_file):

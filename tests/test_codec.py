@@ -75,6 +75,9 @@ def test_closed_loop_bitwise_equality():
     assert decoded.bands == 3
     for k in range(3):
         assert np.array_equal(decoded.band(k), result.recon_bands[k])
+    # both codec sides hold one int16 array per cube, not a list of wider bands
+    for cube_data in (result.recon_bands, result.resized_bands, decoded.data):
+        assert cube_data.dtype == np.int16 and cube_data.shape == (3, 256, 256)
 
 
 def test_lossless_limit_round_trip():

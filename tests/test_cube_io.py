@@ -63,6 +63,14 @@ def test_store_unwritable_path(tmp_path):
         store_cube(cube, tmp_path / "missing_dir" / "x.raw")
 
 
+def test_store_refuses_hdr_path(tmp_path):
+    # the sidecar of x.hdr is x.hdr itself: its text would overwrite the samples
+    cube = HyperCube(data=np.ones((1, 2, 2), dtype=np.int16))
+    with pytest.raises(WriteError, match="sidecar"):
+        store_cube(cube, tmp_path / "x.hdr")
+    assert not (tmp_path / "x.hdr").exists()
+
+
 def test_header_with_explicit_descriptor(tmp_path):
     raw = tmp_path / "nohdr.raw"
     raw.write_bytes(bytes(2 * 3 * 4 * 2))

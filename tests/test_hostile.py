@@ -1,8 +1,8 @@
 """Hostile inputs: the decoder yields a value or CorruptStreamError, in bounded memory.
 
-The length tests run in a fresh interpreter under a 1 GiB address-space
-limit, so a decoder that trusts a declared length fails the test with a
-MemoryError instead of allocating what the stream asks for.
+The length and memory tests run in a fresh interpreter under a 1 GiB
+address-space limit, so a decoder that trusts a declared length fails the
+test with a MemoryError instead of allocating what the stream asks for.
 """
 
 import functools
@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 
 from hsicodec.codec import (
     MAX_PAYLOAD,
+    RANGES_SEGMENT_BYTES,
     TAG_FIRST_BAND,
+    TAG_OFFSETS,
+    TAG_PARAMS,
+    TAG_RANGES,
     Bitstream,
     BitstreamHeader,
     EncoderConfig,
@@ -34,7 +38,8 @@ from hsicodec.cube import HyperCube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
 from hsicodec.lm import TrainConfig
-from hsicodec.quantize import RANGE_BYTES
+from hsicodec.quantize import PARAM_BYTES, RANGE_BYTES
+from hsicodec.wire import to_byte_planes
 
 # a cast or overflow warning on hostile input is a defect, not a pass
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -115,6 +120,47 @@ def test_first_band_bomb_rejected_before_inflating(tmp_path):
         f"decode_cube(Bitstream.from_bytes(Path({str(stream)!r}).read_bytes()))"
     )
     assert outcome_under_rlimit(call) == "CorruptStreamError"
+
+
+def minimal_stream(bands: int) -> bytes:
+    """The smallest valid stream of ``bands`` bands: compensation off, every payload zero."""
+    header = BitstreamHeader(
+        rows=256, cols=256, coded_bands=bands, exclusions=(),
+        comp_enabled=False, comp_lambda=0.0, comp_qstep=1,
+    )
+    band = [
+        (TAG_PARAMS, segment_to_bytes(bytes(PARAM_BYTES))),
+        (TAG_RANGES, segment_to_bytes(bytes(RANGES_SEGMENT_BYTES))),
+    ]
+    first = (TAG_FIRST_BAND, segment_to_bytes(bytes(MAX_PAYLOAD[TAG_FIRST_BAND])))
+    return Bitstream(header=header, segments=[first] + band * (bands - 1)).to_bytes()
+
+
+@pytest.mark.parametrize("decode", [
+    "decode_cube(Bitstream.from_bytes(stream.read_bytes()))",
+    "assert run(['decode', str(stream), str(out)]) == 0",
+], ids=["library", "cli"])
+def test_decode_memory_is_the_output_plus_one_band(tmp_path, decode):
+    # 6,946 bytes that decode to a 25 MiB cube: the decoder may hold the
+    # output and one band's working arrays, not a wider copy of every band
+    stream = tmp_path / "zeros.bip"
+    stream.write_bytes(minimal_stream(200))
+    assert stream.stat().st_size == 6946
+    call = "; ".join([
+        "from pathlib import Path",
+        "from resource import RUSAGE_SELF, getrusage",
+        "from hsicodec.cli import run",
+        "from hsicodec.codec import Bitstream, decode_cube",
+        f"stream, out = Path({str(stream)!r}), Path({str(tmp_path / 'zeros.raw')!r})",
+        "before = getrusage(RUSAGE_SELF).ru_maxrss",
+        decode,
+        "print(getrusage(RUSAGE_SELF).ru_maxrss - before)",  # KiB on Linux
+    ])
+    *printed, outcome = outcome_under_rlimit(call).split()
+    assert outcome == "ok"
+    rise = int(printed[0]) * 1024
+    output = 200 * 256 * 256 * 2
+    assert rise <= output + (32 << 20), f"peak RSS rose {rise >> 20} MiB for a {output >> 20} MiB cube"
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,6 +248,18 @@ def test_mutated_whole_stream(lam, header_byte, flips, cut):
     except CorruptStreamError:
         return
     assert isinstance(out, HyperCube)
+
+
+def test_offsets_past_int16_saturate():
+    # offsets of +-2**31 on the first two pixels: the band is stored as int16,
+    # so the decoder must clip them to the int16 range, not let them wrap
+    bs = two_band_stream()
+    assert bs.segments[3][0] == TAG_OFFSETS
+    zigzags = np.array([2 * (2**31 - 1), 2 * 2**31 - 1])
+    payload = to_byte_planes(np.array([0, 1]), "<u4") + to_byte_planes(zigzags, "<u4")
+    segments = bs.segments[:3] + [(TAG_OFFSETS, segment_to_bytes(payload))]
+    band = decode_cube(Bitstream(header=bs.header, segments=segments)).band(1)
+    assert band[0, 0] == 32767 and band[0, 1] == -32768
 
 
 def test_huge_parameter_ranges():
