@@ -24,12 +24,13 @@ def band_to_blocks(band: np.ndarray) -> np.ndarray:
         )
     br = band.shape[0] // BLOCK
     bc = band.shape[1] // BLOCK
-    cols = (
+    # axes (i mod 4, j mod 4, i div 4, j div 4): one gather, straight into the output order
+    return (
         band.reshape(br, BLOCK, bc, BLOCK)
-        .transpose(0, 2, 1, 3)
-        .reshape(br * bc, BLOCK * BLOCK)
+        .transpose(1, 3, 0, 2)
+        .copy()
+        .reshape(BLOCK * BLOCK, br * bc)
     )
-    return cols.T.copy()
 
 
 def blocks_to_band(blocks: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -39,7 +40,7 @@ def blocks_to_band(blocks: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     if rows % BLOCK or cols % BLOCK or blocks.shape != (BLOCK * BLOCK, br * bc):
         raise DimensionError(f"block matrix shape {blocks.shape} does not fill a {rows}x{cols} band")
     return (
-        blocks.T.reshape(br, bc, BLOCK, BLOCK)
-        .transpose(0, 2, 1, 3)
+        blocks.reshape(BLOCK, BLOCK, br, bc)
+        .transpose(2, 0, 3, 1)
         .reshape(rows, cols)
     )

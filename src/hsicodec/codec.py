@@ -167,8 +167,8 @@ def _unpack_band(blob: bytes, shape) -> np.ndarray:
 
 
 def _band_blocks(band: np.ndarray) -> np.ndarray:
-    """The network input built from a reconstructed band."""
-    return band_to_blocks(normalize_band(band)[0])
+    """The network input built from a reconstructed band (permuted as int16, then scaled)."""
+    return normalize_band(band_to_blocks(band))[0]
 
 
 def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.ndarray:
@@ -191,14 +191,14 @@ def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.nd
     pred = forward(params, x)
     if not np.all(np.isfinite(pred)):
         raise CorruptStreamError("band payload predicts non-finite values")
-    return denormalize_band(blocks_to_band(pred, (BAND_SIZE, BAND_SIZE)), src_min, src_max)
+    return blocks_to_band(denormalize_band(pred, src_min, src_max), (BAND_SIZE, BAND_SIZE))
 
 
-def _finish_band(pred: np.ndarray, offset_bytes: bytes | None) -> np.ndarray:
-    """Apply the offsets payload (if compensation is on) and clip, so no band wraps in int16."""
+def _finish_band(pred: np.ndarray, offset_bytes: bytes | None, out: np.ndarray) -> None:
+    """Apply the offsets payload (if compensation is on) and clip into the int16 band ``out``."""
     if offset_bytes is not None:
         pred = apply_offsets(pred, offset_bytes)
-    return np.clip(pred, INT16.min, INT16.max)
+    np.clip(pred, INT16.min, INT16.max, out=out)
 
 
 def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
@@ -243,15 +243,15 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     for k in range(1, len(coded)):
         x = _band_blocks(recon[k - 1])
-        target, src_min, src_max = normalize_band(resized[k])
-        params, report = train(x, band_to_blocks(target), cfg.train)
+        target, src_min, src_max = normalize_band(band_to_blocks(resized[k]))
+        params, report = train(x, target, cfg.train)
         reports.append(report)
 
         param_bytes, range_bytes = quantize_params(params)
         range_bytes += BAND_RANGE.pack(src_min, src_max)
         pred = _decode_band(x, param_bytes, range_bytes)
         offset_bytes = offsets_to_bytes(resized[k], pred, comp) if comp.enabled else None
-        recon[k] = _finish_band(pred, offset_bytes)
+        _finish_band(pred, offset_bytes, out=recon[k])
         payloads = {TAG_PARAMS: param_bytes, TAG_RANGES: range_bytes, TAG_OFFSETS: offset_bytes}
         segments += [(tag, segment_to_bytes(p)) for tag, p in payloads.items() if p is not None]
 
@@ -288,7 +288,7 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     data[0] = _unpack_band(next(payloads), (h.rows, h.cols))
     for k in range(1, h.coded_bands):
         pred = _decode_band(_band_blocks(data[k - 1]), next(payloads), next(payloads))
-        data[k] = _finish_band(pred, next(payloads) if comp.enabled else None)
+        _finish_band(pred, next(payloads) if comp.enabled else None, out=data[k])
     return HyperCube(data=data)
 
 

@@ -67,13 +67,14 @@ def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
         raise CorruptStreamError(f"offset payload of {len(blob)} bytes is not 8 per entry")
     half = len(blob) // 2
     deltas = from_byte_planes(blob[:half], "<u4")
-    zigzag = from_byte_planes(blob[half:], "<u4").astype(np.int64)
-    if np.any(deltas[1:] == 0) or np.any(zigzag == 0):
+    zigzag = from_byte_planes(blob[half:], "<u4")
+    if not (deltas[1:].all() and zigzag.all()):
         raise CorruptStreamError("offset payload repeats an index or holds a zero offset")
     idx = np.cumsum(deltas, dtype=np.int64)
     recon = np.asarray(recon)
     out = recon.astype(np.int64).ravel()
     if idx.size and idx[-1] >= out.size:
         raise CorruptStreamError(f"offset index {int(idx[-1])} outside band of {out.size} pixels")
-    out[idx] += (zigzag >> 1) ^ -(zigzag & 1)
+    # zigzag decoded in uint32 wraps to the int32 offset's two's complement
+    out[idx] += ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int32)
     return out.reshape(recon.shape)

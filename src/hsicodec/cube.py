@@ -171,12 +171,11 @@ def normalize_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 def denormalize_band(values: np.ndarray, src_min: int, src_max: int) -> np.ndarray:
-    """Invert normalize_band: scale back, round, clamp to [src_min, src_max].
+    """Invert normalize_band: clip to [0, 1], scale back, round (int64).
 
-    Values are clipped to [0, 1] first, which maps them to the same integers
-    as clamping afterwards but keeps a huge value (a hostile band payload can
-    predict 1e39) from overflowing the integer cast.
+    The clip keeps every result in [src_min, src_max], as v * d <= d for
+    v <= 1, and keeps a huge value (a hostile band payload can predict
+    1e39) from overflowing the integer cast.
     """
     scaled = np.clip(values, 0.0, 1.0) * float(src_max - src_min)
-    ints = round_half_away(scaled).astype(np.int64) + src_min
-    return np.clip(ints, src_min, src_max)
+    return round_half_away(scaled, out=scaled).astype(np.int64) + src_min

@@ -55,4 +55,8 @@ def from_byte_planes(blob: bytes, dtype: str) -> np.ndarray:
     if len(blob) % width:
         raise CorruptStreamError(f"{len(blob)} plane bytes do not split into {width} planes")
     planes = np.frombuffer(blob, dtype=np.uint8).reshape(width, -1)
-    return np.ascontiguousarray(planes.T).view(dtype).ravel()
+    # one plane at a time: a transposed copy gathers byte by byte and is ~5x slower
+    out = np.empty((planes.shape[1], width), np.uint8)
+    for i, plane in enumerate(planes):
+        out[:, i] = plane
+    return out.view(dtype).ravel()

@@ -17,6 +17,7 @@ from hsicodec.codec import (
     TAG_OFFSETS,
     TAG_PARAMS,
     TAG_RANGES,
+    _band_blocks,
     _pack_band,
     _unpack_band,
     bitrate,
@@ -25,7 +26,8 @@ from hsicodec.codec import (
     encode_cube_full,
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets
-from hsicodec.cube import HyperCube
+from hsicodec.blocks import band_to_blocks
+from hsicodec.cube import HyperCube, normalize_band
 from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig
@@ -57,6 +59,26 @@ def test_pack_band_round_trip():
         assert len(packed) == 2 * band.size
         back = _unpack_band(packed, band.shape)
         assert np.array_equal(back, band)
+
+
+def block_order_bands():
+    rng = np.random.default_rng(11)
+    yield from (rng.integers(lo, hi + 1, (256, 256)).astype(np.int16) for lo, hi in [(0, 4095), (-300, 300)])
+    yield np.full((256, 256), -7, np.int16)
+    full = rng.integers(-32768, 32768, (256, 256)).astype(np.int16)
+    full[0, 0], full[-1, -1] = -32768, 32767
+    yield full
+    yield rng.integers(0, 2, (8, 12)).astype(np.int16)
+
+
+@pytest.mark.parametrize("band", block_order_bands())
+def test_band_blocks_match_normalize_then_permute(band):
+    # blocks are permuted as int16 and then scaled; the order must not change a bit
+    got = _band_blocks(band)
+    expected = band_to_blocks(normalize_band(band)[0])
+    assert got.dtype == expected.dtype == np.float64
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_single_band_cube_is_exact():

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsicodec.compensate import CompensationConfig, apply_offsets, offsets_to_bytes
@@ -155,3 +155,71 @@ def test_config_validation():
     for q_step in (1.5, 2.0):
         with pytest.raises(ValueError, match="q_step"):
             CompensationConfig(q_step=q_step)
+
+
+def reference_apply_offsets(recon, blob):
+    """The earlier int64 formulation of apply_offsets, kept as an oracle."""
+    if len(blob) % 8:
+        raise CorruptStreamError("length")
+
+    def planes(part):  # byte planes gathered by a transposed copy
+        return np.ascontiguousarray(np.frombuffer(part, np.uint8).reshape(4, -1).T).view("<u4").ravel()
+
+    half = len(blob) // 2
+    deltas = planes(blob[:half])
+    zigzag = planes(blob[half:]).astype(np.int64)
+    if np.any(deltas[1:] == 0) or np.any(zigzag == 0):
+        raise CorruptStreamError("repeat or zero")
+    idx = np.cumsum(deltas, dtype=np.int64)
+    out = np.asarray(recon).astype(np.int64).ravel()
+    if idx.size and idx[-1] >= out.size:
+        raise CorruptStreamError("past the band")
+    out[idx] += (zigzag >> 1) ^ -(zigzag & 1)
+    return out.reshape(np.shape(recon))
+
+
+U32_EXTREMES = [0xFFFFFFFF, 0xFFFFFFFE, 0x80000000, 0x7FFFFFFF, 1, 2]
+
+
+@st.composite
+def offset_cases(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    recon = np.random.default_rng(seed).integers(-(2**31), 2**31, (rows, cols))
+    n = draw(st.integers(0, 12))
+    # mostly small deltas, so many payloads stay inside the band; 0 repeats an index
+    deltas = draw(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1)), min_size=n, max_size=n))
+    zigzags = draw(
+        st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(U32_EXTREMES + [0])), min_size=n, max_size=n)
+    )
+    cut = draw(st.sampled_from([0, 0, 0, 1, 3, 7]))  # bytes dropped from the end
+    blob = payload(np.array(deltas, np.uint32), np.array(zigzags, np.uint32))
+    return recon, blob[: len(blob) - cut]
+
+
+def corrupt_case(deltas, zigzags, cut=0):
+    blob = payload(np.array(deltas, np.uint32), np.array(zigzags, np.uint32))
+    return np.zeros((4, 4), np.int64), blob[: len(blob) - cut]
+
+
+@settings(max_examples=400, deadline=None)
+@given(offset_cases())
+@example(corrupt_case([0, 15], U32_EXTREMES[:2]))  # the two int32 extremes, in band
+@example(corrupt_case([2, 3, 4], U32_EXTREMES[:3]))
+@example(corrupt_case([3, 0], [2, 4]))  # a repeated index
+@example(corrupt_case([1, 1], [2, 0]))  # a zero offset
+@example(corrupt_case([16], [2]))  # an index past the band
+@example(corrupt_case([0xFFFFFFFF, 0xFFFFFFFF], [2, 2]))  # past the band via a large sum
+@example(corrupt_case([1, 1], [6, 8], cut=1))  # a length that is not 8 per entry
+def test_apply_offsets_matches_int64_reference(case):
+    recon, blob = case
+    try:
+        expected = reference_apply_offsets(recon, blob)
+    except CorruptStreamError:
+        with pytest.raises(CorruptStreamError):
+            apply_offsets(recon, blob)
+        return
+    got = apply_offsets(recon, blob)
+    assert got.dtype == expected.dtype == np.int64
+    assert got.shape == recon.shape
+    assert np.array_equal(got, expected)
