@@ -31,7 +31,7 @@ from .compensate import CompensationConfig, apply_offsets, offsets_to_bytes
 from .cube import BAND_SIZE, INT16, HyperCube, denormalize_band, normalize_band, resize_band
 from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
-from .lm import TrainConfig, TrainReport, train
+from .lm import TrainConfig, TrainReport, Workspace, train
 from .mlp import forward
 from .quantize import PARAM_BYTES, RANGE_BYTES, dequantize_params, quantize_params
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
@@ -240,11 +240,12 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     recon = resized.copy()
     reports: list[TrainReport] = []
+    workspace = Workspace()  # training's band-sized buffers, shared by every band
 
     for k in range(1, len(coded)):
         x = _band_blocks(recon[k - 1])
         target, src_min, src_max = normalize_band(band_to_blocks(resized[k]))
-        params, report = train(x, target, cfg.train)
+        params, report = train(x, target, cfg.train, workspace)
         reports.append(report)
 
         param_bytes, range_bytes = quantize_params(params)

@@ -44,14 +44,19 @@ def offsets_to_bytes(target: np.ndarray, recon: np.ndarray, cfg: CompensationCon
     """The offsets payload for every pixel whose relative error exceeds cfg.lam."""
     if np.shape(target) != np.shape(recon):
         raise DimensionError(f"shape mismatch {np.shape(target)} vs {np.shape(recon)}")
-    t = np.asarray(target, dtype=np.int64).ravel()
-    r = np.asarray(recon, dtype=np.int64).ravel()
-    violating = np.abs(t - r) / np.maximum(np.abs(t), 1) > cfg.lam
-    offs = cfg.q_step * round_half_away((t - r) / cfg.q_step).astype(np.int64)
-    idx = np.nonzero(violating & (offs != 0))[0]
+    diff = np.subtract(target, recon, dtype=np.int64).ravel()
+    # dividing by 1 and rounding is exact below 2**53, and a larger offset fails the 32-bit check
+    q = cfg.q_step
+    offs = diff if q == 1 else q * round_half_away(diff / q).astype(np.int64)
+    # an entry needs a nonzero offset, so the relative-error test runs only there
+    idx = np.flatnonzero(offs)
+    t = np.asarray(target).ravel()[idx].astype(np.int64)
+    idx = idx[np.abs(diff[idx]) / np.maximum(np.abs(t), 1) > cfg.lam]
     offs = offs[idx]
+    del diff, t
     deltas = np.diff(idx, prepend=0)
     zigzag = (offs << 1) ^ (offs >> 63)
+    del idx, offs
     if np.any((deltas >> 32) | (zigzag >> 32)):
         raise ValueError("offset entry does not fit 32 bits")
     return to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")

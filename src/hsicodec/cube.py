@@ -151,6 +151,8 @@ def resize_band(band: np.ndarray, size: int = BAND_SIZE) -> np.ndarray:
     if band.ndim != 2 or min(band.shape) < 1:
         raise DimensionError(f"band must be a non-empty 2-D matrix, got {band.shape}")
     rows, cols = band.shape
+    if rows == cols == size:
+        return band.copy()  # the gather below is the identity
     out = np.arange(size)
     src_i = ((2 * out + 1) * rows) // (2 * size)
     src_j = ((2 * out + 1) * cols) // (2 * size)
@@ -167,7 +169,10 @@ def normalize_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
     hi = int(band.max())
     if hi == lo:
         return np.zeros(band.shape, dtype=np.float64), lo, hi
-    return (band.astype(np.float64) - lo) / float(hi - lo), lo, hi
+    values = band.astype(np.float64)
+    values -= lo
+    values /= float(hi - lo)
+    return values, lo, hi
 
 
 def denormalize_band(values: np.ndarray, src_min: int, src_max: int) -> np.ndarray:

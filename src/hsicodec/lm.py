@@ -141,10 +141,9 @@ def _pair_index(n: int) -> np.ndarray:
     return index
 
 
-def _pair_products(a: np.ndarray) -> np.ndarray:
-    """Row products a[i] * a[j] for i <= j, in triu order: n(n+1)/2 x M for n x M."""
+def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row products a[i] * a[j] for i <= j, in triu order, into out (n(n+1)/2 x M for n x M)."""
     n = a.shape[0]
-    out = np.empty((n * (n + 1) // 2, a.shape[1]))
     row = 0
     for i in range(n):
         np.multiply(a[i], a[i:], out=out[row : row + n - i])
@@ -159,25 +158,47 @@ _ZZ_GATHER = (
 ).reshape(N_FIRST, N_FIRST)
 
 
+class Workspace:
+    """Training's band-sized buffers: a band's moments ``q`` (153 x M) and ``scratch`` (110 x M).
+
+    ``encode_cube_full`` keeps one for every band of an encode, so no band
+    or epoch faults in fresh pages for them. Both are views of one block:
+    as two blocks, glibc returned them to the OS between most encodes.
+    """
+
+    def __init__(self):
+        self.q = self.scratch = np.empty((0, 0))
+
+    def buffers(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """q and scratch for M columns, allocated again only when M changes."""
+        if self.q.shape[1] != m:
+            n_q = N_X1 * (N_X1 + 1) // 2
+            self.q, self.scratch = np.split(np.empty((n_q + N_HIDDEN * N_H1, m)), [n_q])
+        return self.q, self.scratch
+
+
 @dataclass(frozen=True)
 class BandMoments:
     """The input side of the Gram form, fixed while one band trains.
 
     x1 = [x; 1] (17 x M), and q holds the 153 column-wise products
-    x1[v] * x1[v'] for v <= v' (153 x M).
+    x1[v] * x1[v'] for v <= v' (153 x M); both it and ``normal_equations``'s
+    scratch rows are ``Workspace`` memory, which the next band overwrites.
     """
 
     x1: np.ndarray
     q: np.ndarray
+    scratch: np.ndarray
 
 
-def band_moments(inputs) -> BandMoments:
-    """Build the per-band input moments once; every epoch on these inputs reuses them."""
+def band_moments(inputs, workspace: Workspace | None = None) -> BandMoments:
+    """Build the per-band input moments once, in ``workspace`` (a new one if None)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
         raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
     x1 = np.vstack([inputs, np.ones((1, inputs.shape[1]))])
-    return BandMoments(x1=x1, q=_pair_products(x1))
+    q, scratch = (workspace or Workspace()).buffers(x1.shape[1])
+    return BandMoments(x1=x1, q=_pair_products(x1, out=q), scratch=scratch)
 
 
 @dataclass(frozen=True)
@@ -207,6 +228,8 @@ def normal_equations(w2, moments: BandMoments, hidden, err) -> NormalEquations:
     g1 = ((W2'E) * dh) x1'. Z Z' is gathered from P Q', where P holds the
     55 products dh[u] * dh[u'] for u <= u' and Q = ``moments.q``, so no
     170 x M matrix is formed (Wilamowski & Yu, IEEE TNN 21(6), 2010).
+    P is built in ``moments.scratch``, and the (dh (x) h~) rows overwrite
+    it once P Q' is taken.
     """
     x1 = moments.x1
     m = x1.shape[1]
@@ -215,8 +238,10 @@ def normal_equations(w2, moments: BandMoments, hidden, err) -> NormalEquations:
     dh = 1.0 - hidden * hidden                                       # 10 x M
     h1 = np.vstack([hidden, np.ones((1, m))])                        # 11 x M
 
-    pq = _pair_products(dh) @ moments.q.T                            # 55 x 153
-    c = (dh[:, None, :] * h1[None, :, :]).reshape(-1, m) @ x1.T      # 110 x 17, row 11u + t
+    scratch = moments.scratch
+    pq = _pair_products(dh, out=scratch[: N_HIDDEN * N_H1 // 2]) @ moments.q.T  # 55 x 153
+    np.multiply(dh[:, None], h1[None], out=scratch.reshape(N_HIDDEN, N_H1, m))
+    c = scratch @ x1.T                                               # 110 x 17, row 11u + t
     return NormalEquations(
         w2=w2,
         zz=pq.ravel()[_ZZ_GATHER],
@@ -272,8 +297,11 @@ def _split_columns(m: int, rng: np.random.Generator):
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
-    """Fit the network to map inputs to target, both 16 x M in [0, 1]."""
+def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, TrainReport]:
+    """Fit the network to map inputs to target, both 16 x M in [0, 1].
+
+    The band-sized buffers live in ``workspace`` (a new one if None); no result is a view of them.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if inputs.shape != target.shape or inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
@@ -290,10 +318,10 @@ def train(inputs, target, cfg: TrainConfig) -> tuple[MlpParams, TrainReport]:
     def evaluate(p: MlpParams):
         """The hidden layer, error and MSE of p on the training columns."""
         hidden, out = layers(p, x_tr)
-        err = out - t_tr
+        err = np.subtract(out, t_tr, out=out)
         return hidden, err, float(np.mean(err * err))
 
-    moments = band_moments(x_tr)
+    moments = band_moments(x_tr, workspace)
     start = time.monotonic()
     mu = MU_INIT
     hidden, err, train_mse = evaluate(params)

@@ -144,6 +144,15 @@ def test_deterministic_bitstream():
     assert a == b
 
 
+def test_repeated_encodes_in_one_process_are_identical():
+    cube = smooth_cube(bands=4)
+    a = encode_cube_full(cube, fast_cfg(lam=0.01, seed=7))
+    b = encode_cube_full(cube, fast_cfg(lam=0.01, seed=7))
+    assert a.bitstream.to_bytes() == b.bitstream.to_bytes()
+    assert np.array_equal(a.recon_bands, b.recon_bands)
+    assert a.train_reports == b.train_reports
+
+
 def test_bitstream_identical_across_processes():
     # the same cube and seed, encoded by two fresh interpreters
     code = (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsicodec.compensate import CompensationConfig, apply_offsets, offsets_to_bytes
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
+from hsicodec.rounding import round_half_away
 from hsicodec.wire import to_byte_planes
 
 
@@ -69,6 +70,50 @@ def test_offsets_payload_golden_digest(lam, q_step, entries, digest):
     blob = offsets_to_bytes(GOLDEN_TARGET, GOLDEN_RECON, cfg)
     assert len(blob) == 8 * entries
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def reference_offsets_to_bytes(target, recon, cfg):
+    """The payload by the first, all-pixel formula of ``offsets_to_bytes``: the oracle."""
+    t = np.asarray(target, dtype=np.int64).ravel()
+    r = np.asarray(recon, dtype=np.int64).ravel()
+    violating = np.abs(t - r) / np.maximum(np.abs(t), 1) > cfg.lam
+    offs = cfg.q_step * round_half_away((t - r) / cfg.q_step).astype(np.int64)
+    idx = np.nonzero(violating & (offs != 0))[0]
+    offs = offs[idx]
+    deltas = np.diff(idx, prepend=0)
+    zigzag = (offs << 1) ^ (offs >> 63)
+    if np.any((deltas >> 32) | (zigzag >> 32)):
+        raise ValueError("offset entry does not fit 32 bits")
+    return to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-3, 0.05, 2.0]),
+    st.sampled_from([1, 2, 7, 32767]),
+    st.sampled_from([40, 2**20, 2**40]),  # prediction spread; 2**40 overflows 32 bits
+)
+@example(seed=0, lam=0.0, q_step=1, spread=2**40)
+def test_offsets_payload_matches_reference(seed, lam, q_step, spread):
+    rng = np.random.default_rng(seed)
+    target = rng.integers(-32768, 32768, 96).astype(np.int16)
+    target[rng.integers(0, 96, 8)] = rng.choice([-32768, 32767], 8)
+    recon = target + rng.integers(-spread, spread + 1, 96)
+    recon[rng.integers(0, 96, 8)] = rng.choice([-32768, 32767], 8)
+    exact = rng.random(96) < 0.3
+    recon[exact] = target[exact]
+    cfg = CompensationConfig(lam=lam, q_step=q_step)
+    assert outcome(offsets_to_bytes, target, recon, cfg) == outcome(
+        reference_offsets_to_bytes, target, recon, cfg
+    )
 
 
 def test_apply_empty_map_is_identity():

@@ -91,6 +91,7 @@ def test_bad_header_rejected(tmp_path):
 def test_resize_identity_on_256():
     band = np.arange(256 * 256).reshape(256, 256)
     assert np.array_equal(resize_band(band), band)
+    assert not np.shares_memory(resize_band(band), band)
 
 
 def test_resize_512_index_oracle():
@@ -140,6 +141,18 @@ def test_denormalize_endpoints():
 def test_denormalize_rounds_half_away_from_zero():
     # 0.5 * 255 = 127.5 -> 128
     assert denormalize_band(np.full((1, 1), 0.5), 0, 255)[0, 0] == 128
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([np.int16, np.int64, np.float64]))
+def test_normalize_matches_out_of_place_formula(seed, dtype):
+    rng = np.random.default_rng(seed)
+    band = rng.integers(-32768, 32768, (8, 8)).astype(dtype)
+    kept = band.copy()
+    values, lo, hi = normalize_band(band)
+    expected = (band.astype(np.float64) - lo) / float(hi - lo)
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(band, kept)  # scaled in its own copy, even of a float64 band
 
 
 @given(st.integers(0, 255), st.integers(0, 255))

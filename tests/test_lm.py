@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,7 @@ from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
 from hsicodec.lm import (
     TrainConfig,
+    Workspace,
     band_moments,
     compute_jacobian,
     init_params,
@@ -316,6 +318,35 @@ def test_train_deterministic():
     p2, r2 = train(x, target, cfg)
     assert np.array_equal(p1.to_vector(), p2.to_vector())
     assert r1.train_mse_history == r2.train_mse_history
+
+
+def test_train_through_one_workspace_matches_fresh_training():
+    # bands A, B, then A again through one workspace: B's leftovers do not reach A
+    x_a, x_b = band_blocks(seed=4)[:, :512], band_blocks(seed=6)[:, :512]
+    cfg = TrainConfig(max_epochs=5, seed=9)
+    workspace = Workspace()
+    for x, target in [(x_a, 0.4 * x_a + 0.2), (x_b, 0.8 * x_b), (x_a, 0.4 * x_a + 0.2)]:
+        params, report = train(x, target, cfg, workspace)
+        fresh_params, fresh_report = train(x, target, cfg)
+        assert np.array_equal(params.to_vector(), fresh_params.to_vector())
+        assert report == fresh_report
+
+
+def test_train_returns_no_view_of_its_workspace():
+    x = band_blocks(seed=7)[:, :512]
+    workspace = Workspace()
+    params, report = train(x, 0.5 * x + 0.1, TrainConfig(max_epochs=3, seed=2), workspace)
+    kept_params, kept_report = params.to_vector(), copy.deepcopy(report)
+    moments = band_moments(x, workspace)
+    hidden, out = layers(params, x)
+    eq = normal_equations(params.w2, moments, hidden, out - x)
+    buffers = (workspace.q, workspace.scratch)
+    for a in [params.w1, params.b1, params.w2, params.b2, *vars(eq).values()]:
+        assert not any(np.shares_memory(a, buf) for buf in buffers)
+    for buf in buffers:
+        buf.fill(np.nan)
+    assert np.array_equal(params.to_vector(), kept_params)
+    assert report == kept_report
 
 
 def test_train_accepted_mse_strictly_decreasing():
