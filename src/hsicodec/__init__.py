@@ -2,7 +2,8 @@
 
 Each spectral band is predicted from the previously reconstructed band by
 a small trained network; only the quantized network parameters (and, for
-near-lossless operation, sparse compensation offsets) are transmitted.
+near-lossless operation, compensation offsets, sparse or as a dense
+residual plane) are transmitted.
 
 The package namespace holds the names the scripts and the benchmark use;
 everything else is imported from its submodule.

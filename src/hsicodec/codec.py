@@ -11,8 +11,10 @@ reconstruction bit for bit by construction.
 
 Bitstream layout (version 2): magic "BIPN", version byte, fixed-width
 little-endian header fields, then tagged segments (0x01 first band as
-int16 byte planes, 0x02 params, 0x03 ranges plus band min/max, 0x04
-offsets), each varint-length-prefixed and coded by ``entropy``.
+int16 byte planes, 0x02 params, 0x03 ranges plus band min/max, and with
+compensation on either 0x04 sparse offsets or 0x05 the residual plane of
+2 bytes per pixel, as ``compensate.compensation_payload`` picks per band),
+each varint-length-prefixed and coded by ``entropy``.
 ``Bitstream.from_bytes`` rejects a header with another band geometry or no
 coded band; ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
 ``entropy.segment_from_bytes``, which rejects a segment declaring more
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import band_to_blocks, blocks_to_band
-from .compensate import CompensationConfig, apply_offsets, offsets_to_bytes
+from .compensate import CompensationConfig, apply_offsets, apply_residual, compensation_payload
 from .cube import BAND_SIZE, INT16, HyperCube, denormalize_band, normalize_band, resize_band
 from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
@@ -43,12 +45,14 @@ TAG_FIRST_BAND = 0x01
 TAG_PARAMS = 0x02
 TAG_RANGES = 0x03
 TAG_OFFSETS = 0x04
+TAG_RESIDUAL = 0x05
 
 TAG_NAMES = {
     TAG_FIRST_BAND: "first-band",
     TAG_PARAMS: "params",
     TAG_RANGES: "ranges",
     TAG_OFFSETS: "offsets",
+    TAG_RESIDUAL: "residual",
 }
 
 # the ranges payload is the four parameter (min, max) pairs, then the band's min and max
@@ -61,6 +65,7 @@ MAX_PAYLOAD = {
     TAG_PARAMS: PARAM_BYTES,
     TAG_RANGES: RANGES_SEGMENT_BYTES,
     TAG_OFFSETS: 8 * BAND_SIZE * BAND_SIZE,
+    TAG_RESIDUAL: 2 * BAND_SIZE * BAND_SIZE,
 }
 
 
@@ -194,10 +199,11 @@ def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.nd
     return blocks_to_band(denormalize_band(pred, src_min, src_max), (BAND_SIZE, BAND_SIZE))
 
 
-def _finish_band(pred: np.ndarray, offset_bytes: bytes | None, out: np.ndarray) -> None:
-    """Apply the offsets payload (if compensation is on) and clip into the int16 band ``out``."""
-    if offset_bytes is not None:
-        pred = apply_offsets(pred, offset_bytes)
+def _finish_band(pred: np.ndarray, offsets: tuple[int, bytes] | None, out: np.ndarray) -> None:
+    """Apply the (tag, payload) offsets segment (None: compensation off) and clip into the int16 ``out``."""
+    if offsets is not None:
+        tag, payload = offsets
+        pred = (apply_residual if tag == TAG_RESIDUAL else apply_offsets)(pred, payload)
     np.clip(pred, INT16.min, INT16.max, out=out)
 
 
@@ -251,10 +257,14 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         param_bytes, range_bytes = quantize_params(params)
         range_bytes += BAND_RANGE.pack(src_min, src_max)
         pred = _decode_band(x, param_bytes, range_bytes)
-        offset_bytes = offsets_to_bytes(resized[k], pred, comp) if comp.enabled else None
-        _finish_band(pred, offset_bytes, out=recon[k])
-        payloads = {TAG_PARAMS: param_bytes, TAG_RANGES: range_bytes, TAG_OFFSETS: offset_bytes}
-        segments += [(tag, segment_to_bytes(p)) for tag, p in payloads.items() if p is not None]
+        payloads = [(TAG_PARAMS, param_bytes), (TAG_RANGES, range_bytes)]
+        offsets = None
+        if comp.enabled:
+            dense, offset_bytes = compensation_payload(resized[k], pred, comp)
+            offsets = (TAG_RESIDUAL if dense else TAG_OFFSETS, offset_bytes)
+            payloads.append(offsets)
+        _finish_band(pred, offsets, out=recon[k])
+        segments += [(tag, segment_to_bytes(p)) for tag, p in payloads]
 
     return EncodeResult(
         bitstream=Bitstream(header=header, segments=segments),
@@ -275,8 +285,10 @@ def decode_cube(bs: Bitstream) -> HyperCube:
         comp = CompensationConfig(lam=h.comp_lambda, q_step=h.comp_qstep, enabled=h.comp_enabled)
     except ValueError as exc:
         raise CorruptStreamError(f"bad compensation header: {exc}") from exc
+    # a band's third segment may be either layout, so residual tags check as offsets tags
     per_band = [TAG_PARAMS, TAG_RANGES] + ([TAG_OFFSETS] if comp.enabled else [])
-    if [tag for tag, _ in bs.segments] != [TAG_FIRST_BAND] + per_band * (h.coded_bands - 1):
+    tags = [TAG_OFFSETS if tag == TAG_RESIDUAL else tag for tag, _ in bs.segments]
+    if tags != [TAG_FIRST_BAND] + per_band * (h.coded_bands - 1):
         raise CorruptStreamError(
             f"{len(bs.segments)} segments do not follow the grammar of {h.coded_bands} "
             f"coded bands with compensation {'on' if comp.enabled else 'off'}"
@@ -284,11 +296,11 @@ def decode_cube(bs: Bitstream) -> HyperCube:
 
     # inflated lazily, so only one band's payloads are held at a time; each
     # band is written in place, so decoding holds the output and one band's work
-    payloads = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in bs.segments)
+    payloads = ((tag, segment_from_bytes(body, MAX_PAYLOAD[tag])) for tag, body in bs.segments)
     data = np.empty((h.coded_bands, h.rows, h.cols), np.int16)
-    data[0] = _unpack_band(next(payloads), (h.rows, h.cols))
+    data[0] = _unpack_band(next(payloads)[1], (h.rows, h.cols))
     for k in range(1, h.coded_bands):
-        pred = _decode_band(_band_blocks(data[k - 1]), next(payloads), next(payloads))
+        pred = _decode_band(_band_blocks(data[k - 1]), next(payloads)[1], next(payloads)[1])
         _finish_band(pred, next(payloads) if comp.enabled else None, out=data[k])
     return HyperCube(data=data)
 

@@ -7,12 +7,15 @@ target. Tolerance 0 and tolerance > 0 differ only in which pixels are
 corrected. With tol = 0 and q_step = 1 the mechanism is exactly lossless
 on integer bands.
 
-The offsets payload is two little-endian uint32 arrays of one entry per
-corrected pixel: the row-major index deltas, then the zigzag-mapped
-offsets, each stored as byte planes (see ``wire``). The entry count is the
-payload length / 8. ``offsets_to_bytes`` builds the payload from a target
-and its prediction; ``apply_offsets`` parses it and corrects the
-prediction, so the offsets exist as arrays only inside those two calls.
+A band's offsets take one of two layouts. The sparse payload is two
+little-endian uint32 arrays of one entry per corrected pixel, the
+row-major index deltas then the zigzag offsets, as byte planes (see
+``wire``), so it holds 8 bytes per entry. The dense residual plane is
+every pixel's zigzag offset (0 where it has none) as ``<u2`` byte planes,
+exactly 2 bytes per pixel. ``compensation_payload`` picks the plane when
+more than a quarter of the pixels carry an offset (it is then the smaller
+one raw) and each zigzag offset is below 2**16. ``apply_offsets`` and
+``apply_residual`` parse the two layouts and correct the prediction.
 """
 
 from __future__ import annotations
@@ -40,26 +43,43 @@ class CompensationConfig:
             raise ValueError("q_step must be a positive integer below 32768")
 
 
-def offsets_to_bytes(target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig) -> bytes:
-    """The offsets payload for every pixel whose relative error exceeds cfg.lam."""
+def _zigzag_offsets(target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig) -> np.ndarray:
+    """Every pixel's zigzag offset (int64, row-major), 0 unless its relative error exceeds cfg.lam."""
     if np.shape(target) != np.shape(recon):
         raise DimensionError(f"shape mismatch {np.shape(target)} vs {np.shape(recon)}")
     diff = np.subtract(target, recon, dtype=np.int64).ravel()
     # dividing by 1 and rounding is exact below 2**53, and a larger offset fails the 32-bit check
     q = cfg.q_step
     offs = diff if q == 1 else q * round_half_away(diff / q).astype(np.int64)
-    # an entry needs a nonzero offset, so the relative-error test runs only there
-    idx = np.flatnonzero(offs)
-    t = np.asarray(target).ravel()[idx].astype(np.int64)
-    idx = idx[np.abs(diff[idx]) / np.maximum(np.abs(t), 1) > cfg.lam]
-    offs = offs[idx]
-    del diff, t
+    # at lam 0 every nonzero offset is flagged, as its pixel's error is nonzero too
+    if cfg.lam > 0:
+        t = np.abs(np.asarray(target, dtype=np.int64).ravel())
+        offs = np.where(np.abs(diff) / np.maximum(t, 1) > cfg.lam, offs, 0)
+    return (offs << 1) ^ (offs >> 63)
+
+
+def _sparse_payload(zigzag: np.ndarray) -> bytes:
+    idx = np.flatnonzero(zigzag)
     deltas = np.diff(idx, prepend=0)
-    zigzag = (offs << 1) ^ (offs >> 63)
-    del idx, offs
+    zigzag = zigzag[idx]
     if np.any((deltas >> 32) | (zigzag >> 32)):
         raise ValueError("offset entry does not fit 32 bits")
     return to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")
+
+
+def offsets_to_bytes(target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig) -> bytes:
+    """The sparse offsets payload for every pixel whose relative error exceeds cfg.lam."""
+    return _sparse_payload(_zigzag_offsets(target, recon, cfg))
+
+
+def compensation_payload(
+    target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig
+) -> tuple[bool, bytes]:
+    """(dense, payload): the residual plane when the layout rule picks it, else the sparse payload."""
+    zigzag = _zigzag_offsets(target, recon, cfg)
+    if 4 * np.count_nonzero(zigzag) > zigzag.size and not np.any(zigzag >> 16):
+        return True, to_byte_planes(zigzag, "<u2")
+    return False, _sparse_payload(zigzag)
 
 
 def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
@@ -83,3 +103,15 @@ def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
     # zigzag decoded in uint32 wraps to the int32 offset's two's complement
     out[idx] += ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int32)
     return out.reshape(recon.shape)
+
+
+def apply_residual(recon: np.ndarray, blob: bytes) -> np.ndarray:
+    """Add the residual plane ``blob`` to ``recon``: every payload of 2 bytes
+    per pixel is valid, and any other length raises CorruptStreamError."""
+    recon = np.asarray(recon)
+    if len(blob) != 2 * recon.size:
+        raise CorruptStreamError(f"residual payload of {len(blob)} bytes for {recon.size} pixels")
+    zigzag = from_byte_planes(blob, "<u2")
+    # zigzag decoded in uint16 wraps to the int16 offset's two's complement
+    offs = ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int16).reshape(recon.shape)
+    return np.add(recon, offs, dtype=np.int64)

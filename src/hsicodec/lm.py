@@ -268,7 +268,7 @@ def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
         w = np.linalg.solve(low, eq.c.T)                              # 11 x 170, w'w = c K c'
         reduced = (eq.zz - w.T @ w).reshape(N_HIDDEN, N_X1, N_HIDDEN, N_X1)
         schur = (reduced * (eq.w2.T @ eq.w2)[:, None, :, None]).reshape(N_FIRST, N_FIRST)
-        schur[np.diag_indices_from(schur)] += mu
+        schur.reshape(-1)[::N_FIRST + 1] += mu  # the diagonal of the contiguous 170 x 170 array
         # (sum_s B_s K g2_s)[17u + v] = sum_s w2[s, u] (c K g2')[17u + v, s]
         ckg2 = (eq.c @ np.linalg.solve(damped, eq.g2.T)).reshape(N_HIDDEN, N_X1, N_OUTPUT)
         rhs = eq.g1 - np.einsum("uvs,su->uv", ckg2, eq.w2)

@@ -70,6 +70,16 @@ def test_info_command(tmp_path, cube_file, capsys):
     assert "params" in dump
 
 
+def test_info_names_the_residual_segment(tmp_path, cube_file, capsys):
+    out = tmp_path / "out.bip"
+    # at lambda 0 a 2-epoch network misses most pixels, so both bands take the residual plane
+    assert run(["encode", str(cube_file), str(out), "--lambda", "0", *FAST]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["info", str(out)]) == EXIT_OK
+    names = re.findall(r"^segment \d+: ([\w-]+),", capsys.readouterr().out, re.M)
+    assert names == ["first-band"] + ["params", "ranges", "residual"] * 2
+
+
 def test_hdr_output_path_is_refused(tmp_path, cube_file):
     stream = tmp_path / "out.bip"
     ref = tmp_path / "ref.hdr"

@@ -17,7 +17,9 @@ from hsicodec.codec import (
     TAG_OFFSETS,
     TAG_PARAMS,
     TAG_RANGES,
+    TAG_RESIDUAL,
     _band_blocks,
+    _decode_band,
     _pack_band,
     _unpack_band,
     bitrate,
@@ -25,12 +27,13 @@ from hsicodec.codec import (
     encode_cube,
     encode_cube_full,
 )
-from hsicodec.compensate import CompensationConfig, apply_offsets
+from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual, offsets_to_bytes
 from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import HyperCube, normalize_band
 from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig
+from hsicodec.wire import from_byte_planes
 
 
 def fast_cfg(lam=0.0, enabled=True, seed=1, epochs=2):
@@ -49,6 +52,20 @@ def smooth_cube(seed=0, bands=3, size=64, scale=1.0):
         factor = 1.0 + 0.08 * b * scale
         stack.append(np.round(base * factor + 5 * b).astype(np.int16))
     return HyperCube(data=np.stack(stack))
+
+
+def rule_tags(result, comp) -> list[int]:
+    """Each predicted band's offsets tag as the layout rule picks it, read from its sparse payload."""
+    segments = result.bitstream.segments
+    tags = []
+    for k in range(1, len(result.recon_bands)):
+        params, ranges = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in segments[3 * k - 2 : 3 * k])
+        pred = _decode_band(_band_blocks(result.recon_bands[k - 1]), params, ranges)
+        sparse = offsets_to_bytes(result.resized_bands[k], pred, comp)
+        zigzag = from_byte_planes(sparse[len(sparse) // 2 :], "<u4")
+        dense = 4 * zigzag.size > pred.size and zigzag.max(initial=0) < 2**16
+        tags.append(TAG_RESIDUAL if dense else TAG_OFFSETS)
+    return tags
 
 
 def test_pack_band_round_trip():
@@ -116,14 +133,16 @@ def test_offset_pixels_decode_to_their_target(lam):
     rng = np.random.default_rng(5)
     noisy = smooth_cube(bands=3).data + rng.normal(0, 25, (3, 64, 64))
     cube = HyperCube(data=np.round(noisy).astype(np.int16))
-    result = encode_cube_full(cube, fast_cfg(lam=lam))
+    cfg = fast_cfg(lam=lam)
+    result = encode_cube_full(cube, cfg)
     decoded = decode_cube(Bitstream.from_bytes(result.bitstream.to_bytes()))
-    offset_bodies = [body for tag, body in result.bitstream.segments if tag == TAG_OFFSETS]
-    assert len(offset_bodies) == 2
-    for k, body in enumerate(offset_bodies, start=1):
-        payload = segment_from_bytes(body, MAX_PAYLOAD[TAG_OFFSETS])
+    apply = {TAG_OFFSETS: apply_offsets, TAG_RESIDUAL: apply_residual}
+    offset_segments = [(tag, body) for tag, body in result.bitstream.segments if tag in apply]
+    assert [tag for tag, _ in offset_segments] == rule_tags(result, cfg.compensation)
+    for k, (tag, body) in enumerate(offset_segments, start=1):
+        payload = segment_from_bytes(body, MAX_PAYLOAD[tag])
         # offsets are nonzero, so the corrected pixels are the nonzero ones
-        indices = np.flatnonzero(apply_offsets(np.zeros((256, 256)), payload))
+        indices = np.flatnonzero(apply[tag](np.zeros((256, 256), np.int64), payload))
         assert len(indices) > 0
         got = decoded.band(k).ravel()[indices]
         assert np.array_equal(got, result.resized_bands[k].ravel()[indices])
@@ -176,9 +195,16 @@ def test_bitstream_identical_across_processes():
 
 def test_segment_grammar():
     cube = smooth_cube(bands=3)
-    with_comp = encode_cube(cube, fast_cfg(lam=0.01, enabled=True))
-    tags = [tag for tag, _ in with_comp.segments]
-    assert tags == [TAG_FIRST_BAND] + [TAG_PARAMS, TAG_RANGES, TAG_OFFSETS] * 2
+    layouts = set()
+    # most pixels miss lambda 0.01, so its bands are dense; few miss 0.2, so its bands are sparse
+    for lam in (0.01, 0.2):
+        cfg = fast_cfg(lam=lam, enabled=True)
+        with_comp = encode_cube_full(cube, cfg)
+        offsets_tags = rule_tags(with_comp, cfg.compensation)
+        tags = [tag for tag, _ in with_comp.bitstream.segments]
+        assert tags == [TAG_FIRST_BAND] + [t for o in offsets_tags for t in (TAG_PARAMS, TAG_RANGES, o)]
+        layouts.update(offsets_tags)
+    assert layouts == {TAG_OFFSETS, TAG_RESIDUAL}
     without = encode_cube(cube, fast_cfg(enabled=False))
     tags = [tag for tag, _ in without.segments]
     assert tags == [TAG_FIRST_BAND] + [TAG_PARAMS, TAG_RANGES] * 2

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsicodec.compensate import CompensationConfig, apply_offsets, offsets_to_bytes
+from hsicodec.compensate import (
+    CompensationConfig,
+    apply_offsets,
+    apply_residual,
+    compensation_payload,
+    offsets_to_bytes,
+)
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
 from hsicodec.rounding import round_half_away
-from hsicodec.wire import to_byte_planes
+from hsicodec.wire import from_byte_planes, to_byte_planes
 
 
 def payload(deltas, zigzags) -> bytes:
@@ -268,3 +274,67 @@ def test_apply_offsets_matches_int64_reference(case):
     assert got.dtype == expected.dtype == np.int64
     assert got.shape == recon.shape
     assert np.array_equal(got, expected)
+
+
+def test_residual_payload_golden_digest():
+    # 4,086 of the 4,096 pixels carry an offset, all within int16, so the dense layout is chosen
+    dense, blob = compensation_payload(GOLDEN_TARGET, GOLDEN_RECON, CompensationConfig(lam=0.0, q_step=1))
+    assert dense
+    assert len(blob) == 2 * GOLDEN_TARGET.size
+    assert hashlib.sha256(blob).hexdigest() == "d4da30f6f64a2485e4ff65cb4e1fd095018868607b29e2461b3d843f1f7adf46"
+    assert np.array_equal(apply_residual(GOLDEN_RECON, blob), GOLDEN_TARGET)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 40, 2**15, 2**16, 2**20]),  # prediction spread; past 2**15 an offset can miss int16
+    st.floats(0.0, 1.0),  # share of exactly predicted pixels, which moves the count across a quarter
+    st.sampled_from([0.0, 1e-3, 0.05, 2.0]),
+    st.sampled_from([1, 2, 7, 32767]),
+)
+@example(rows=2, cols=2, seed=0, spread=40, exact=0.0, lam=0.0, q_step=1)
+def test_compensation_payload_layouts(rows, cols, seed, spread, exact, lam, q_step):
+    rng = np.random.default_rng(seed)
+    target = rng.integers(-32768, 32768, (rows, cols))
+    recon = target + rng.integers(-spread, spread + 1, (rows, cols))
+    same = rng.random((rows, cols)) < exact
+    recon[same] = target[same]
+    cfg = CompensationConfig(lam=lam, q_step=q_step)
+    sparse = reference_offsets_to_bytes(target, recon, cfg)
+    zigzag = from_byte_planes(sparse[len(sparse) // 2 :], "<u4")
+    dense, blob = compensation_payload(target, recon, cfg)
+    # the rule: dense exactly when over a quarter of the pixels carry an offset, each below 2**16 zigzagged
+    assert dense == (4 * zigzag.size > target.size and zigzag.max(initial=0) < 2**16)
+    assert len(blob) == 2 * target.size if dense else blob == sparse
+    got = (apply_residual if dense else apply_offsets)(recon, blob)
+    assert np.array_equal(got, reference_apply_offsets(recon, sparse))
+
+
+@pytest.mark.parametrize(
+    "offsets, dense",
+    [
+        ([5, -5, 0, 0, 0, 0, 0, 0], False),  # a quarter of the pixels: the plane is no smaller
+        ([5, -5, 1, 0, 0, 0, 0, 0], True),
+        ([5, -5, 32767, -32768, 0, 0, 0, 0], True),  # the int16 extremes
+        ([5, -5, 32768, 0, 0, 0, 0, 0], False),  # zigzag 65536 does not fit the plane
+    ],
+)
+def test_layout_rule_boundaries(offsets, dense):
+    recon = np.zeros((2, 4), np.int64)
+    target = np.array(offsets).reshape(2, 4)
+    got_dense, blob = compensation_payload(target, recon, CompensationConfig())
+    assert got_dense == dense
+    assert np.array_equal((apply_residual if dense else apply_offsets)(recon, blob), target)
+
+
+def test_every_residual_payload_of_the_band_size_is_valid():
+    recon = np.zeros((2, 3), np.int64)
+    # zigzag 0xFFFF and 0xFFFE are the int16 extremes -32768 and 32767
+    blob = to_byte_planes(np.array([0, 1, 2, 0xFFFE, 0xFFFF, 7]), "<u2")
+    assert apply_residual(recon, blob).tolist() == [[0, -1, 1], [32767, -32768, -4]]
+    for bad in (blob[:-1], blob + b"\x00", b""):
+        with pytest.raises(CorruptStreamError):
+            apply_residual(recon, bad)

@@ -25,6 +25,7 @@ from hsicodec.codec import (
     TAG_OFFSETS,
     TAG_PARAMS,
     TAG_RANGES,
+    TAG_RESIDUAL,
     Bitstream,
     BitstreamHeader,
     EncoderConfig,
@@ -33,7 +34,7 @@ from hsicodec.codec import (
     decode_cube,
     encode_cube,
 )
-from hsicodec.compensate import CompensationConfig, apply_offsets
+from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual
 from hsicodec.cube import HyperCube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
@@ -254,12 +255,68 @@ def test_offsets_past_int16_saturate():
     # offsets of +-2**31 on the first two pixels: the band is stored as int16,
     # so the decoder must clip them to the int16 range, not let them wrap
     bs = two_band_stream()
-    assert bs.segments[3][0] == TAG_OFFSETS
+    decoded = decode_cube(bs).data.astype(np.int64)
+    params, ranges = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in bs.segments[1:3])
+    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0]), params, ranges)
+    # the layout rule: dense when over a quarter of the pixels carry an offset, each within int16
+    dense = 4 * np.count_nonzero(offsets) > offsets.size and -(2**15) <= offsets.min() <= offsets.max() < 2**15
+    assert bs.segments[3][0] == (TAG_RESIDUAL if dense else TAG_OFFSETS)
     zigzags = np.array([2 * (2**31 - 1), 2 * 2**31 - 1])
     payload = to_byte_planes(np.array([0, 1]), "<u4") + to_byte_planes(zigzags, "<u4")
     segments = bs.segments[:3] + [(TAG_OFFSETS, segment_to_bytes(payload))]
     band = decode_cube(Bitstream(header=bs.header, segments=segments)).band(1)
     assert band[0, 0] == 32767 and band[0, 1] == -32768
+
+
+def residual_segment(bs: Bitstream) -> bytes:
+    """The dense residual payload of band 1 of ``bs``."""
+    tag, body = bs.segments[3]
+    assert tag == TAG_RESIDUAL
+    return segment_from_bytes(body, MAX_PAYLOAD[tag])
+
+
+# a plane one byte long already declares more than the tag's cap of 2 bytes per pixel
+@pytest.mark.parametrize("change, error", [(-1, "residual payload"), (1, "at most")], ids=["short", "long"])
+def test_residual_payload_one_byte_off(change, error):
+    bs = two_band_stream()
+    payload = residual_segment(bs)
+    payload = payload[:-1] if change < 0 else payload + b"\x00"
+    segments = bs.segments[:3] + [(TAG_RESIDUAL, segment_to_bytes(payload))]
+    with pytest.raises(CorruptStreamError, match=error):
+        decode_cube(Bitstream(header=bs.header, segments=segments))
+
+
+def test_residual_bomb_rejected_before_inflating(tmp_path):
+    # a 1.25 GiB inflation declared as a 2**40-byte residual plane
+    bs = two_band_stream()
+    seg = bytes([1]) + VARINT_2_TO_40 + zlib_bomb(80)
+    stream = tmp_path / "bomb.bip"
+    stream.write_bytes(Bitstream(header=bs.header, segments=bs.segments[:3] + [(TAG_RESIDUAL, seg)]).to_bytes())
+    call = (
+        "from pathlib import Path; from hsicodec.codec import Bitstream, decode_cube; "
+        f"decode_cube(Bitstream.from_bytes(Path({str(stream)!r}).read_bytes()))"
+    )
+    assert outcome_under_rlimit(call) == "CorruptStreamError"
+
+
+def test_residual_segment_with_compensation_off():
+    bs = two_band_stream(None)
+    residual = (TAG_RESIDUAL, segment_to_bytes(residual_segment(two_band_stream())))
+    with pytest.raises(CorruptStreamError, match="compensation off"):
+        decode_cube(Bitstream(header=bs.header, segments=bs.segments + [residual]))
+
+
+def test_sparse_only_stream_still_decodes():
+    # the same offsets as index deltas and values, the only layout of earlier streams
+    bs = two_band_stream()
+    offsets = apply_residual(np.zeros(256 * 256, np.int64), residual_segment(bs))
+    idx = np.flatnonzero(offsets)
+    zigzag = (offsets[idx] << 1) ^ (offsets[idx] >> 63)
+    sparse = to_byte_planes(np.diff(idx, prepend=0), "<u4") + to_byte_planes(zigzag, "<u4")
+    segments = bs.segments[:3] + [(TAG_OFFSETS, segment_to_bytes(sparse))]
+    old = Bitstream.from_bytes(Bitstream(header=bs.header, segments=segments).to_bytes())
+    assert [tag for tag, _ in old.segments] == [TAG_FIRST_BAND, TAG_PARAMS, TAG_RANGES, TAG_OFFSETS]
+    assert np.array_equal(decode_cube(old).data, decode_cube(bs).data)
 
 
 def test_huge_parameter_ranges():
