@@ -192,11 +192,10 @@ def _cmd_info(args) -> int:
     except OSError as exc:
         raise CorruptInputError(f"cannot read {args.input}: {exc}") from exc
     bs = Bitstream.from_bytes(blob)
-    h = bs.header
+    h, comp = bs.header, bs.header.compensation
     print(f"geometry: {h.rows}x{h.cols}, {h.coded_bands} coded bands")
     print(f"exclusions: {list(h.exclusions)}")
-    print(f"compensation: enabled={h.comp_enabled} lambda={h.comp_lambda:.6g} "
-          f"qstep={h.comp_qstep}")
+    print(f"compensation: enabled={comp.enabled} lambda={comp.lam:.6g} qstep={comp.q_step}")
     print(f"total: {len(blob)} bytes, {bitrate(bs):.4f} bpppb")
     for k, (tag, body) in enumerate(bs.segments):
         try:

@@ -9,22 +9,24 @@ running the decoder's band step (``_decode_band`` and ``_finish_band``) on
 the payload bytes it emits, so decoder output matches the encoder-side
 reconstruction bit for bit by construction.
 
-Bitstream layout (version 2): magic "BIPN", version byte, fixed-width
+Bitstream layout (version 3): magic "BIPN", version byte, fixed-width
 little-endian header fields, then tagged segments (0x01 first band as
-int16 byte planes, 0x02 params, 0x03 ranges plus band min/max, and with
+int16 byte planes; per predicted band 0x02 its params record, and with
 compensation on either 0x04 sparse offsets or 0x05 the residual plane of
 2 bytes per pixel, as ``compensate.compensation_payload`` picks per band),
-each varint-length-prefixed and coded by ``entropy``.
-``Bitstream.from_bytes`` rejects a header with another band geometry or no
-coded band; ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
-``entropy.segment_from_bytes``, which rejects a segment declaring more
-before inflating.
+each varint-length-prefixed and coded by ``entropy``. A params record is
+the 346 quantized parameters, their 8 float32 group ranges, then the
+band's ``<ii`` min and max; ``_decode_band`` is its only parser.
+``Bitstream.from_bytes`` rejects a header with another band geometry, no
+coded band or invalid compensation settings; ``decode_cube`` passes each
+tag's ``MAX_PAYLOAD`` to ``entropy.segment_from_bytes``, which rejects a
+segment declaring more before inflating.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,31 +41,28 @@ from .quantize import PARAM_BYTES, RANGE_BYTES, dequantize_params, quantize_para
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 MAGIC = b"BIPN"
-VERSION = 2
+VERSION = 3
 
 TAG_FIRST_BAND = 0x01
 TAG_PARAMS = 0x02
-TAG_RANGES = 0x03
 TAG_OFFSETS = 0x04
 TAG_RESIDUAL = 0x05
 
 TAG_NAMES = {
     TAG_FIRST_BAND: "first-band",
     TAG_PARAMS: "params",
-    TAG_RANGES: "ranges",
     TAG_OFFSETS: "offsets",
     TAG_RESIDUAL: "residual",
 }
 
-# the ranges payload is the four parameter (min, max) pairs, then the band's min and max
+# a params record is the parameter bytes, their four (min, max) pairs, then the band's min and max
 BAND_RANGE = struct.Struct("<ii")
-RANGES_SEGMENT_BYTES = RANGE_BYTES + BAND_RANGE.size
+RECORD_BYTES = PARAM_BYTES + RANGE_BYTES + BAND_RANGE.size
 
 # the most pre-entropy bytes a segment of each tag may declare
 MAX_PAYLOAD = {
     TAG_FIRST_BAND: 2 * BAND_SIZE * BAND_SIZE,
-    TAG_PARAMS: PARAM_BYTES,
-    TAG_RANGES: RANGES_SEGMENT_BYTES,
+    TAG_PARAMS: RECORD_BYTES,
     TAG_OFFSETS: 8 * BAND_SIZE * BAND_SIZE,
     TAG_RESIDUAL: 2 * BAND_SIZE * BAND_SIZE,
 }
@@ -82,9 +81,7 @@ class BitstreamHeader:
     cols: int
     coded_bands: int
     exclusions: tuple[int, ...]
-    comp_enabled: bool
-    comp_lambda: float
-    comp_qstep: int
+    compensation: CompensationConfig
 
 
 @dataclass
@@ -93,12 +90,12 @@ class Bitstream:
     segments: list[tuple[int, bytes]]  # (tag, body)
 
     def to_bytes(self) -> bytes:
-        h = self.header
+        h, comp = self.header, self.header.compensation
         out = bytearray(MAGIC)
         out.append(VERSION)
         out += struct.pack("<HHHH", h.rows, h.cols, h.coded_bands, len(h.exclusions))
         out += struct.pack(f"<{len(h.exclusions)}H", *h.exclusions)
-        out += struct.pack("<Bdh", int(h.comp_enabled), h.comp_lambda, h.comp_qstep)
+        out += struct.pack("<Bdh", int(comp.enabled), comp.lam, comp.q_step)
         for tag, body in self.segments:
             out.append(tag)
             write_varint(out, len(body))
@@ -125,14 +122,14 @@ class Bitstream:
             raise CorruptStreamError(f"unsupported band geometry {rows}x{cols}")
         if coded < 1:
             raise CorruptStreamError("stream declares no coded bands")
+        if enabled > 1:
+            raise CorruptStreamError(f"bad compensation header: enabled byte {enabled} is not 0 or 1")
+        try:
+            comp = CompensationConfig(lam=lam, q_step=qstep, enabled=bool(enabled))
+        except ValueError as exc:
+            raise CorruptStreamError(f"bad compensation header: {exc}") from exc
         header = BitstreamHeader(
-            rows=rows,
-            cols=cols,
-            coded_bands=coded,
-            exclusions=exclusions,
-            comp_enabled=bool(enabled),
-            comp_lambda=lam,
-            comp_qstep=qstep,
+            rows=rows, cols=cols, coded_bands=coded, exclusions=exclusions, compensation=comp
         )
         segments = []
         while offset < len(blob):
@@ -176,21 +173,22 @@ def _band_blocks(band: np.ndarray) -> np.ndarray:
     return normalize_band(band_to_blocks(band))[0]
 
 
-def _decode_band(x: np.ndarray, param_bytes: bytes, range_bytes: bytes) -> np.ndarray:
-    """The one step both codec sides run: a band predicted from its payload bytes.
+def _decode_band(x: np.ndarray, record: bytes) -> np.ndarray:
+    """The one step both codec sides run: a band predicted from its params record.
 
-    ``x`` holds the previous reconstructed band's blocks; ``param_bytes`` and
-    ``range_bytes`` are the pre-entropy params and ranges payloads. This is
-    the only place that parses them: a payload that does not describe a
-    valid network and band range raises CorruptStreamError.
+    ``x`` holds the previous reconstructed band's blocks; ``record`` is the
+    pre-entropy params record. This is the only place that parses it: a
+    record that does not describe a valid network and band range raises
+    CorruptStreamError.
     """
-    if len(range_bytes) != RANGES_SEGMENT_BYTES:
-        raise CorruptStreamError(f"ranges payload has {len(range_bytes)} bytes")
-    src_min, src_max = BAND_RANGE.unpack_from(range_bytes, RANGE_BYTES)
+    if len(record) != RECORD_BYTES:
+        raise CorruptStreamError(f"params record has {len(record)} bytes, not {RECORD_BYTES}")
+    ranges_end = PARAM_BYTES + RANGE_BYTES
+    src_min, src_max = BAND_RANGE.unpack_from(record, ranges_end)
     if src_min > src_max:
         raise CorruptStreamError("band min exceeds max")
     try:
-        params = dequantize_params(param_bytes, range_bytes[:RANGE_BYTES])
+        params = dequantize_params(record[:PARAM_BYTES], record[PARAM_BYTES:ranges_end])
     except DimensionError as exc:
         raise CorruptStreamError(f"invalid band payload: {exc}") from exc
     pred = forward(params, x)
@@ -230,19 +228,16 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         raise NoContentError("cube has no nonzero non-excluded band")
     resized = np.stack(bands)
 
-    comp = cfg.compensation
     header = BitstreamHeader(
-        rows=BAND_SIZE,
-        cols=BAND_SIZE,
-        coded_bands=len(coded),
-        exclusions=tuple(sorted(exclusions)),
-        comp_enabled=comp.enabled,
-        comp_lambda=comp.lam,
-        comp_qstep=comp.q_step,
+        rows=BAND_SIZE, cols=BAND_SIZE, coded_bands=len(coded), exclusions=tuple(sorted(exclusions)),
+        compensation=replace(cfg.compensation),  # the header's own copy, not the caller's object
     )
-    segments: list[tuple[int, bytes]] = []
-
-    segments.append((TAG_FIRST_BAND, segment_to_bytes(_pack_band(resized[0]))))
+    comp = header.compensation
+    try:
+        Bitstream(header=header, segments=[]).to_bytes()
+    except struct.error as exc:
+        raise DimensionError(f"cube does not fit the u16 header fields: {exc}") from exc
+    segments = [(TAG_FIRST_BAND, segment_to_bytes(_pack_band(resized[0])))]
 
     recon = resized.copy()
     reports: list[TrainReport] = []
@@ -254,10 +249,9 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         params, report = train(x, target, cfg.train, workspace)
         reports.append(report)
 
-        param_bytes, range_bytes = quantize_params(params)
-        range_bytes += BAND_RANGE.pack(src_min, src_max)
-        pred = _decode_band(x, param_bytes, range_bytes)
-        payloads = [(TAG_PARAMS, param_bytes), (TAG_RANGES, range_bytes)]
+        record = b"".join(quantize_params(params)) + BAND_RANGE.pack(src_min, src_max)
+        pred = _decode_band(x, record)
+        payloads = [(TAG_PARAMS, record)]
         offsets = None
         if comp.enabled:
             dense, offset_bytes = compensation_payload(resized[k], pred, comp)
@@ -281,12 +275,9 @@ def encode_cube(cube: HyperCube, cfg: EncoderConfig) -> Bitstream:
 
 def decode_cube(bs: Bitstream) -> HyperCube:
     h = bs.header
-    try:
-        comp = CompensationConfig(lam=h.comp_lambda, q_step=h.comp_qstep, enabled=h.comp_enabled)
-    except ValueError as exc:
-        raise CorruptStreamError(f"bad compensation header: {exc}") from exc
-    # a band's third segment may be either layout, so residual tags check as offsets tags
-    per_band = [TAG_PARAMS, TAG_RANGES] + ([TAG_OFFSETS] if comp.enabled else [])
+    comp = h.compensation
+    # a band's second segment may be either layout, so residual tags check as offsets tags
+    per_band = [TAG_PARAMS] + ([TAG_OFFSETS] if comp.enabled else [])
     tags = [TAG_OFFSETS if tag == TAG_RESIDUAL else tag for tag, _ in bs.segments]
     if tags != [TAG_FIRST_BAND] + per_band * (h.coded_bands - 1):
         raise CorruptStreamError(
@@ -300,7 +291,7 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     data = np.empty((h.coded_bands, h.rows, h.cols), np.int16)
     data[0] = _unpack_band(next(payloads)[1], (h.rows, h.cols))
     for k in range(1, h.coded_bands):
-        pred = _decode_band(_band_blocks(data[k - 1]), next(payloads)[1], next(payloads)[1])
+        pred = _decode_band(_band_blocks(data[k - 1]), next(payloads)[1])
         _finish_band(pred, next(payloads) if comp.enabled else None, out=data[k])
     return HyperCube(data=data)
 

@@ -15,7 +15,6 @@ import pytest
 from hsicodec.codec import (
     EncoderConfig,
     TAG_PARAMS,
-    TAG_RANGES,
     bitrate,
     decode_cube,
     encode_cube_full,
@@ -182,21 +181,16 @@ def test_criterion_near_lossless_bound(lam):
 
 
 def test_criterion_bit_budget():
-    """Params + ranges + band min/max payload stays under 400 bytes pre-entropy."""
+    """The params record (params, ranges, band min/max) stays under 400 bytes pre-entropy."""
     cube = small_smooth_cube(bands=3, seed=3)
     cfg = EncoderConfig(
         train=TrainConfig(max_epochs=2, seed=6),
         compensation=CompensationConfig(enabled=False),
     )
     bs = encode_cube_full(cube, cfg).bitstream
-    per_band = {}
-    for tag, body in bs.segments:
-        if tag in (TAG_PARAMS, TAG_RANGES):
-            _, original_len, _ = segment_header(body)
-            per_band.setdefault(tag, []).append(original_len)
-    assert per_band[TAG_PARAMS] == [346, 346]
-    assert per_band[TAG_RANGES] == [40, 40]  # 32 range bytes + 8 min/max bytes
-    per_band_total = 346 + 40
+    per_band = [segment_header(body)[1] for tag, body in bs.segments if tag == TAG_PARAMS]
+    assert per_band == [386, 386]  # 346 params + 32 range bytes + 8 min/max bytes
+    per_band_total = 386
     assert per_band_total <= 400
     assert per_band_total / 65536 < 0.01
     report(f"bit budget ({per_band_total} bytes/band pre-entropy, "

@@ -5,6 +5,7 @@ import pytest
 
 from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, BitstreamHeader
+from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, store_cube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 
@@ -77,7 +78,7 @@ def test_info_names_the_residual_segment(tmp_path, cube_file, capsys):
     capsys.readouterr()
     assert run(["info", str(out)]) == EXIT_OK
     names = re.findall(r"^segment \d+: ([\w-]+),", capsys.readouterr().out, re.M)
-    assert names == ["first-band"] + ["params", "ranges", "residual"] * 2
+    assert names == ["first-band"] + ["params", "residual"] * 2
 
 
 def test_hdr_output_path_is_refused(tmp_path, cube_file):
@@ -103,16 +104,37 @@ def test_decode_garbage_stream(tmp_path):
     assert run(["decode", str(bad), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
 
 
+def command_args(command, stream, tmp_path):
+    return [command, str(stream)] + ([str(tmp_path / "x.raw")] if command == "decode" else [])
+
+
+@pytest.mark.parametrize("command", ["info", "decode"])
 @pytest.mark.parametrize(
-    "field, value", [("comp_qstep", 0), ("comp_qstep", -5), ("comp_lambda", float("nan"))]
+    "field, value", [("q_step", 0), ("q_step", -5), ("lam", float("nan")), ("enabled", 7)]
 )
-def test_decode_corrupt_compensation_header(tmp_path, cube_file, field, value):
+def test_decode_corrupt_compensation_header(tmp_path, cube_file, capsys, command, field, value):
+    # the header is checked where it is read, so info rejects what decode rejects
     out = tmp_path / "out.bip"
     assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
     bs = Bitstream.from_bytes(out.read_bytes())
-    setattr(bs.header, field, value)
+    setattr(bs.header.compensation, field, value)
     out.write_bytes(bs.to_bytes())
-    assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+    capsys.readouterr()
+    assert run(command_args(command, out, tmp_path)) == EXIT_CORRUPT
+    assert "bad compensation header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["info", "decode"])
+def test_version_2_stream_is_unsupported(tmp_path, cube_file, capsys, command):
+    out = tmp_path / "out.bip"
+    assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
+    blob = bytearray(out.read_bytes())
+    assert blob[4] == 3
+    blob[4] = 2
+    out.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run(command_args(command, out, tmp_path)) == EXIT_CORRUPT
+    assert "unsupported version 2" in capsys.readouterr().err
 
 
 def test_decode_short_params_payload(tmp_path, cube_file):
@@ -133,12 +155,20 @@ def test_bad_header_geometry_is_corrupt(tmp_path, command, geometry):
     rows, cols, coded = geometry
     header = BitstreamHeader(
         rows=rows, cols=cols, coded_bands=coded, exclusions=(),
-        comp_enabled=False, comp_lambda=0.0, comp_qstep=1,
+        compensation=CompensationConfig(enabled=False),
     )
     stream = tmp_path / "bad.bip"
     stream.write_bytes(Bitstream(header=header, segments=[]).to_bytes())
-    args = [command, str(stream)] + ([str(tmp_path / "x.raw")] if command == "decode" else [])
-    assert run(args) == EXIT_CORRUPT
+    assert run(command_args(command, stream, tmp_path)) == EXIT_CORRUPT
+
+
+def test_encode_past_the_header_fields_is_a_usage_error(tmp_path, capsys):
+    cube = tmp_path / "tall.raw"
+    store_cube(HyperCube(data=np.ones((65537, 1, 1), np.int16)), cube)
+    exclude = ",".join(map(str, range(65536)))
+    assert run(["encode", str(cube), str(tmp_path / "o.bip"), "--exclude", exclude]) == EXIT_USAGE
+    assert "u16 header fields" in capsys.readouterr().err
+    assert not (tmp_path / "o.bip").exists()
 
 
 def test_missing_input_file(tmp_path):

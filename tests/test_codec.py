@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import zlib
@@ -16,7 +17,6 @@ from hsicodec.codec import (
     TAG_FIRST_BAND,
     TAG_OFFSETS,
     TAG_PARAMS,
-    TAG_RANGES,
     TAG_RESIDUAL,
     _band_blocks,
     _decode_band,
@@ -32,7 +32,8 @@ from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import HyperCube, normalize_band
 from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
-from hsicodec.lm import TrainConfig
+from hsicodec.lm import TrainConfig, train
+from hsicodec.quantize import quantize_params
 from hsicodec.wire import from_byte_planes
 
 
@@ -59,8 +60,8 @@ def rule_tags(result, comp) -> list[int]:
     segments = result.bitstream.segments
     tags = []
     for k in range(1, len(result.recon_bands)):
-        params, ranges = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in segments[3 * k - 2 : 3 * k])
-        pred = _decode_band(_band_blocks(result.recon_bands[k - 1]), params, ranges)
+        record = segment_from_bytes(segments[2 * k - 1][1], MAX_PAYLOAD[TAG_PARAMS])
+        pred = _decode_band(_band_blocks(result.recon_bands[k - 1]), record)
         sparse = offsets_to_bytes(result.resized_bands[k], pred, comp)
         zigzag = from_byte_planes(sparse[len(sparse) // 2 :], "<u4")
         dense = 4 * zigzag.size > pred.size and zigzag.max(initial=0) < 2**16
@@ -202,12 +203,39 @@ def test_segment_grammar():
         with_comp = encode_cube_full(cube, cfg)
         offsets_tags = rule_tags(with_comp, cfg.compensation)
         tags = [tag for tag, _ in with_comp.bitstream.segments]
-        assert tags == [TAG_FIRST_BAND] + [t for o in offsets_tags for t in (TAG_PARAMS, TAG_RANGES, o)]
+        assert tags == [TAG_FIRST_BAND] + [t for o in offsets_tags for t in (TAG_PARAMS, o)]
         layouts.update(offsets_tags)
     assert layouts == {TAG_OFFSETS, TAG_RESIDUAL}
     without = encode_cube(cube, fast_cfg(enabled=False))
     tags = [tag for tag, _ in without.segments]
-    assert tags == [TAG_FIRST_BAND] + [TAG_PARAMS, TAG_RANGES] * 2
+    assert tags == [TAG_FIRST_BAND] + [TAG_PARAMS] * 2
+
+
+def test_params_record_layout():
+    # a predicted band's one 0x02 payload: quantize_params' bytes, then the band's <ii min and max
+    cfg = fast_cfg(enabled=False)
+    result = encode_cube_full(smooth_cube(bands=2), cfg)
+    [_, (tag, body)] = result.bitstream.segments
+    assert tag == TAG_PARAMS
+    target, src_min, src_max = normalize_band(band_to_blocks(result.resized_bands[1]))
+    params, _ = train(_band_blocks(result.resized_bands[0]), target, cfg.train)
+    param_bytes, range_bytes = quantize_params(params)
+    expected = param_bytes + range_bytes + struct.pack("<ii", src_min, src_max)
+    assert segment_from_bytes(body, MAX_PAYLOAD[tag]) == expected
+
+
+def test_header_holds_its_own_compensation_config():
+    cfg = fast_cfg(lam=0.02)
+    header = encode_cube(smooth_cube(bands=2), cfg).header
+    assert header.compensation == cfg.compensation
+    assert header.compensation is not cfg.compensation
+
+
+def test_band_count_past_the_header_fields_rejected():
+    # 65,536 exclusions do not fit the header's u16 count: refused before training, not at to_bytes
+    cube = HyperCube(data=np.ones((65537, 1, 1), np.int16))
+    with pytest.raises(DimensionError, match="u16 header fields"):
+        encode_cube_full(cube, dataclasses.replace(fast_cfg(), band_exclusions=tuple(range(65536))))
 
 
 def test_all_zero_cube_rejected():
@@ -319,7 +347,7 @@ def test_bitrate_arithmetic():
 def test_params_only_band_payload_under_budget():
     cube = smooth_cube(bands=2)
     bs = encode_cube(cube, fast_cfg(enabled=False))
-    per_band = [len(body) for tag, body in bs.segments if tag in (TAG_PARAMS, TAG_RANGES)]
+    per_band = [len(body) for tag, body in bs.segments if tag == TAG_PARAMS]
     assert sum(per_band) <= 500
     # a params-only band costs well under 0.05 bpppb of its own band
     assert sum(per_band) * 8 / 65536 <= 0.05

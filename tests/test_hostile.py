@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 
 from hsicodec.codec import (
     MAX_PAYLOAD,
-    RANGES_SEGMENT_BYTES,
+    RECORD_BYTES,
     TAG_FIRST_BAND,
     TAG_OFFSETS,
     TAG_PARAMS,
-    TAG_RANGES,
     TAG_RESIDUAL,
     Bitstream,
     BitstreamHeader,
@@ -112,7 +111,7 @@ def test_first_band_bomb_rejected_before_inflating(tmp_path):
     seg = bytes([1]) + VARINT_2_TO_40 + zlib_bomb(80)
     header = BitstreamHeader(
         rows=256, cols=256, coded_bands=1, exclusions=(),
-        comp_enabled=False, comp_lambda=0.0, comp_qstep=1,
+        compensation=CompensationConfig(enabled=False),
     )
     stream = tmp_path / "bomb.bip"
     stream.write_bytes(Bitstream(header=header, segments=[(TAG_FIRST_BAND, seg)]).to_bytes())
@@ -127,14 +126,11 @@ def minimal_stream(bands: int) -> bytes:
     """The smallest valid stream of ``bands`` bands: compensation off, every payload zero."""
     header = BitstreamHeader(
         rows=256, cols=256, coded_bands=bands, exclusions=(),
-        comp_enabled=False, comp_lambda=0.0, comp_qstep=1,
+        compensation=CompensationConfig(enabled=False),
     )
-    band = [
-        (TAG_PARAMS, segment_to_bytes(bytes(PARAM_BYTES))),
-        (TAG_RANGES, segment_to_bytes(bytes(RANGES_SEGMENT_BYTES))),
-    ]
+    band = (TAG_PARAMS, segment_to_bytes(bytes(RECORD_BYTES)))
     first = (TAG_FIRST_BAND, segment_to_bytes(bytes(MAX_PAYLOAD[TAG_FIRST_BAND])))
-    return Bitstream(header=header, segments=[first] + band * (bands - 1)).to_bytes()
+    return Bitstream(header=header, segments=[first] + [band] * (bands - 1)).to_bytes()
 
 
 @pytest.mark.parametrize("decode", [
@@ -142,11 +138,11 @@ def minimal_stream(bands: int) -> bytes:
     "assert run(['decode', str(stream), str(out)]) == 0",
 ], ids=["library", "cli"])
 def test_decode_memory_is_the_output_plus_one_band(tmp_path, decode):
-    # 6,946 bytes that decode to a 25 MiB cube: the decoder may hold the
+    # 3,762 bytes that decode to a 25 MiB cube: the decoder may hold the
     # output and one band's working arrays, not a wider copy of every band
     stream = tmp_path / "zeros.bip"
     stream.write_bytes(minimal_stream(200))
-    assert stream.stat().st_size == 6946
+    assert stream.stat().st_size == 3762
     call = "; ".join([
         "from pathlib import Path",
         "from resource import RUSAGE_SELF, getrusage",
@@ -187,7 +183,7 @@ def test_arbitrary_offsets_bytes(blob):
 
 @functools.lru_cache(maxsize=None)
 def two_band_stream(lam: float | None = 0.02) -> Bitstream:
-    """A valid 2-band stream: first band, params, ranges, and offsets at tolerance lam.
+    """A valid 2-band stream: first band, params record, and offsets at tolerance lam.
 
     lam None turns compensation off, so the stream carries no offsets segment.
     """
@@ -203,7 +199,7 @@ def two_band_stream(lam: float | None = 0.02) -> Bitstream:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    index=st.sampled_from([1, 2, 3]),  # the params, ranges and offsets segments
+    index=st.sampled_from([1, 2]),  # the params record and offsets segments
     flips=st.lists(st.integers(min_value=0), max_size=4),
     cut=st.none() | st.integers(min_value=0),
 )
@@ -256,21 +252,21 @@ def test_offsets_past_int16_saturate():
     # so the decoder must clip them to the int16 range, not let them wrap
     bs = two_band_stream()
     decoded = decode_cube(bs).data.astype(np.int64)
-    params, ranges = (segment_from_bytes(body, MAX_PAYLOAD[tag]) for tag, body in bs.segments[1:3])
-    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0]), params, ranges)
+    record = segment_from_bytes(bs.segments[1][1], MAX_PAYLOAD[TAG_PARAMS])
+    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0]), record)
     # the layout rule: dense when over a quarter of the pixels carry an offset, each within int16
     dense = 4 * np.count_nonzero(offsets) > offsets.size and -(2**15) <= offsets.min() <= offsets.max() < 2**15
-    assert bs.segments[3][0] == (TAG_RESIDUAL if dense else TAG_OFFSETS)
+    assert bs.segments[2][0] == (TAG_RESIDUAL if dense else TAG_OFFSETS)
     zigzags = np.array([2 * (2**31 - 1), 2 * 2**31 - 1])
     payload = to_byte_planes(np.array([0, 1]), "<u4") + to_byte_planes(zigzags, "<u4")
-    segments = bs.segments[:3] + [(TAG_OFFSETS, segment_to_bytes(payload))]
+    segments = bs.segments[:2] + [(TAG_OFFSETS, segment_to_bytes(payload))]
     band = decode_cube(Bitstream(header=bs.header, segments=segments)).band(1)
     assert band[0, 0] == 32767 and band[0, 1] == -32768
 
 
 def residual_segment(bs: Bitstream) -> bytes:
     """The dense residual payload of band 1 of ``bs``."""
-    tag, body = bs.segments[3]
+    tag, body = bs.segments[2]
     assert tag == TAG_RESIDUAL
     return segment_from_bytes(body, MAX_PAYLOAD[tag])
 
@@ -281,7 +277,7 @@ def test_residual_payload_one_byte_off(change, error):
     bs = two_band_stream()
     payload = residual_segment(bs)
     payload = payload[:-1] if change < 0 else payload + b"\x00"
-    segments = bs.segments[:3] + [(TAG_RESIDUAL, segment_to_bytes(payload))]
+    segments = bs.segments[:2] + [(TAG_RESIDUAL, segment_to_bytes(payload))]
     with pytest.raises(CorruptStreamError, match=error):
         decode_cube(Bitstream(header=bs.header, segments=segments))
 
@@ -291,7 +287,7 @@ def test_residual_bomb_rejected_before_inflating(tmp_path):
     bs = two_band_stream()
     seg = bytes([1]) + VARINT_2_TO_40 + zlib_bomb(80)
     stream = tmp_path / "bomb.bip"
-    stream.write_bytes(Bitstream(header=bs.header, segments=bs.segments[:3] + [(TAG_RESIDUAL, seg)]).to_bytes())
+    stream.write_bytes(Bitstream(header=bs.header, segments=bs.segments[:2] + [(TAG_RESIDUAL, seg)]).to_bytes())
     call = (
         "from pathlib import Path; from hsicodec.codec import Bitstream, decode_cube; "
         f"decode_cube(Bitstream.from_bytes(Path({str(stream)!r}).read_bytes()))"
@@ -307,15 +303,15 @@ def test_residual_segment_with_compensation_off():
 
 
 def test_sparse_only_stream_still_decodes():
-    # the same offsets as index deltas and values, the only layout of earlier streams
+    # the same offsets as index deltas and values: the sparse layout decodes to the same cube
     bs = two_band_stream()
     offsets = apply_residual(np.zeros(256 * 256, np.int64), residual_segment(bs))
     idx = np.flatnonzero(offsets)
     zigzag = (offsets[idx] << 1) ^ (offsets[idx] >> 63)
     sparse = to_byte_planes(np.diff(idx, prepend=0), "<u4") + to_byte_planes(zigzag, "<u4")
-    segments = bs.segments[:3] + [(TAG_OFFSETS, segment_to_bytes(sparse))]
+    segments = bs.segments[:2] + [(TAG_OFFSETS, segment_to_bytes(sparse))]
     old = Bitstream.from_bytes(Bitstream(header=bs.header, segments=segments).to_bytes())
-    assert [tag for tag, _ in old.segments] == [TAG_FIRST_BAND, TAG_PARAMS, TAG_RANGES, TAG_OFFSETS]
+    assert [tag for tag, _ in old.segments] == [TAG_FIRST_BAND, TAG_PARAMS, TAG_OFFSETS]
     assert np.array_equal(decode_cube(old).data, decode_cube(bs).data)
 
 
@@ -324,16 +320,16 @@ def test_huge_parameter_ranges():
     # about 1e39, which the band scaling used to cast to int64 out of range
     bs = two_band_stream()
     segments = list(bs.segments)
-    tag, body = segments[2]
+    tag, body = segments[1]
     payload = segment_from_bytes(body, MAX_PAYLOAD[tag])
-    payload = struct.pack("<8f", *[-3e38, 3e38] * 4) + payload[RANGE_BYTES:]
-    segments[2] = (tag, segment_to_bytes(payload))
+    ranges_end = PARAM_BYTES + RANGE_BYTES
+    payload = payload[:PARAM_BYTES] + struct.pack("<8f", *[-3e38, 3e38] * 4) + payload[ranges_end:]
+    segments[1] = (tag, segment_to_bytes(payload))
     try:
         decode_cube(Bitstream(header=bs.header, segments=segments))
     except CorruptStreamError:
         return
-    params = segment_from_bytes(segments[1][1], MAX_PAYLOAD[segments[1][0]])
-    src_min, src_max = struct.unpack_from("<ii", payload, RANGE_BYTES)
+    src_min, src_max = struct.unpack_from("<ii", payload, ranges_end)
     x = _band_blocks(decode_cube(bs).data[0])
-    pred = _decode_band(x, params, payload)
+    pred = _decode_band(x, payload)
     assert src_min <= pred.min() and pred.max() <= src_max
