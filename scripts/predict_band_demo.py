@@ -64,7 +64,7 @@ def main():
         return denormalize_band(values, tgt_min, tgt_max)
 
     exact = reconstruct(params)
-    shipped = reconstruct(dequantize_params(*quantize_params(params)))
+    shipped = reconstruct(dequantize_params(quantize_params(params, tgt_min, tgt_max))[0])
     print(f"float params : psnr {psnr(tgt, exact):6.2f} dB  ssim {ssim(tgt, exact):.4f}")
     print(f"8-bit params : psnr {psnr(tgt, shipped):6.2f} dB  ssim {ssim(tgt, shipped):.4f}")
 

@@ -67,11 +67,12 @@ def _encoder_config(args) -> EncoderConfig:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="training RNG seed")
-    p.add_argument("--mse-goal", type=float, default=1e-4, dest="mse_goal")
-    p.add_argument("--max-epochs", type=int, default=1000, dest="max_epochs")
-    p.add_argument("--max-seconds", type=float, default=1000.0, dest="max_seconds")
-    p.add_argument("--init-range", type=float, default=1.0, dest="init_range",
+    d = TrainConfig()
+    p.add_argument("--seed", type=int, default=d.seed, help="training RNG seed")
+    p.add_argument("--mse-goal", type=float, default=d.mse_goal, dest="mse_goal")
+    p.add_argument("--max-epochs", type=int, default=d.max_epochs, dest="max_epochs")
+    p.add_argument("--max-seconds", type=float, default=d.max_seconds, dest="max_seconds")
+    p.add_argument("--init-range", type=float, default=d.init_range[1], dest="init_range",
                    help="weights start uniform in [-r, r]; smaller values "
                         "tend to quantize better")
     p.add_argument("--exclude", type=_parse_exclusions, default="",
@@ -79,9 +80,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_comp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", type=float, default=0.0, dest="lam",
+    d = CompensationConfig()
+    p.add_argument("--lambda", type=float, default=d.lam, dest="lam",
                    help="maximum acceptable relative reconstruction error")
-    p.add_argument("--qstep", type=int, default=1, help="offset quantization step")
+    p.add_argument("--qstep", type=int, default=d.q_step, help="offset quantization step")
     p.add_argument("--no-compensation", action="store_true")
 
 

@@ -14,13 +14,13 @@ little-endian header fields, then tagged segments (0x01 first band as
 int16 byte planes; per predicted band 0x02 its params record, and with
 compensation on either 0x04 sparse offsets or 0x05 the residual plane of
 2 bytes per pixel, as ``compensate.compensation_payload`` picks per band),
-each varint-length-prefixed and coded by ``entropy``. A params record is
-the 346 quantized parameters, their 8 float32 group ranges, then the
-band's ``<ii`` min and max; ``_decode_band`` is its only parser.
+each varint-length-prefixed and coded by ``entropy``. ``quantize`` owns
+the params record; ``_fit_band`` is the one place the encoder fits a band.
 ``Bitstream.from_bytes`` rejects a header with another band geometry, no
-coded band or invalid compensation settings; ``decode_cube`` passes each
-tag's ``MAX_PAYLOAD`` to ``entropy.segment_from_bytes``, which rejects a
-segment declaring more before inflating.
+coded band or invalid compensation settings, and segments that break the
+grammar; ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
+``entropy.segment_from_bytes``, which rejects a segment declaring more
+before inflating.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, Workspace, train
 from .mlp import forward
-from .quantize import PARAM_BYTES, RANGE_BYTES, dequantize_params, quantize_params
+from .quantize import RECORD, dequantize_params, quantize_params
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 MAGIC = b"BIPN"
@@ -55,14 +55,10 @@ TAG_NAMES = {
     TAG_RESIDUAL: "residual",
 }
 
-# a params record is the parameter bytes, their four (min, max) pairs, then the band's min and max
-BAND_RANGE = struct.Struct("<ii")
-RECORD_BYTES = PARAM_BYTES + RANGE_BYTES + BAND_RANGE.size
-
 # the most pre-entropy bytes a segment of each tag may declare
 MAX_PAYLOAD = {
     TAG_FIRST_BAND: 2 * BAND_SIZE * BAND_SIZE,
-    TAG_PARAMS: RECORD_BYTES,
+    TAG_PARAMS: RECORD.size,
     TAG_OFFSETS: 8 * BAND_SIZE * BAND_SIZE,
     TAG_RESIDUAL: 2 * BAND_SIZE * BAND_SIZE,
 }
@@ -82,6 +78,19 @@ class BitstreamHeader:
     coded_bands: int
     exclusions: tuple[int, ...]
     compensation: CompensationConfig
+
+
+def _check_grammar(header: BitstreamHeader, segments: list[tuple[int, bytes]]) -> None:
+    """Raise CorruptStreamError unless the segment tags follow the bands ``header`` declares."""
+    comp = header.compensation
+    # a band's second segment may be either layout, so residual tags check as offsets tags
+    per_band = [TAG_PARAMS] + ([TAG_OFFSETS] if comp.enabled else [])
+    tags = [TAG_OFFSETS if tag == TAG_RESIDUAL else tag for tag, _ in segments]
+    if tags != [TAG_FIRST_BAND] + per_band * (header.coded_bands - 1):
+        raise CorruptStreamError(
+            f"{len(segments)} segments do not follow the grammar of {header.coded_bands} "
+            f"coded bands with compensation {'on' if comp.enabled else 'off'}"
+        )
 
 
 @dataclass
@@ -143,6 +152,7 @@ class Bitstream:
                 )
             segments.append((tag, bytes(blob[offset : offset + length])))
             offset += length
+        _check_grammar(header, segments)
         return cls(header=header, segments=segments)
 
 
@@ -173,24 +183,23 @@ def _band_blocks(band: np.ndarray) -> np.ndarray:
     return normalize_band(band_to_blocks(band))[0]
 
 
+def _fit_band(
+    x: np.ndarray, band: np.ndarray, cfg: TrainConfig, workspace: Workspace
+) -> tuple[bytes, TrainReport]:
+    """The params record predicting ``band`` from ``x``, the previous reconstructed band's blocks."""
+    target, src_min, src_max = normalize_band(band_to_blocks(band))
+    params, report = train(x, target, cfg, workspace)
+    return quantize_params(params, src_min, src_max), report
+
+
 def _decode_band(x: np.ndarray, record: bytes) -> np.ndarray:
     """The one step both codec sides run: a band predicted from its params record.
 
     ``x`` holds the previous reconstructed band's blocks; ``record`` is the
-    pre-entropy params record. This is the only place that parses it: a
-    record that does not describe a valid network and band range raises
-    CorruptStreamError.
+    pre-entropy params record. An invalid record, or one that predicts
+    non-finite values, raises CorruptStreamError.
     """
-    if len(record) != RECORD_BYTES:
-        raise CorruptStreamError(f"params record has {len(record)} bytes, not {RECORD_BYTES}")
-    ranges_end = PARAM_BYTES + RANGE_BYTES
-    src_min, src_max = BAND_RANGE.unpack_from(record, ranges_end)
-    if src_min > src_max:
-        raise CorruptStreamError("band min exceeds max")
-    try:
-        params = dequantize_params(record[:PARAM_BYTES], record[PARAM_BYTES:ranges_end])
-    except DimensionError as exc:
-        raise CorruptStreamError(f"invalid band payload: {exc}") from exc
+    params, src_min, src_max = dequantize_params(record)
     pred = forward(params, x)
     if not np.all(np.isfinite(pred)):
         raise CorruptStreamError("band payload predicts non-finite values")
@@ -245,11 +254,8 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     for k in range(1, len(coded)):
         x = _band_blocks(recon[k - 1])
-        target, src_min, src_max = normalize_band(band_to_blocks(resized[k]))
-        params, report = train(x, target, cfg.train, workspace)
+        record, report = _fit_band(x, resized[k], cfg.train, workspace)
         reports.append(report)
-
-        record = b"".join(quantize_params(params)) + BAND_RANGE.pack(src_min, src_max)
         pred = _decode_band(x, record)
         payloads = [(TAG_PARAMS, record)]
         offsets = None
@@ -269,22 +275,10 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     )
 
 
-def encode_cube(cube: HyperCube, cfg: EncoderConfig) -> Bitstream:
-    return encode_cube_full(cube, cfg).bitstream
-
-
 def decode_cube(bs: Bitstream) -> HyperCube:
+    _check_grammar(bs.header, bs.segments)  # a Bitstream built in memory skips from_bytes
     h = bs.header
     comp = h.compensation
-    # a band's second segment may be either layout, so residual tags check as offsets tags
-    per_band = [TAG_PARAMS] + ([TAG_OFFSETS] if comp.enabled else [])
-    tags = [TAG_OFFSETS if tag == TAG_RESIDUAL else tag for tag, _ in bs.segments]
-    if tags != [TAG_FIRST_BAND] + per_band * (h.coded_bands - 1):
-        raise CorruptStreamError(
-            f"{len(bs.segments)} segments do not follow the grammar of {h.coded_bands} "
-            f"coded bands with compensation {'on' if comp.enabled else 'off'}"
-        )
-
     # inflated lazily, so only one band's payloads are held at a time; each
     # band is written in place, so decoding holds the output and one band's work
     payloads = ((tag, segment_from_bytes(body, MAX_PAYLOAD[tag])) for tag, body in bs.segments)

@@ -1,31 +1,31 @@
-"""8-bit quantization of the flat parameter vector, one (min, max) per group.
+"""The params record: a band's network in 8 bits, and the band's range.
 
-This is the lossy step that bounds the transmitted payload. The vector of
-``MlpParams.to_vector`` splits into its four parameter groups
-(``mlp.GROUPS``: w1, b1, w2, b2); each group maps onto [0, 255] bytes plus a
-(min, max) pair. The extrema are reduced to 32-bit float precision
-*before* quantizing and the reduced values are what both codec sides use,
-so dequantization is identical at encoder and decoder.
+This is the lossy step that bounds the transmitted payload. ``RECORD`` is
+the 346 parameter bytes in ``MlpParams.to_vector`` order, one float32
+(min, max) pair per parameter group (``mlp.GROUPS``: w1, b1, w2, b2), then
+the band's ``<ii`` min and max. Each group maps onto [0, 255] by its pair.
+The extrema are reduced to 32-bit float precision *before* quantizing and
+the reduced values are what both codec sides use, so dequantization is
+identical at encoder and decoder. ``quantize_params`` writes a record and
+``dequantize_params`` is its only reader.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CorruptStreamError
 from .mlp import GROUPS, N_PARAMS, MlpParams
 from .rounding import round_half_away
 
-# one byte per parameter, then the four (min, max) pairs as float32
-RANGES = struct.Struct("<8f")
-PARAM_BYTES = N_PARAMS
-RANGE_BYTES = RANGES.size
+RECORD = struct.Struct(f"<{N_PARAMS}s8fii")
 
 
-def quantize_params(params: MlpParams) -> tuple[bytes, bytes]:
-    """The params payload (346 bytes in vector order) and ranges payload (32 bytes)."""
+def quantize_params(params: MlpParams, src_min: int, src_max: int) -> bytes:
+    """The params record of ``params`` and the band range [src_min, src_max] (386 bytes)."""
     vec = params.to_vector()
     q = np.zeros(N_PARAMS, dtype=np.uint8)
     ranges = []
@@ -38,21 +38,24 @@ def quantize_params(params: MlpParams) -> tuple[bytes, bytes]:
         else:
             q[start:end] = np.clip(round_half_away(255.0 * (group - lo) / (hi - lo)), 0, 255)
         ranges += [lo, hi]
-    return q.tobytes(), RANGES.pack(*ranges)
+    return RECORD.pack(q.tobytes(), *ranges, src_min, src_max)
 
 
-def dequantize_params(param_bytes: bytes, range_bytes: bytes) -> MlpParams:
-    """Invert quantize_params: v = min + q * (max - min) / 255 per group."""
-    if len(param_bytes) != PARAM_BYTES:
-        raise DimensionError(f"param payload must be {PARAM_BYTES} bytes")
-    if len(range_bytes) != RANGE_BYTES:
-        raise DimensionError(f"range payload must be {RANGE_BYTES} bytes")
+def dequantize_params(record: bytes) -> tuple[MlpParams, int, int]:
+    """Invert quantize_params: (params, src_min, src_max), v = min + q * (max - min) / 255 per group.
+
+    A record that does not describe a valid network and band range raises CorruptStreamError.
+    """
+    if len(record) != RECORD.size:
+        raise CorruptStreamError(f"params record has {len(record)} bytes, not {RECORD.size}")
+    param_bytes, *ranges, src_min, src_max = RECORD.unpack(record)
+    if src_min > src_max:
+        raise CorruptStreamError("band min exceeds max")
     q = np.frombuffer(param_bytes, dtype=np.uint8).astype(np.float64)
-    ranges = RANGES.unpack(range_bytes)
     vec = np.empty(N_PARAMS)
-    for k, (start, end) in enumerate(GROUPS):
-        lo, hi = ranges[2 * k], ranges[2 * k + 1]
-        if not lo <= hi:
-            raise DimensionError(f"parameter range ({lo}, {hi}) is not min <= max")
+    for (start, end), lo, hi in zip(GROUPS, ranges[::2], ranges[1::2]):
+        # finite float32 extrema keep every parameter finite
+        if not -math.inf < lo <= hi < math.inf:
+            raise CorruptStreamError(f"parameter range ({lo}, {hi}) is not finite with min <= max")
         vec[start:end] = lo if hi == lo else lo + q[start:end] * (hi - lo) / 255.0
-    return MlpParams.from_vector(vec)
+    return MlpParams.from_vector(vec), src_min, src_max

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, run
-from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, BitstreamHeader
+from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _encoder_config, run
+from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, BitstreamHeader, EncoderConfig
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, store_cube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
@@ -135,6 +135,28 @@ def test_version_2_stream_is_unsupported(tmp_path, cube_file, capsys, command):
     capsys.readouterr()
     assert run(command_args(command, out, tmp_path)) == EXIT_CORRUPT
     assert "unsupported version 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["info", "decode"])
+@pytest.mark.parametrize("cut", [False, True], ids=["params-appended", "first-segment-only"])
+def test_segments_breaking_the_grammar_are_corrupt(tmp_path, cube_file, capsys, command, cut):
+    # the segment grammar is checked where the stream is read, so info rejects what decode rejects
+    two = tmp_path / "two.raw"
+    store_cube(HyperCube(data=load_cube(cube_file).data[:2]), two)
+    out = tmp_path / "out.bip"
+    assert run(["encode", str(two), str(out), *FAST]) == EXIT_OK
+    bs = Bitstream.from_bytes(out.read_bytes())
+    segments = bs.segments[:1] if cut else bs.segments + [bs.segments[1]]
+    out.write_bytes(Bitstream(header=bs.header, segments=segments).to_bytes())
+    capsys.readouterr()
+    assert run(command_args(command, out, tmp_path)) == EXIT_CORRUPT
+    assert "grammar of 2 coded bands" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "rd"])
+def test_flag_defaults_are_the_config_defaults(command):
+    args = _build_parser().parse_args([command, "in.raw"] + (["out.bip"] if command == "encode" else []))
+    assert _encoder_config(args) == EncoderConfig()
 
 
 def test_decode_short_params_payload(tmp_path, cube_file):

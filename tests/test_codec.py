@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import os
-import struct
 import subprocess
 import sys
 import zlib
@@ -22,9 +21,9 @@ from hsicodec.codec import (
     _decode_band,
     _pack_band,
     _unpack_band,
+    _fit_band,
     bitrate,
     decode_cube,
-    encode_cube,
     encode_cube_full,
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual, offsets_to_bytes
@@ -32,8 +31,7 @@ from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import HyperCube, normalize_band
 from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
-from hsicodec.lm import TrainConfig, train
-from hsicodec.quantize import quantize_params
+from hsicodec.lm import TrainConfig, Workspace
 from hsicodec.wire import from_byte_planes
 
 
@@ -151,7 +149,7 @@ def test_offset_pixels_decode_to_their_target(lam):
 
 def test_serialization_round_trip():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg())
+    bs = encode_cube_full(cube, fast_cfg()).bitstream
     back = Bitstream.from_bytes(bs.to_bytes())
     assert back.header == bs.header
     assert back.segments == bs.segments
@@ -159,8 +157,8 @@ def test_serialization_round_trip():
 
 def test_deterministic_bitstream():
     cube = smooth_cube(bands=3)
-    a = encode_cube(cube, fast_cfg(seed=7)).to_bytes()
-    b = encode_cube(cube, fast_cfg(seed=7)).to_bytes()
+    a = encode_cube_full(cube, fast_cfg(seed=7)).bitstream.to_bytes()
+    b = encode_cube_full(cube, fast_cfg(seed=7)).bitstream.to_bytes()
     assert a == b
 
 
@@ -177,9 +175,9 @@ def test_bitstream_identical_across_processes():
     # the same cube and seed, encoded by two fresh interpreters
     code = (
         "import hashlib, sys; sys.path.insert(0, 'tests'); "
-        "from test_codec import encode_cube, fast_cfg, smooth_cube; "
-        "print(hashlib.sha256(encode_cube(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7))"
-        ".to_bytes()).hexdigest())"
+        "from test_codec import encode_cube_full, fast_cfg, smooth_cube; "
+        "print(hashlib.sha256(encode_cube_full(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7))"
+        ".bitstream.to_bytes()).hexdigest())"
     )
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -190,43 +188,46 @@ def test_bitstream_identical_across_processes():
         ).stdout.strip()
         for _ in range(2)
     ]
-    here = hashlib.sha256(encode_cube(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7)).to_bytes())
+    here = encode_cube_full(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7)).bitstream
+    here = hashlib.sha256(here.to_bytes())
     assert digests == [here.hexdigest()] * 2, f"zlib {zlib.ZLIB_RUNTIME_VERSION}"
 
 
 def test_segment_grammar():
     cube = smooth_cube(bands=3)
+    # a smooth first band, then bands of noise that no map of the band before can predict
+    noise = np.random.default_rng(5).integers(0, 256, (2, 64, 64))
+    noisy = HyperCube(data=np.concatenate([cube.data[:1], noise]).astype(np.int16))
     layouts = set()
-    # most pixels miss lambda 0.01, so its bands are dense; few miss 0.2, so its bands are sparse
-    for lam in (0.01, 0.2):
+    # most noise pixels miss lambda 0.01, so those bands are dense; few smooth pixels miss 0.2,
+    # so those bands are sparse
+    for case, lam in ((noisy, 0.01), (cube, 0.2)):
         cfg = fast_cfg(lam=lam, enabled=True)
-        with_comp = encode_cube_full(cube, cfg)
+        with_comp = encode_cube_full(case, cfg)
         offsets_tags = rule_tags(with_comp, cfg.compensation)
         tags = [tag for tag, _ in with_comp.bitstream.segments]
         assert tags == [TAG_FIRST_BAND] + [t for o in offsets_tags for t in (TAG_PARAMS, o)]
         layouts.update(offsets_tags)
     assert layouts == {TAG_OFFSETS, TAG_RESIDUAL}
-    without = encode_cube(cube, fast_cfg(enabled=False))
+    without = encode_cube_full(cube, fast_cfg(enabled=False)).bitstream
     tags = [tag for tag, _ in without.segments]
     assert tags == [TAG_FIRST_BAND] + [TAG_PARAMS] * 2
 
 
 def test_params_record_layout():
-    # a predicted band's one 0x02 payload: quantize_params' bytes, then the band's <ii min and max
+    # a predicted band's one 0x02 payload is the record the encoder's band fit returns
     cfg = fast_cfg(enabled=False)
     result = encode_cube_full(smooth_cube(bands=2), cfg)
     [_, (tag, body)] = result.bitstream.segments
     assert tag == TAG_PARAMS
-    target, src_min, src_max = normalize_band(band_to_blocks(result.resized_bands[1]))
-    params, _ = train(_band_blocks(result.resized_bands[0]), target, cfg.train)
-    param_bytes, range_bytes = quantize_params(params)
-    expected = param_bytes + range_bytes + struct.pack("<ii", src_min, src_max)
+    x = _band_blocks(result.resized_bands[0])
+    expected, _ = _fit_band(x, result.resized_bands[1], cfg.train, Workspace())
     assert segment_from_bytes(body, MAX_PAYLOAD[tag]) == expected
 
 
 def test_header_holds_its_own_compensation_config():
     cfg = fast_cfg(lam=0.02)
-    header = encode_cube(smooth_cube(bands=2), cfg).header
+    header = encode_cube_full(smooth_cube(bands=2), cfg).bitstream.header
     assert header.compensation == cfg.compensation
     assert header.compensation is not cfg.compensation
 
@@ -241,7 +242,7 @@ def test_band_count_past_the_header_fields_rejected():
 def test_all_zero_cube_rejected():
     cube = HyperCube(data=np.zeros((2, 8, 8), dtype=np.int16))
     with pytest.raises(NoContentError):
-        encode_cube(cube, fast_cfg())
+        encode_cube_full(cube, fast_cfg())
 
 
 def test_leading_zero_bands_become_exclusions():
@@ -274,7 +275,7 @@ def test_exclusion_out_of_range():
         band_exclusions=(5,),
     )
     with pytest.raises(DimensionError):
-        encode_cube(cube, cfg)
+        encode_cube_full(cube, cfg)
 
 
 def test_changing_later_band_leaves_earlier_decode_alone():
@@ -282,15 +283,15 @@ def test_changing_later_band_leaves_earlier_decode_alone():
     data_b = cube_a.data.copy()
     data_b[2] = np.roll(data_b[2], 7, axis=0)
     cube_b = HyperCube(data=data_b)
-    dec_a = decode_cube(encode_cube(cube_a, fast_cfg()))
-    dec_b = decode_cube(encode_cube(cube_b, fast_cfg()))
+    dec_a = decode_cube(encode_cube_full(cube_a, fast_cfg()).bitstream)
+    dec_b = decode_cube(encode_cube_full(cube_b, fast_cfg()).bitstream)
     for k in range(2):
         assert np.array_equal(dec_a.band(k), dec_b.band(k))
 
 
 def test_bad_magic_rejected():
     cube = smooth_cube(bands=2)
-    blob = bytearray(encode_cube(cube, fast_cfg()).to_bytes())
+    blob = bytearray(encode_cube_full(cube, fast_cfg()).bitstream.to_bytes())
     blob[0] ^= 0xFF
     with pytest.raises(CorruptStreamError):
         Bitstream.from_bytes(bytes(blob))
@@ -298,14 +299,14 @@ def test_bad_magic_rejected():
 
 def test_truncated_stream_rejected():
     cube = smooth_cube(bands=2)
-    blob = encode_cube(cube, fast_cfg()).to_bytes()
+    blob = encode_cube_full(cube, fast_cfg()).bitstream.to_bytes()
     with pytest.raises(CorruptStreamError):
         Bitstream.from_bytes(blob[: len(blob) - 5])
 
 
 def test_missing_segment_rejected():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg())
+    bs = encode_cube_full(cube, fast_cfg()).bitstream
     broken = Bitstream(header=bs.header, segments=bs.segments[:-1])
     with pytest.raises(CorruptStreamError):
         decode_cube(broken)
@@ -313,7 +314,7 @@ def test_missing_segment_rejected():
 
 def test_wrong_tag_order_rejected():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg())
+    bs = encode_cube_full(cube, fast_cfg()).bitstream
     swapped = list(bs.segments)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(CorruptStreamError):
@@ -322,7 +323,7 @@ def test_wrong_tag_order_rejected():
 
 def test_trailing_segment_rejected():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg())
+    bs = encode_cube_full(cube, fast_cfg()).bitstream
     extra = Bitstream(header=bs.header, segments=bs.segments + [bs.segments[-1]])
     with pytest.raises(CorruptStreamError):
         decode_cube(Bitstream.from_bytes(extra.to_bytes()))
@@ -330,7 +331,7 @@ def test_trailing_segment_rejected():
 
 def test_header_declaring_more_bands_than_segments_rejected():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg())
+    bs = encode_cube_full(cube, fast_cfg()).bitstream
     header = dataclasses.replace(bs.header, coded_bands=3)
     with pytest.raises(CorruptStreamError):
         decode_cube(Bitstream.from_bytes(Bitstream(header=header, segments=bs.segments).to_bytes()))
@@ -338,7 +339,7 @@ def test_header_declaring_more_bands_than_segments_rejected():
 
 def test_bitrate_arithmetic():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg())
+    bs = encode_cube_full(cube, fast_cfg()).bitstream
     blob = bs.to_bytes()
     assert bitrate(bs) == pytest.approx(len(blob) * 8 / (256 * 256 * 2))
     assert bitrate(bs) > 0
@@ -346,7 +347,7 @@ def test_bitrate_arithmetic():
 
 def test_params_only_band_payload_under_budget():
     cube = smooth_cube(bands=2)
-    bs = encode_cube(cube, fast_cfg(enabled=False))
+    bs = encode_cube_full(cube, fast_cfg(enabled=False)).bitstream
     per_band = [len(body) for tag, body in bs.segments if tag == TAG_PARAMS]
     assert sum(per_band) <= 500
     # a params-only band costs well under 0.05 bpppb of its own band

@@ -6,17 +6,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.errors import DimensionError
+from hsicodec.errors import CorruptStreamError, DimensionError
 from hsicodec.lm import TrainConfig, init_params
 from hsicodec.mlp import MlpParams
-from hsicodec.quantize import PARAM_BYTES, RANGE_BYTES, dequantize_params, quantize_params
+from hsicodec.quantize import dequantize_params, quantize_params
 
 # each group's slice of the flat vector and of the params payload
 W1, B1, W2, B2 = slice(0, 160), slice(160, 170), slice(170, 330), slice(330, 346)
 
+# a record is the parameter bytes, the float32 group ranges, then the band's <ii min and max
+PARAM_BYTES, RANGE_BYTES, BAND_BYTES = 346, 32, 8
+
 
 def params_with(vec) -> MlpParams:
     return MlpParams.from_vector(np.asarray(vec, dtype=np.float64))
+
+
+def split(record: bytes) -> tuple[bytes, bytes]:
+    """The parameter bytes and the range bytes of a record, read at the documented offsets."""
+    assert len(record) == PARAM_BYTES + RANGE_BYTES + BAND_BYTES
+    return record[:PARAM_BYTES], record[PARAM_BYTES : PARAM_BYTES + RANGE_BYTES]
+
+
+def record_of(param_bytes: bytes, range_bytes: bytes, src_min=0, src_max=255) -> bytes:
+    return param_bytes + range_bytes + struct.pack("<ii", src_min, src_max)
+
+
+def quantize(params: MlpParams) -> tuple[bytes, bytes]:
+    return split(quantize_params(params, 0, 255))
+
+
+def dequantize(param_bytes: bytes, range_bytes: bytes) -> MlpParams:
+    return dequantize_params(record_of(param_bytes, range_bytes))[0]
 
 
 def group_ranges(range_bytes: bytes) -> list[tuple[float, float]]:
@@ -24,10 +45,33 @@ def group_ranges(range_bytes: bytes) -> list[tuple[float, float]]:
     return list(zip(values[::2], values[1::2]))
 
 
+def test_record_layout():
+    # the record's fields at their byte offsets, read with this test's own struct format
+    vec = init_params(TrainConfig(seed=4)).to_vector()
+    record = quantize_params(params_with(vec), -7, 4000)
+    param_bytes, *ranges, src_min, src_max = struct.unpack(f"<{PARAM_BYTES}s8fii", record)
+    assert len(record) == struct.calcsize(f"<{PARAM_BYTES}s8fii") == 386
+    assert (src_min, src_max) == (-7, 4000)
+    for group, lo, hi in zip((W1, B1, W2, B2), ranges[::2], ranges[1::2]):
+        assert (lo, hi) == (np.float32(vec[group].min()), np.float32(vec[group].max()))
+        q = np.frombuffer(param_bytes[group], dtype=np.uint8)
+        assert q.min() == 0 and q.max() == 255
+    back, back_min, back_max = dequantize_params(record)
+    assert (back_min, back_max) == (-7, 4000)
+    assert quantize_params(back, -7, 4000) == record
+
+
+@pytest.mark.parametrize("band", [(1, 0), (2**31 - 1, -(2**31))])
+def test_band_min_above_max_rejected(band):
+    param_bytes, range_bytes = quantize(init_params(TrainConfig(seed=5)))
+    with pytest.raises(CorruptStreamError, match="band min exceeds max"):
+        dequantize_params(record_of(param_bytes, range_bytes, *band))
+
+
 def test_endpoints_map_to_0_and_255():
     vec = init_params(TrainConfig(seed=1)).to_vector()
     vec[W1] = np.linspace(-2.0, 5.0, 160)
-    param_bytes, range_bytes = quantize_params(params_with(vec))
+    param_bytes, range_bytes = quantize(params_with(vec))
     q = np.frombuffer(param_bytes, dtype=np.uint8)
     assert q[0] == 0
     assert q[159] == 255
@@ -37,10 +81,10 @@ def test_endpoints_map_to_0_and_255():
 def test_constant_matrix_degenerate():
     vec = init_params(TrainConfig(seed=2)).to_vector()
     vec[W1] = 1.25
-    param_bytes, range_bytes = quantize_params(params_with(vec))
+    param_bytes, range_bytes = quantize(params_with(vec))
     assert param_bytes[W1] == bytes(160)
     assert group_ranges(range_bytes)[0] == (1.25, 1.25)
-    back = dequantize_params(param_bytes, range_bytes)
+    back = dequantize(param_bytes, range_bytes)
     assert np.all(back.w1 == 1.25)
 
 
@@ -49,31 +93,31 @@ def test_nonfinite_rejected():
     vec = init_params(TrainConfig(seed=3)).to_vector()
     vec[B2.start] = np.inf
     with pytest.raises(DimensionError):
-        quantize_params(params_with(vec))
+        quantize(params_with(vec))
 
 
 def test_dequantize_endpoints():
     ranges = struct.pack("<8f", -1.0, 3.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
     param_bytes = bytearray(PARAM_BYTES)
     param_bytes[1] = 255
-    back = dequantize_params(bytes(param_bytes), ranges)
+    back = dequantize(bytes(param_bytes), ranges)
     assert back.w1[0, 0] == -1.0
     assert back.w1[0, 1] == 3.0
 
 
 def test_dequantize_count_mismatch():
     for param_len, range_len in [(345, 32), (347, 32), (0, 32), (346, 31), (346, 33)]:
-        with pytest.raises(DimensionError):
-            dequantize_params(bytes(param_len), bytes(range_len))
+        with pytest.raises(CorruptStreamError):
+            dequantize_params(bytes(param_len) + bytes(range_len) + bytes(BAND_BYTES))
 
 
 @pytest.mark.parametrize("group", range(4))
-@pytest.mark.parametrize("bad", [(1.0, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, -np.inf)])
 def test_range_min_above_max_rejected(group, bad):
     values = [0.0, 1.0] * 4
     values[2 * group : 2 * group + 2] = bad
-    with pytest.raises(DimensionError):
-        dequantize_params(bytes(PARAM_BYTES), struct.pack("<8f", *values))
+    with pytest.raises(CorruptStreamError):
+        dequantize(bytes(PARAM_BYTES), struct.pack("<8f", *values))
 
 
 @settings(max_examples=200)
@@ -82,8 +126,8 @@ def test_half_step_error_bound(seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
     vec = rng.uniform(-scale, scale, PARAM_BYTES)
-    param_bytes, range_bytes = quantize_params(params_with(vec))
-    back = dequantize_params(param_bytes, range_bytes).to_vector()
+    param_bytes, range_bytes = quantize(params_with(vec))
+    back = dequantize(param_bytes, range_bytes).to_vector()
     for group, (lo, hi) in zip((W1, B1, W2, B2), group_ranges(range_bytes)):
         # half a quantization step plus float32 slack on the extrema
         tol = (hi - lo) / 510.0 + 2.0 * np.spacing(np.float32(max(abs(lo), abs(hi), 1.0)))
@@ -94,22 +138,22 @@ def test_half_step_error_bound(seed):
 def test_quantize_idempotent_on_its_own_grid(seed):
     rng = np.random.default_rng(seed)
     params = params_with(rng.uniform(-4, 4, PARAM_BYTES))
-    first = quantize_params(params)
-    assert quantize_params(dequantize_params(*first)) == first
+    first = quantize(params)
+    assert quantize(dequantize(*first)) == first
 
 
 def test_params_round_trip_and_payload_sizes():
     params = init_params(TrainConfig(seed=20))
-    param_bytes, range_bytes = quantize_params(params)
+    param_bytes, range_bytes = quantize(params)
     assert PARAM_BYTES == len(param_bytes) == 346
     assert RANGE_BYTES == len(range_bytes) == 32
-    back = dequantize_params(param_bytes, range_bytes)
-    assert quantize_params(back) == (param_bytes, range_bytes)
+    back = dequantize(param_bytes, range_bytes)
+    assert quantize(back) == (param_bytes, range_bytes)
 
 
 def test_params_quantization_error_bounded():
     params = init_params(TrainConfig(seed=21))
-    dq = dequantize_params(*quantize_params(params))
+    dq = dequantize(*quantize(params))
     for orig, back in [
         (params.w1, dq.w1),
         (params.b1, dq.b1),
@@ -126,13 +170,13 @@ def test_payload_byte_order_is_w1_b1_w2_b2():
     params = MlpParams(
         w1=np.full((10, 16), 1.0), b1=np.full(10, 2.0), w2=np.full((16, 10), 3.0), b2=np.full(16, 4.0)
     )
-    assert group_ranges(quantize_params(params)[1]) == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
+    assert group_ranges(quantize(params)[1]) == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
     # one extreme per group: its byte lands where that group's slice starts
     vec = np.zeros(PARAM_BYTES)
     for k, group in enumerate((W1, B1, W2, B2)):
         vec[group] = -1.0
         vec[group.start] = k + 1.0
-    q = np.frombuffer(quantize_params(params_with(vec))[0], dtype=np.uint8)
+    q = np.frombuffer(quantize(params_with(vec))[0], dtype=np.uint8)
     assert [int(i) for i in np.flatnonzero(q)] == [0, 160, 170, 330]
 
 
@@ -149,5 +193,5 @@ def test_payload_golden_digest(b1_value):
     params = init_params(TrainConfig(seed=20))
     if b1_value is not None:
         params.b1[:] = b1_value
-    param_bytes, range_bytes = quantize_params(params)
+    param_bytes, range_bytes = quantize(params)
     assert hashlib.sha256(param_bytes + range_bytes).hexdigest() == GOLDEN[b1_value]
