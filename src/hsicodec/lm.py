@@ -5,7 +5,8 @@ and J'e on the training columns in closed form from the layer quantities,
 never storing the (16 M) x 346 Jacobian J (Wilamowski & Yu, "Improved
 Computation for Levenberg-Marquardt Training", IEEE TNN 21(6), 2010). The
 first-layer block is a Khatri-Rao product whose input half, the per-band
-input moments, is built once per band and reused by every epoch. Each
+input moments, is built once per band in a ``Workspace`` and reused by
+every epoch; the tests check the blocks against an exact Jacobian. Each
 damped step eliminates the linear output layer in closed form, as variable
 projection does (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973), so it
 factors an 11 x 11 and a 170 x 170 matrix with ``numpy.linalg``, never the
@@ -13,7 +14,7 @@ factors an 11 x 11 and a 170 x 170 matrix with ``numpy.linalg``, never the
 strictly reduces the training MSE. Every candidate is evaluated once, by
 ``mlp.layers``, and each epoch's normal equations are built from the
 accepted step's own evaluation: its hidden layer and error. Columns are split
-train/validation/test by a seeded shuffle; early stopping watches
+train/validation by a seeded shuffle; early stopping watches
 consecutive validation-MSE failures and the best-validation parameters are
 what training returns (except when the MSE goal is hit, where the
 goal-hitting parameters win).
@@ -28,21 +29,19 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .mlp import (
-    N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams, flatten, forward, layers, mse, tansig,
-)
+from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, flatten, forward, layers, mse
 
 StopReason = Literal["goal", "epochs", "time", "mu_overflow", "patience"]
 
 # the trainlm defaults (Hagan & Menhaj): damping mu starts at 1e-3, is divided
 # by 10 after an accepted step and multiplied by 10 after a rejected one, and
 # stops training above 1e10; a 70/15/15 train/validation/test column split,
-# and 6 consecutive validation failures stop training
+# whose test slice is never evaluated and so is not drawn; and 6 consecutive
+# validation failures stop training
 MU_INIT = 1e-3
 MU_SCALE = 10.0
 MU_MAX = 1e10
 VALIDATION_FRACTION = 0.15
-TEST_FRACTION = 0.15
 PATIENCE = 6
 
 
@@ -88,44 +87,6 @@ def init_params(cfg: TrainConfig) -> MlpParams:
     return _draw_params(np.random.default_rng(cfg.seed), cfg.init_range)
 
 
-def compute_jacobian(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the network outputs w.r.t. all 346 parameters.
-
-    Row 16*c + r holds d output(r, c) / d theta, with theta flattened as
-    w1 row-major, b1, w2 row-major, b2. Uses tansig'(z) = 1 - tansig(z)^2.
-    Training never builds it: this is the reference that the tests check
-    ``normal_equations`` against.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
-        raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
-    m = inputs.shape[1]
-    hidden = tansig(params.w1 @ inputs + params.b1[:, None])   # 10 x M
-    dh = 1.0 - hidden * hidden                                 # 10 x M
-
-    # d y_r / d w1[u, v] = w2[r, u] * dh[u, c] * x[v, c]
-    j_w1 = np.einsum("ru,uc,vc->cruv", params.w2, dh, inputs, optimize=True)
-    # d y_r / d b1[u] = w2[r, u] * dh[u, c]
-    j_b1 = np.einsum("ru,uc->cru", params.w2, dh)
-    # d y_r / d w2[s, t] = (r == s) * hidden[t, c]
-    j_w2 = np.zeros((m, N_OUTPUT, N_OUTPUT, N_HIDDEN))
-    rows = np.arange(N_OUTPUT)
-    j_w2[:, rows, rows, :] = hidden.T[:, None, :]
-    # d y_r / d b2[s] = (r == s)
-    j_b2 = np.broadcast_to(np.eye(N_OUTPUT), (m, N_OUTPUT, N_OUTPUT))
-
-    jac = np.concatenate(
-        [
-            j_w1.reshape(m, N_OUTPUT, N_HIDDEN * N_INPUT),
-            j_b1,
-            j_w2.reshape(m, N_OUTPUT, N_OUTPUT * N_HIDDEN),
-            j_b2,
-        ],
-        axis=2,
-    )
-    return jac.reshape(m * N_OUTPUT, N_PARAMS)
-
-
 # The Gram form numbers the parameters layer by layer, each neuron's bias
 # after its weights: [w1 | b1] (10 x 17) then [w2 | b2] (16 x 11).
 N_X1 = N_INPUT + 1
@@ -159,46 +120,33 @@ _ZZ_GATHER = (
 
 
 class Workspace:
-    """Training's band-sized buffers: a band's moments ``q`` (153 x M) and ``scratch`` (110 x M).
+    """Training's per-band buffers; ``load`` fills them and the next ``load`` overwrites them.
 
-    ``encode_cube_full`` keeps one for every band of an encode, so no band
-    or epoch faults in fresh pages for them. Both are views of one block:
-    as two blocks, glibc returned them to the OS between most encodes.
+    x1 = [x; 1] (17 x M), and ``q`` (153 x M) holds the products x1[v] * x1[v'] for v <= v',
+    the input half of the Gram form; ``normal_equations`` overwrites ``scratch`` (110 x M).
+    ``encode_cube_full`` keeps one for every band, so no band or epoch faults in fresh pages.
+    ``q`` and ``scratch`` are views of one block: as two blocks, glibc returned them to the
+    OS between most encodes. ``train`` drops x1 when it returns: held through the rest of a
+    band step, it raised the encoder's peak RSS.
     """
 
     def __init__(self):
-        self.q = self.scratch = np.empty((0, 0))
+        self.x1 = self.q = self.scratch = np.empty((0, 0))
 
-    def buffers(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """q and scratch for M columns, allocated again only when M changes."""
+    def load(self, inputs) -> Workspace:
+        """Build x1 and q for 16 x M inputs, reallocating q and scratch only when M changes."""
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
+            raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
+        m = inputs.shape[1]
         if self.q.shape[1] != m:
             n_q = N_X1 * (N_X1 + 1) // 2
             self.q, self.scratch = np.split(np.empty((n_q + N_HIDDEN * N_H1, m)), [n_q])
-        return self.q, self.scratch
-
-
-@dataclass(frozen=True)
-class BandMoments:
-    """The input side of the Gram form, fixed while one band trains.
-
-    x1 = [x; 1] (17 x M), and q holds the 153 column-wise products
-    x1[v] * x1[v'] for v <= v' (153 x M); both it and ``normal_equations``'s
-    scratch rows are ``Workspace`` memory, which the next band overwrites.
-    """
-
-    x1: np.ndarray
-    q: np.ndarray
-    scratch: np.ndarray
-
-
-def band_moments(inputs, workspace: Workspace | None = None) -> BandMoments:
-    """Build the per-band input moments once, in ``workspace`` (a new one if None)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
-        raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
-    x1 = np.vstack([inputs, np.ones((1, inputs.shape[1]))])
-    q, scratch = (workspace or Workspace()).buffers(x1.shape[1])
-    return BandMoments(x1=x1, q=_pair_products(x1, out=q), scratch=scratch)
+        # x1 is allocated afresh, not reused: OpenBLAS rounds the M x 17 products in
+        # ``normal_equations`` differently at another x1 alignment, so streams would change
+        self.x1 = np.vstack([inputs, np.ones((1, m))])
+        _pair_products(self.x1, out=self.q)
+        return self
 
 
 @dataclass(frozen=True)
@@ -218,28 +166,28 @@ class NormalEquations:
     g2: np.ndarray  # 16 x 11, J'e for [w2 | b2]
 
 
-def normal_equations(w2, moments: BandMoments, hidden, err) -> NormalEquations:
+def normal_equations(w2, workspace: Workspace, hidden, err) -> NormalEquations:
     """The blocks of J'J and J'e at one evaluated point, without forming J.
 
     ``hidden`` (h, 10 x M) and ``err`` (E = output - target, 16 x M) are
-    the point's evaluation on the inputs of ``moments`` by ``mlp.layers``,
+    the point's evaluation on the inputs loaded in ``workspace`` by ``mlp.layers``,
     and w2 are its output weights. With h~ = [h; 1] and dh = 1 - h^2:
     g = H~H~' and g2 = E H~'; c = Z H~' is the (dh (x) h~) rows times x1';
     g1 = ((W2'E) * dh) x1'. Z Z' is gathered from P Q', where P holds the
-    55 products dh[u] * dh[u'] for u <= u' and Q = ``moments.q``, so no
+    55 products dh[u] * dh[u'] for u <= u' and Q = ``workspace.q``, so no
     170 x M matrix is formed (Wilamowski & Yu, IEEE TNN 21(6), 2010).
-    P is built in ``moments.scratch``, and the (dh (x) h~) rows overwrite
+    P is built in ``workspace.scratch``, and the (dh (x) h~) rows overwrite
     it once P Q' is taken.
     """
-    x1 = moments.x1
+    x1 = workspace.x1
     m = x1.shape[1]
     if hidden.shape != (N_HIDDEN, m) or err.shape != (N_OUTPUT, m):
         raise DimensionError(f"hidden, error must be 10, 16 x {m}, got {hidden.shape}, {err.shape}")
     dh = 1.0 - hidden * hidden                                       # 10 x M
     h1 = np.vstack([hidden, np.ones((1, m))])                        # 11 x M
 
-    scratch = moments.scratch
-    pq = _pair_products(dh, out=scratch[: N_HIDDEN * N_H1 // 2]) @ moments.q.T  # 55 x 153
+    scratch = workspace.scratch
+    pq = _pair_products(dh, out=scratch[: N_HIDDEN * N_H1 // 2]) @ workspace.q.T  # 55 x 153
     np.multiply(dh[:, None], h1[None], out=scratch.reshape(N_HIDDEN, N_H1, m))
     c = scratch @ x1.T                                               # 110 x 17, row 11u + t
     return NormalEquations(
@@ -285,16 +233,15 @@ def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
 
 
 def _split_columns(m: int, rng: np.random.Generator):
-    """Seeded shuffle of column indices into train / validation / test."""
+    """Seeded shuffle of column indices into train / validation; n_train = M - 2 n_val."""
     perm = rng.permutation(m)
     n_val = int(round(VALIDATION_FRACTION * m))
-    n_test = int(round(TEST_FRACTION * m))
-    n_train = m - n_val - n_test
+    n_train = m - 2 * n_val
     if n_train < 1:
         raise ValueError("split leaves no training columns")
     if n_val < 1:
         raise ValueError("split leaves no validation columns")
-    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+    return perm[:n_train], perm[n_train : n_train + n_val]
 
 
 def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, TrainReport]:
@@ -311,7 +258,7 @@ def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, 
 
     rng = np.random.default_rng(cfg.seed)
     params = _draw_params(rng, cfg.init_range)
-    tr_idx, val_idx, _ = _split_columns(inputs.shape[1], rng)
+    tr_idx, val_idx = _split_columns(inputs.shape[1], rng)
     x_tr, t_tr = inputs[:, tr_idx], target[:, tr_idx]
     x_val, t_val = inputs[:, val_idx], target[:, val_idx]
 
@@ -321,7 +268,7 @@ def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, 
         err = np.subtract(out, t_tr, out=out)
         return hidden, err, float(np.mean(err * err))
 
-    moments = band_moments(x_tr, workspace)
+    workspace = (workspace or Workspace()).load(x_tr)
     start = time.monotonic()
     mu = MU_INIT
     hidden, err, train_mse = evaluate(params)
@@ -338,7 +285,7 @@ def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, 
             stop = "time"
             break
 
-        eq = normal_equations(params.w2, moments, hidden, err)
+        eq = normal_equations(params.w2, workspace, hidden, err)
 
         accepted = False
         while not accepted:
@@ -377,6 +324,7 @@ def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, 
             stop = "patience"
             break
 
+    workspace.x1 = None
     report = TrainReport(
         final_mse=best_train_mse,
         epochs_run=epochs_run,

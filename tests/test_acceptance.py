@@ -23,9 +23,11 @@ from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, normalize_band
 from hsicodec.blocks import band_to_blocks
 from hsicodec.entropy import segment_from_bytes, segment_header, segment_to_bytes
-from hsicodec.lm import TrainConfig, compute_jacobian, train
+from hsicodec.lm import TrainConfig, train
 from hsicodec.metrics import correlation_coefficient, psnr, ssim
 from hsicodec.mlp import MlpParams, N_PARAMS, forward
+
+from jacobian_oracle import compute_jacobian
 
 
 def report(name):

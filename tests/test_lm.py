@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,10 @@ from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import normalize_band
 from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
-from hsicodec.lm import (
-    TrainConfig,
-    Workspace,
-    band_moments,
-    compute_jacobian,
-    init_params,
-    normal_equations,
-    solve_step,
-    train,
-)
+from hsicodec.lm import TrainConfig, Workspace, init_params, normal_equations, solve_step, train
 from hsicodec.mlp import MlpParams, N_PARAMS, forward, layers
+
+from jacobian_oracle import compute_jacobian
 
 
 def smooth_band(seed=0, size=256):
@@ -125,7 +119,7 @@ def assemble_normal_equations(eq):
 def evaluated_normal_equations(params, x, target):
     """``normal_equations`` at params, evaluated on x by ``mlp.layers`` as ``train`` does."""
     hidden, out = layers(params, x)
-    return normal_equations(params.w2, band_moments(x), hidden, out - target)
+    return normal_equations(params.w2, Workspace().load(x), hidden, out - target)
 
 
 def lm_update(params, x, target, mu):
@@ -163,18 +157,25 @@ def test_normal_equations_reject_mismatched_error():
     x = np.random.default_rng(13).uniform(0, 1, (16, 5))
     hidden, out = layers(params, x)
     with pytest.raises(DimensionError):
-        normal_equations(params.w2, band_moments(x), hidden, out[:, :4])
+        normal_equations(params.w2, Workspace().load(x), hidden, out[:, :4])
+    with pytest.raises(DimensionError):
+        Workspace().load(x[:15])
 
 
-def test_train_never_builds_the_jacobian(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("training built the full Jacobian")
-
-    monkeypatch.setattr(lm, "compute_jacobian", refuse)
-    x = band_blocks(seed=7)[:, :512]
+def test_train_never_builds_the_jacobian():
+    # a full band's 2,868 training columns make a 127 MB Jacobian; training's
+    # own buffers for them peak near 10 MB
+    x = band_blocks(seed=7)
+    target = 0.6 * x + 0.1
     cfg = TrainConfig(max_epochs=3, mse_goal=1e-12, seed=7)
-    _, report = train(x, 0.6 * x + 0.1, cfg)
+    tracemalloc.start()
+    try:
+        _, report = train(x, target, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.epochs_run == 3
+    assert peak < 32 * 2**20, peak
 
 
 def test_train_evaluates_each_point_once(monkeypatch):
@@ -321,11 +322,15 @@ def test_train_deterministic():
 
 
 def test_train_through_one_workspace_matches_fresh_training():
-    # bands A, B, then A again through one workspace: B's leftovers do not reach A
+    # bands A, B, a narrower C, then A again through one workspace: B's and C's
+    # leftovers do not reach A, and C's width makes the workspace reallocate twice
     x_a, x_b = band_blocks(seed=4)[:, :512], band_blocks(seed=6)[:, :512]
+    x_c = band_blocks(seed=5)[:, :300]
     cfg = TrainConfig(max_epochs=5, seed=9)
     workspace = Workspace()
-    for x, target in [(x_a, 0.4 * x_a + 0.2), (x_b, 0.8 * x_b), (x_a, 0.4 * x_a + 0.2)]:
+    for x, target in [
+        (x_a, 0.4 * x_a + 0.2), (x_b, 0.8 * x_b), (x_c, 0.5 * x_c + 0.3), (x_a, 0.4 * x_a + 0.2)
+    ]:
         params, report = train(x, target, cfg, workspace)
         fresh_params, fresh_report = train(x, target, cfg)
         assert np.array_equal(params.to_vector(), fresh_params.to_vector())
@@ -337,10 +342,9 @@ def test_train_returns_no_view_of_its_workspace():
     workspace = Workspace()
     params, report = train(x, 0.5 * x + 0.1, TrainConfig(max_epochs=3, seed=2), workspace)
     kept_params, kept_report = params.to_vector(), copy.deepcopy(report)
-    moments = band_moments(x, workspace)
     hidden, out = layers(params, x)
-    eq = normal_equations(params.w2, moments, hidden, out - x)
-    buffers = (workspace.q, workspace.scratch)
+    eq = normal_equations(params.w2, workspace.load(x), hidden, out - x)
+    buffers = (workspace.x1, workspace.q, workspace.scratch)
     for a in [params.w1, params.b1, params.w2, params.b2, *vars(eq).values()]:
         assert not any(np.shares_memory(a, buf) for buf in buffers)
     for buf in buffers:
