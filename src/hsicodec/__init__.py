@@ -18,11 +18,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .blocks import band_to_blocks, blocks_to_band
 from .codec import Bitstream, EncoderConfig, bitrate, decode_cube, encode_cube_full
 from .compensate import CompensationConfig
-from .cube import HyperCube, denormalize_band, load_cube, normalize_band, resize_band, store_cube
+from .cube import HyperCube, load_cube, store_cube
 from .lm import TrainConfig
-from .mlp import forward
 
 __version__ = "0.1.0"

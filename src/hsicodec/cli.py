@@ -144,7 +144,8 @@ def _cmd_encode(args) -> int:
         line = f"band {band_idx}: psnr {r.psnr_db:.2f} dB, ssim {r.ssim:.4f}"
         if k > 0:
             rep = result.train_reports[k - 1]
-            line += (f", epochs {rep.epochs_run}, stop {rep.stop_reason}, "
+            line += (f", predict psnr {qm.psnr_db(result.predict_mse[k - 1]):.2f} dB, "
+                     f"epochs {rep.epochs_run}, stop {rep.stop_reason}, "
                      f"train mse {rep.final_mse:.1e}")
         print(line, file=sys.stderr)
     return EXIT_OK

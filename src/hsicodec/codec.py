@@ -165,6 +165,7 @@ class EncodeResult:
     resized_bands: np.ndarray  # int16 (coded, rows, cols): resized originals, the codec's reference
     recon_bands: np.ndarray    # int16 (coded, rows, cols): encoder-side reconstructions
     train_reports: list[TrainReport]
+    predict_mse: list[float]   # per predicted band: MSE of the params-only prediction, before offsets
 
 
 def _pack_band(band: np.ndarray) -> bytes:
@@ -250,6 +251,7 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     recon = resized.copy()
     reports: list[TrainReport] = []
+    predict_mse: list[float] = []
     workspace = Workspace()  # training's band-sized buffers, shared by every band
 
     for k in range(1, len(coded)):
@@ -257,6 +259,9 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         record, report = _fit_band(x, resized[k], cfg.train, workspace)
         reports.append(report)
         pred = _decode_band(x, record)
+        # pred lies in the band's [min, max], so this integer sum of squares is exact
+        d = (pred - resized[k]).ravel()
+        predict_mse.append(float(np.dot(d, d)) / d.size)
         payloads = [(TAG_PARAMS, record)]
         offsets = None
         if comp.enabled:
@@ -272,6 +277,7 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         resized_bands=resized,
         recon_bands=recon,
         train_reports=reports,
+        predict_mse=predict_mse,
     )
 
 

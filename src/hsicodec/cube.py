@@ -105,11 +105,10 @@ def read_header(path) -> CubeHeader:
     return CubeHeader(rows=rows, cols=cols, bands=bands)
 
 
-def load_cube(path, header: CubeHeader | None = None) -> HyperCube:
-    """Load a raw BSQ int16 cube; reads the sidecar header unless given one."""
+def load_cube(path) -> HyperCube:
+    """Load a raw BSQ int16 cube described by its sidecar header."""
     raw = Path(path)
-    if header is None:
-        header = read_header(raw)
+    header = read_header(raw)
     expected = header.rows * header.cols * header.bands * 2
     try:
         size = raw.stat().st_size

@@ -125,26 +125,28 @@ class Workspace:
     x1 = [x; 1] (17 x M), and ``q`` (153 x M) holds the products x1[v] * x1[v'] for v <= v',
     the input half of the Gram form; ``normal_equations`` overwrites ``scratch`` (110 x M).
     ``encode_cube_full`` keeps one for every band, so no band or epoch faults in fresh pages.
-    ``q`` and ``scratch`` are views of one block: as two blocks, glibc returned them to the
-    OS between most encodes. ``train`` drops x1 when it returns: held through the rest of a
-    band step, it raised the encoder's peak RSS.
+    All three are views of one block: as separate blocks, glibc returned them to the OS
+    between most encodes. x1 is column-major whatever the inputs' order, since OpenBLAS
+    rounds ``normal_equations``' products with x1' differently for the two orders.
     """
 
     def __init__(self):
         self.x1 = self.q = self.scratch = np.empty((0, 0))
 
     def load(self, inputs) -> Workspace:
-        """Build x1 and q for 16 x M inputs, reallocating q and scratch only when M changes."""
+        """Build x1 and q for 16 x M inputs, reallocating the block only when M changes."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
             raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
         m = inputs.shape[1]
-        if self.q.shape[1] != m:
+        if self.x1.shape != (N_X1, m):
             n_q = N_X1 * (N_X1 + 1) // 2
-            self.q, self.scratch = np.split(np.empty((n_q + N_HIDDEN * N_H1, m)), [n_q])
-        # x1 is allocated afresh, not reused: OpenBLAS rounds the M x 17 products in
-        # ``normal_equations`` differently at another x1 alignment, so streams would change
-        self.x1 = np.vstack([inputs, np.ones((1, m))])
+            rows = n_q + N_HIDDEN * N_H1
+            block = np.empty((rows + N_X1) * m)
+            self.q, self.scratch = np.split(block[: rows * m].reshape(rows, m), [n_q])
+            self.x1 = block[rows * m :].reshape(m, N_X1).T  # column-major
+        self.x1[:N_INPUT] = inputs
+        self.x1[N_INPUT] = 1.0
         _pair_products(self.x1, out=self.q)
         return self
 
@@ -324,7 +326,6 @@ def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, 
             stop = "patience"
             break
 
-    workspace.x1 = None
     report = TrainReport(
         final_mse=best_train_mse,
         epochs_run=epochs_run,

@@ -48,14 +48,18 @@ def correlation_coefficient(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.sum(da * db) / denom, -1.0, 1.0))
 
 
-def psnr(ref: np.ndarray, test: np.ndarray, peak: int = 255) -> float:
-    """10 log10(peak^2 / MSE) in dB, +inf for identical bands."""
+def psnr_db(err: float, peak: int = 255) -> float:
+    """10 log10(peak^2 / err) in dB for a mean squared error ``err``, +inf for 0."""
     if peak <= 0:
         raise ValueError("peak must be positive")
-    err = mse(ref, test)
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / err)
+
+
+def psnr(ref: np.ndarray, test: np.ndarray, peak: int = 255) -> float:
+    """10 log10(peak^2 / MSE) in dB, +inf for identical bands."""
+    return psnr_db(mse(ref, test), peak)
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:

@@ -52,6 +52,18 @@ def test_encode_decode_metrics_pipeline(tmp_path, cube_file, capsys):
         assert fields[3] == "inf"       # psnr sentinel
 
 
+def test_encode_prints_predict_psnr_on_predicted_bands(tmp_path, cube_file, capsys):
+    # compensation off: a predicted band's reconstruction is its prediction, so both figures agree
+    out = tmp_path / "out.bip"
+    assert run(["encode", str(cube_file), str(out), "--no-compensation", *FAST]) == EXIT_OK
+    first, *predicted = capsys.readouterr().err.splitlines()[1:]
+    assert "predict psnr" not in first
+    assert len(predicted) == 2
+    for line in predicted:
+        m = re.fullmatch(r"band \d: psnr (\S+) dB, ssim \S+, predict psnr (\S+) dB, epochs .*", line)
+        assert m and m[1] == m[2], line
+
+
 def test_encode_deterministic(tmp_path, cube_file):
     a = tmp_path / "a.bip"
     b = tmp_path / "b.bip"

@@ -32,6 +32,7 @@ from hsicodec.cube import HyperCube, normalize_band
 from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig, Workspace
+from hsicodec.metrics import psnr, psnr_db
 from hsicodec.wire import from_byte_planes
 
 
@@ -370,10 +371,26 @@ def test_identity_band_pair_params_only_quality():
     )
     result = encode_cube_full(cube, cfg)
     decoded = decode_cube(result.bitstream)
-    from hsicodec.metrics import psnr
-
     assert psnr(result.resized_bands[1], decoded.band(1)) >= 45.0
     assert result.train_reports[0].final_mse <= 1e-4
+
+
+def test_predict_psnr_is_the_params_only_psnr():
+    # with compensation off each reconstruction is its band's prediction
+    result = encode_cube_full(smooth_cube(bands=3), fast_cfg(enabled=False))
+    assert len(result.predict_mse) == len(result.train_reports) == 2
+    for k, err in enumerate(result.predict_mse, start=1):
+        assert psnr_db(err) == psnr(result.resized_bands[k], result.recon_bands[k])
+
+
+def test_predict_mse_is_taken_before_offsets():
+    # lambda 0 makes every band of a textured cube exact through its offsets, not its prediction
+    rng = np.random.default_rng(4)
+    data = smooth_cube(bands=3).data + rng.integers(-20, 21, (3, 64, 64))
+    result = encode_cube_full(HyperCube(data=data.astype(np.int16)), fast_cfg(lam=0.0))
+    assert np.array_equal(result.recon_bands, result.resized_bands)
+    assert len(result.predict_mse) == 2
+    assert all(err > 0 for err in result.predict_mse)
 
 
 def test_nonsquare_input_cube_resized():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.cube import (
-    CubeHeader,
     HyperCube,
     denormalize_band,
     load_cube,
@@ -69,13 +68,6 @@ def test_store_refuses_hdr_path(tmp_path):
     with pytest.raises(WriteError, match="sidecar"):
         store_cube(cube, tmp_path / "x.hdr")
     assert not (tmp_path / "x.hdr").exists()
-
-
-def test_header_with_explicit_descriptor(tmp_path):
-    raw = tmp_path / "nohdr.raw"
-    raw.write_bytes(bytes(2 * 3 * 4 * 2))
-    cube = load_cube(raw, header=CubeHeader(rows=3, cols=4, bands=2))
-    assert (cube.bands, cube.rows, cube.cols) == (2, 3, 4)
 
 
 def test_bad_header_rejected(tmp_path):

@@ -162,6 +162,21 @@ def test_normal_equations_reject_mismatched_error():
         Workspace().load(x[:15])
 
 
+def test_normal_equations_do_not_depend_on_the_input_memory_order():
+    # OpenBLAS rounds the products with x1' differently for a C- and an F-ordered
+    # x1; ``load`` fixes x1's order, so the caller's layout cannot reach the stream
+    x = band_blocks(seed=3)[:, :2868]
+    params = init_params(TrainConfig(seed=3))
+    hidden, out = layers(params, x)
+    err = out - (0.6 * x + 0.1)
+    c_eq, f_eq = (
+        normal_equations(params.w2, Workspace().load(copy), hidden, err)
+        for copy in (np.ascontiguousarray(x), np.asfortranarray(x))
+    )
+    for name, block in vars(c_eq).items():
+        assert np.array_equal(block, getattr(f_eq, name)), name
+
+
 def test_train_never_builds_the_jacobian():
     # a full band's 2,868 training columns make a 127 MB Jacobian; training's
     # own buffers for them peak near 10 MB
