@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage, 3 I/O or input format, 4 corrupt stream,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .errors import (
     CorruptStreamError,
     FormatError,
     NumericError,
+    UndefinedCorrelationError,
     WriteError,
 )
 from .lm import TrainConfig
@@ -60,9 +62,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _encoder_config(args) -> EncoderConfig:
-    comp = CompensationConfig(
-        lam=args.lam, q_step=args.qstep, enabled=not args.no_compensation
-    )
+    # rd has no --lambda: rd_points sets each run's tolerance from --lambdas
+    lam = getattr(args, "lam", CompensationConfig.lam)
+    comp = CompensationConfig(lam=lam, q_step=args.qstep, enabled=not args.no_compensation)
     return EncoderConfig(train=_train_config(args), compensation=comp, band_exclusions=args.exclude)
 
 
@@ -81,8 +83,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_comp_flags(p: argparse.ArgumentParser) -> None:
     d = CompensationConfig()
-    p.add_argument("--lambda", type=float, default=d.lam, dest="lam",
-                   help="maximum acceptable relative reconstruction error")
     p.add_argument("--qstep", type=int, default=d.q_step, help="offset quantization step")
     p.add_argument("--no-compensation", action="store_true")
 
@@ -98,6 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("input", help="input cube (.raw with .hdr sidecar)")
     enc.add_argument("output", help="output bitstream (.bip)")
     _add_train_flags(enc)
+    enc.add_argument("--lambda", type=float, default=CompensationConfig.lam, dest="lam",
+                     help="maximum acceptable relative reconstruction error")
     _add_comp_flags(enc)
     enc.add_argument("--emit-resized", metavar="PATH", default=None,
                      help="also write the resized original bands (the metrics reference)")
@@ -111,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("test", help="test cube (.raw)")
     met.add_argument("--peak", type=int, default=255)
 
-    rd = sub.add_parser("rd", help="rate-distortion sweep, CSV to stdout")
+    # no abbreviations, so that encode's --lambda is not taken for --lambdas
+    rd = sub.add_parser("rd", help="rate-distortion sweep, CSV to stdout", allow_abbrev=False)
     rd.add_argument("input", help="input cube (.raw)")
     rd.add_argument("--lambdas", default="0.0,0.01,0.02,0.05",
                     help="comma-separated tolerance sweep")
@@ -165,15 +168,16 @@ def _cmd_decode(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = load_cube(args.reference)
     test = load_cube(args.test)
-    records = qm.band_records(
-        [ref.band(k) for k in range(ref.bands)],
-        [test.band(k) for k in range(test.bands)],
-        peak=args.peak,
-    )
+    ref_bands = [ref.band(k) for k in range(ref.bands)]
+    records = qm.band_records(ref_bands, [test.band(k) for k in range(test.bands)], peak=args.peak)
     print("band,mse,ssim,psnr_db,cc_next")
-    for r in records:
-        cc = f"{r.cc_next:.6g}" if r.cc_next is not None else ""
-        print(f"{r.band_index},{r.mse:.6g},{r.ssim:.6g},{r.psnr_db:.6g},{cc}")
+    for k, r in enumerate(records):
+        # the reference's correlation with its next band; empty for the last and a constant pair
+        cc = ""
+        if k + 1 < len(ref_bands):
+            with contextlib.suppress(UndefinedCorrelationError):
+                cc = f"{qm.correlation_coefficient(ref_bands[k], ref_bands[k + 1]):.6g}"
+        print(f"{k},{r.mse:.6g},{r.ssim:.6g},{r.psnr_db:.6g},{cc}")
     return EXIT_OK
 
 

@@ -27,11 +27,9 @@ SSIM_RANGE = 255.0
 
 @dataclass
 class MetricsRecord:
-    band_index: int
     mse: float
     psnr_db: float
     ssim: float
-    cc_next: float | None  # correlation with the following band, None for the last
 
 
 def correlation_coefficient(a: np.ndarray, b: np.ndarray) -> float:
@@ -40,12 +38,9 @@ def correlation_coefficient(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float(np.sum(da * da)) * float(np.sum(db * db)))
-    if denom == 0.0:
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise UndefinedCorrelationError("correlation undefined for constant bands")
-    return float(np.clip(np.sum(da * db) / denom, -1.0, 1.0))
+    return float(np.corrcoef(a.ravel(), b.ravel())[0, 1])
 
 
 def psnr_db(err: float, peak: int = 255) -> float:
@@ -63,17 +58,17 @@ def psnr(ref: np.ndarray, test: np.ndarray, peak: int = 255) -> float:
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian; the 2-D window is its outer product with itself."""
     half = (size - 1) / 2
     coords = np.arange(size) - half
     g = np.exp(-(coords * coords) / (2.0 * sigma * sigma))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
+    return g / g.sum()
 
 
-def _window_means(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode weighted window means via sliding windows."""
-    view = np.lib.stride_tricks.sliding_window_view(img, kernel.shape)
-    return np.einsum("ijkl,kl->ij", view, kernel)
+def _window_means(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid-mode weighted window means, filtering rows then columns by ``g``."""
+    view = np.lib.stride_tricks.sliding_window_view
+    return view(view(img, g.size, axis=0) @ g, g.size, axis=1) @ g
 
 
 def ssim(ref: np.ndarray, test: np.ndarray) -> float:
@@ -86,15 +81,15 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
         raise DimensionError(
             f"band {ref.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+    g = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
     c1 = (SSIM_K1 * SSIM_RANGE) ** 2
     c2 = (SSIM_K2 * SSIM_RANGE) ** 2
 
-    mu_x = _window_means(ref, kernel)
-    mu_y = _window_means(test, kernel)
-    var_x = _window_means(ref * ref, kernel) - mu_x * mu_x
-    var_y = _window_means(test * test, kernel) - mu_y * mu_y
-    cov = _window_means(ref * test, kernel) - mu_x * mu_y
+    mu_x = _window_means(ref, g)
+    mu_y = _window_means(test, g)
+    var_x = _window_means(ref * ref, g) - mu_x * mu_x
+    var_y = _window_means(test * test, g) - mu_y * mu_y
+    cov = _window_means(ref * test, g) - mu_x * mu_y
 
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
@@ -102,29 +97,15 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
 
 
 def band_records(ref_bands, test_bands, peak: int = 255) -> list[MetricsRecord]:
-    """Per-band MSE/SSIM/PSNR of test vs ref, plus ref's band-to-band correlation."""
+    """Per-band MSE, PSNR and SSIM of test against ref."""
     if len(ref_bands) != len(test_bands):
         raise DimensionError(
             f"band count mismatch: {len(ref_bands)} reference vs {len(test_bands)} test"
         )
     records = []
-    for k, (ref, test) in enumerate(zip(ref_bands, test_bands)):
-        if k + 1 < len(ref_bands):
-            try:
-                cc = correlation_coefficient(ref, ref_bands[k + 1])
-            except UndefinedCorrelationError:
-                cc = None
-        else:
-            cc = None
-        records.append(
-            MetricsRecord(
-                band_index=k,
-                mse=mse(ref, test),
-                psnr_db=psnr(ref, test, peak),
-                ssim=ssim(ref, test),
-                cc_next=cc,
-            )
-        )
+    for ref, test in zip(ref_bands, test_bands):
+        err = mse(ref, test)
+        records.append(MetricsRecord(mse=err, psnr_db=psnr_db(err, peak), ssim=ssim(ref, test)))
     return records
 
 

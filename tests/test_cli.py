@@ -8,6 +8,7 @@ from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, BitstreamHeader, 
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, store_cube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
+from hsicodec.metrics import correlation_coefficient
 
 
 @pytest.fixture
@@ -50,6 +51,23 @@ def test_encode_decode_metrics_pipeline(tmp_path, cube_file, capsys):
         fields = line.split(",")
         assert float(fields[1]) == 0.0  # mse
         assert fields[3] == "inf"       # psnr sentinel
+
+
+def test_metrics_cc_next_is_the_reference_next_band_correlation(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    varied = rng.integers(40, 210, (3, 32, 32))
+    ref = np.concatenate([varied, np.full((1, 32, 32), 7), np.full((1, 32, 32), 9)]).astype(np.int16)
+    ref_path, test_path = tmp_path / "ref.raw", tmp_path / "test.raw"
+    store_cube(HyperCube(data=ref), ref_path)
+    # noise in the test cube changes its correlations, and makes its constant bands vary
+    store_cube(HyperCube(data=ref + rng.integers(-5, 6, ref.shape, dtype=np.int16)), test_path)
+    capsys.readouterr()
+    assert run(["metrics", str(ref_path), str(test_path)]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    # band 2 meets a constant band, bands 3 and 4 are a constant pair, band 4 is the last
+    cc = [f"{correlation_coefficient(ref[k], ref[k + 1]):.6g}" for k in range(2)]
+    assert [row[4] for row in rows] == cc + ["", "", ""]
 
 
 def test_encode_prints_predict_psnr_on_predicted_bands(tmp_path, cube_file, capsys):
@@ -246,6 +264,11 @@ def test_rd_command_csv(tmp_path, cube_file, capsys):
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "lambda,bpppb,mean_psnr_db,mean_ssim"
     assert len(out) == 3
+
+
+def test_rd_has_no_lambda_flag(cube_file):
+    # rd sweeps --lambdas; --lambda is encode's alone and is not an abbreviation here
+    assert run(["rd", str(cube_file), "--lambda", "0.1", *FAST]) == EXIT_USAGE
 
 
 def test_rd_no_compensation_single_row(tmp_path, cube_file, capsys):

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import os
@@ -192,6 +193,44 @@ def test_bitstream_identical_across_processes():
     here = encode_cube_full(smooth_cube(bands=3), fast_cfg(lam=0.01, seed=7)).bitstream
     here = hashlib.sha256(here.to_bytes())
     assert digests == [here.hexdigest()] * 2, f"zlib {zlib.ZLIB_RUNTIME_VERSION}"
+
+
+def openblas_build() -> str | None:
+    """Core name and thread count of the OpenBLAS loaded in this process, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            if hasattr(lib, f"{prefix}get_corename{suffix}"):
+                core = getattr(lib, f"{prefix}get_corename{suffix}")
+                threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                core.restype, core.argtypes = ctypes.c_char_p, []
+                threads.restype, threads.argtypes = ctypes.c_int, []
+                return f"{core().decode()}, threads={threads()}"
+    return None
+
+
+# Streams depend on numpy's arithmetic, the OpenBLAS kernels and thread count LM training runs
+# on and zlib's deflate as well as on this code, so their digests hold on the recorded build only.
+DIGEST_BUILD = ("numpy 2.4.6", "zlib 1.2.13", "OpenBLAS SkylakeX, threads=1")
+STREAM_DIGESTS = {
+    0.0: "e15c708d3e8b3ec3e856fa02c7839381f23e26a43de459378b459928aca39415",
+    0.2: "878ea8467e3a60924344aec64ebebba60c78d3d05ef89bf6a4a1324632509336",
+}
+
+
+@pytest.mark.parametrize("lam, tag", [(0.0, TAG_RESIDUAL), (0.2, TAG_OFFSETS)], ids=["dense", "sparse"])
+def test_stream_digest_on_the_recorded_build(lam, tag):
+    build = (f"numpy {np.__version__}", f"zlib {zlib.ZLIB_RUNTIME_VERSION}", f"OpenBLAS {openblas_build()}")
+    if build != DIGEST_BUILD:
+        pytest.skip(f"digests recorded on {', '.join(DIGEST_BUILD)}; this build is {', '.join(build)}")
+    bs = encode_cube_full(smooth_cube(bands=3), fast_cfg(lam=lam)).bitstream
+    assert [t for t, _ in bs.segments] == [TAG_FIRST_BAND] + [TAG_PARAMS, tag] * 2
+    assert hashlib.sha256(bs.to_bytes()).hexdigest() == STREAM_DIGESTS[lam]
 
 
 def test_segment_grammar():
