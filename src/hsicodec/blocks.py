@@ -15,22 +15,24 @@ from .errors import DimensionError
 BLOCK = 4
 
 
-def band_to_blocks(band: np.ndarray) -> np.ndarray:
-    """The 16 x M block columns of a band whose sides are multiples of 4."""
+def block_view(band: np.ndarray) -> np.ndarray:
+    """A band's pixels on axes (i mod 4, j mod 4, i div 4, j div 4), the block-column order.
+
+    A view of a C-contiguous band: 16 x M blocks reshaped to its shape are
+    read from or written to the band in one strided pass.
+    """
     band = np.asarray(band)
     if band.ndim != 2 or band.shape[0] % BLOCK or band.shape[1] % BLOCK:
         raise DimensionError(
             f"band shape {band.shape} is not a multiple of {BLOCK}x{BLOCK}"
         )
-    br = band.shape[0] // BLOCK
-    bc = band.shape[1] // BLOCK
-    # axes (i mod 4, j mod 4, i div 4, j div 4): one gather, straight into the output order
-    return (
-        band.reshape(br, BLOCK, bc, BLOCK)
-        .transpose(1, 3, 0, 2)
-        .copy()
-        .reshape(BLOCK * BLOCK, br * bc)
-    )
+    br, bc = band.shape[0] // BLOCK, band.shape[1] // BLOCK
+    return band.reshape(br, BLOCK, bc, BLOCK).transpose(1, 3, 0, 2)
+
+
+def band_to_blocks(band: np.ndarray) -> np.ndarray:
+    """The 16 x M block columns of a band whose sides are multiples of 4."""
+    return block_view(band).copy().reshape(BLOCK * BLOCK, -1)
 
 
 def blocks_to_band(blocks: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -39,8 +41,6 @@ def blocks_to_band(blocks: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     br, bc = rows // BLOCK, cols // BLOCK
     if rows % BLOCK or cols % BLOCK or blocks.shape != (BLOCK * BLOCK, br * bc):
         raise DimensionError(f"block matrix shape {blocks.shape} does not fill a {rows}x{cols} band")
-    return (
-        blocks.reshape(BLOCK, BLOCK, br, bc)
-        .transpose(2, 0, 3, 1)
-        .reshape(rows, cols)
-    )
+    band = np.empty(shape, blocks.dtype)
+    block_view(band)[...] = blocks.reshape(BLOCK, BLOCK, br, bc)
+    return band

@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics", help="per-band report comparing two cubes")
     met.add_argument("reference", help="reference cube (.raw)")
     met.add_argument("test", help="test cube (.raw)")
-    met.add_argument("--peak", type=int, default=255)
+    met.add_argument("--peak", type=int, default=255, help="PSNR peak and SSIM dynamic range")
 
     # no abbreviations, so that encode's --lambda is not taken for --lambdas
     rd = sub.add_parser("rd", help="rate-distortion sweep, CSV to stdout", allow_abbrev=False)

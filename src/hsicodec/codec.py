@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import band_to_blocks, blocks_to_band
+from .blocks import band_to_blocks, block_view
 from .compensate import CompensationConfig, apply_offsets, apply_residual, compensation_payload
 from .cube import BAND_SIZE, INT16, HyperCube, denormalize_band, normalize_band, resize_band
 from .entropy import segment_from_bytes, segment_to_bytes
@@ -204,14 +204,16 @@ def _decode_band(x: np.ndarray, record: bytes) -> np.ndarray:
     pred = forward(params, x)
     if not np.all(np.isfinite(pred)):
         raise CorruptStreamError("band payload predicts non-finite values")
-    return blocks_to_band(denormalize_band(pred, src_min, src_max), (BAND_SIZE, BAND_SIZE))
+    band = np.empty((BAND_SIZE, BAND_SIZE), np.int64)
+    denormalize_band(pred, src_min, src_max, out=block_view(band))
+    return band
 
 
 def _finish_band(pred: np.ndarray, offsets: tuple[int, bytes] | None, out: np.ndarray) -> None:
-    """Apply the (tag, payload) offsets segment (None: compensation off) and clip into the int16 ``out``."""
+    """Add the (tag, payload) offsets (None: compensation off) to ``pred`` in place; clip into ``out``."""
     if offsets is not None:
         tag, payload = offsets
-        pred = (apply_residual if tag == TAG_RESIDUAL else apply_offsets)(pred, payload)
+        (apply_residual if tag == TAG_RESIDUAL else apply_offsets)(pred, payload, out=pred)
     np.clip(pred, INT16.min, INT16.max, out=out)
 
 

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptInputError, DimensionError, FormatError, WriteError
-from .rounding import round_half_away
 
 BAND_SIZE = 256
 INT16 = np.iinfo(np.int16)
@@ -174,12 +173,19 @@ def normalize_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
     return values, lo, hi
 
 
-def denormalize_band(values: np.ndarray, src_min: int, src_max: int) -> np.ndarray:
-    """Invert normalize_band: clip to [0, 1], scale back, round (int64).
+def denormalize_band(values: np.ndarray, src_min: int, src_max: int, out=None) -> np.ndarray:
+    """Invert normalize_band: clip to [0, 1], scale back, round, add src_min.
 
     The clip keeps every result in [src_min, src_max], as v * d <= d for
     v <= 1, and keeps a huge value (a hostile band payload can predict
-    1e39) from overflowing the integer cast.
+    1e39) from overflowing the integer cast; after it, round_half_away(v)
+    is bitwise floor(v + 0.5), which the cast takes by truncating v + 0.5 > 0.
+    The integers go to a new int64 array or to ``out``, any int64 array of
+    values' size (filled in values' order, as in a band's
+    ``blocks.block_view``), and then values is overwritten.
     """
-    scaled = np.clip(values, 0.0, 1.0) * float(src_max - src_min)
-    return round_half_away(scaled, out=scaled).astype(np.int64) + src_min
+    scaled = np.clip(values, 0.0, 1.0, out=None if out is None else values)
+    scaled *= float(src_max - src_min)
+    scaled += 0.5
+    out = np.empty(scaled.shape, np.int64) if out is None else out
+    return np.add(scaled.reshape(out.shape), src_min, out=out, dtype=np.int64, casting="unsafe")

@@ -1,9 +1,9 @@
 """Rate-distortion evaluation: correlation, PSNR, SSIM, sweep tables.
 
 SSIM uses the standard configuration (11x11 Gaussian window, sigma 1.5,
-K1 = 0.01, K2 = 0.03, dynamic range 255) computed over valid windows only.
-PSNR defaults to peak 255 to match the 8-bit mapped domain the per-band
-quality numbers are quoted in.
+K1 = 0.01, K2 = 0.03) computed over valid windows only. PSNR's peak and
+SSIM's dynamic range default to 255, the 8-bit mapped domain the per-band
+quality numbers are quoted in, and ``band_records`` passes its peak to both.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-SSIM_RANGE = 255.0
+SSIM_RANGE = 255.0  # the default dynamic range
 
 
 @dataclass
@@ -71,8 +71,8 @@ def _window_means(img: np.ndarray, g: np.ndarray) -> np.ndarray:
     return view(view(img, g.size, axis=0) @ g, g.size, axis=1) @ g
 
 
-def ssim(ref: np.ndarray, test: np.ndarray) -> float:
-    """Mean structural similarity over valid 11x11 Gaussian windows."""
+def ssim(ref: np.ndarray, test: np.ndarray, peak: float = SSIM_RANGE) -> float:
+    """Mean structural similarity over valid 11x11 Gaussian windows, for dynamic range ``peak``."""
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
@@ -82,8 +82,8 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
             f"band {ref.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
     g = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-    c1 = (SSIM_K1 * SSIM_RANGE) ** 2
-    c2 = (SSIM_K2 * SSIM_RANGE) ** 2
+    c1 = (SSIM_K1 * peak) ** 2
+    c2 = (SSIM_K2 * peak) ** 2
 
     mu_x = _window_means(ref, g)
     mu_y = _window_means(test, g)
@@ -97,7 +97,7 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
 
 
 def band_records(ref_bands, test_bands, peak: int = 255) -> list[MetricsRecord]:
-    """Per-band MSE, PSNR and SSIM of test against ref."""
+    """Per-band MSE, PSNR and SSIM of test against ref, both for peak ``peak``."""
     if len(ref_bands) != len(test_bands):
         raise DimensionError(
             f"band count mismatch: {len(ref_bands)} reference vs {len(test_bands)} test"
@@ -105,7 +105,7 @@ def band_records(ref_bands, test_bands, peak: int = 255) -> list[MetricsRecord]:
     records = []
     for ref, test in zip(ref_bands, test_bands):
         err = mse(ref, test)
-        records.append(MetricsRecord(mse=err, psnr_db=psnr_db(err, peak), ssim=ssim(ref, test)))
+        records.append(MetricsRecord(mse=err, psnr_db=psnr_db(err, peak), ssim=ssim(ref, test, peak)))
     return records
 
 

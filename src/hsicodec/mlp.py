@@ -71,16 +71,19 @@ def tansig(x, out=None):
 def layers(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the network on a 16 x M column batch: the hidden layer (10 x M) and output (16 x M).
 
-    Order is fixed: matrix product, bias add, elementwise transfer (in
-    place). The same order on both codec sides is what makes the closed
-    loop bit-exact.
+    Order is fixed: matrix product, bias add, elementwise transfer, each
+    layer in the product's own buffer. The same order on both codec sides
+    is what makes the closed loop bit-exact.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
         raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
-    hidden = params.w1 @ inputs + params.b1[:, None]
+    hidden = params.w1 @ inputs
+    hidden += params.b1[:, None]
     tansig(hidden, out=hidden)
-    return hidden, params.w2 @ hidden + params.b2[:, None]
+    out = params.w2 @ hidden
+    out += params.b2[:, None]
+    return hidden, out
 
 
 def forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Shared integer rounding rule.
+"""Shared integer rounding rule: round half away from zero.
 
-Encoder and decoder must produce bit-identical integers everywhere a real
-value is rounded, so the rule lives in one place: round half away from zero.
+Encoder and decoder must produce bit-identical integers wherever a real value
+is rounded; ``cube.denormalize_band`` rounds values >= 0 as floor(v + 0.5).
 """
 
 import numpy as np

@@ -55,8 +55,9 @@ def from_byte_planes(blob: bytes, dtype: str) -> np.ndarray:
     if len(blob) % width:
         raise CorruptStreamError(f"{len(blob)} plane bytes do not split into {width} planes")
     planes = np.frombuffer(blob, dtype=np.uint8).reshape(width, -1)
-    # one plane at a time: a transposed copy gathers byte by byte and is ~5x slower
-    out = np.empty((planes.shape[1], width), np.uint8)
-    for i, plane in enumerate(planes):
-        out[:, i] = plane
-    return out.view(dtype).ravel()
+    # shifted whole planes: a strided byte copy per plane is ~2x and a transposed copy ~5x slower
+    unsigned = f"<u{width}"
+    out = planes[0].astype(unsigned)
+    for i in range(1, width):
+        out |= planes[i].astype(unsigned) << (8 * i)
+    return out.view(dtype)

@@ -142,6 +142,21 @@ def test_ssim_band_smaller_than_window():
         ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
+def test_ssim_follows_the_peak():
+    # a low-contrast pair, where the stabilizing constants weigh in
+    rng = np.random.default_rng(4)
+    a = 100 + rng.integers(0, 4, (64, 64)).astype(np.float64)
+    b = a + rng.normal(0, 1, a.shape)
+    default = ssim(a, b)
+    assert ssim(a, b, peak=255) == default
+    assert ssim(256 * a, 256 * b, peak=255 * 256) == pytest.approx(default, abs=1e-12)
+    # with the 8-bit range the 16-bit pair reads as far less similar
+    assert default - ssim(256 * a, 256 * b) > 0.1
+    (scaled,) = band_records([256 * a], [256 * b], peak=255 * 256)
+    assert scaled.ssim == pytest.approx(default, abs=1e-12)
+    assert band_records([a], [b])[0].ssim == default
+
+
 def test_band_records_structure():
     ref = [mid_range_band(k, 32) for k in range(3)]
     test = [band + 1 for band in ref]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.errors import DimensionError
-from hsicodec.mlp import MlpParams, N_PARAMS, forward, mse, tansig
+from hsicodec.mlp import MlpParams, N_PARAMS, forward, layers, mse, tansig
 
 
 def zero_params():
@@ -95,6 +95,21 @@ def test_forward_linear_in_output_layer():
     x = np.random.default_rng(7).uniform(0, 1, (16, 8))
     doubled = MlpParams(w1=params.w1, b1=params.b1, w2=2 * params.w2, b2=2 * params.b2)
     assert np.array_equal(forward(doubled, x), 2 * forward(params, x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4096), st.booleans())
+def test_layers_match_out_of_place_formula_bitwise(seed, m, fortran):
+    # LM's training MSE and the codec's predictions both come from these bits
+    rng = np.random.default_rng(seed)
+    params = random_params(seed)
+    x = rng.uniform(-0.5, 1.5, (16, m))
+    x = np.asfortranarray(x) if fortran else x
+    hidden = np.tanh(params.w1 @ x + params.b1[:, None])
+    out = params.w2 @ hidden + params.b2[:, None]
+    got_hidden, got_out = layers(params, x)
+    assert got_hidden.tobytes() == hidden.tobytes()
+    assert got_out.tobytes() == out.tobytes()
 
 
 def test_forward_dimension_error():
