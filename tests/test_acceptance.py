@@ -28,20 +28,11 @@ from hsicodec.metrics import correlation_coefficient, psnr, ssim
 from hsicodec.mlp import MlpParams, N_PARAMS, forward
 
 from jacobian_oracle import compute_jacobian
+from make_synthetic_cube import smooth_field
 
 
 def report(name):
     print(f"\nACCEPTANCE PASS: {name}")
-
-
-def smooth_field(rng, size=256, n_bumps=12, scale=60.0):
-    f = np.zeros((size, size))
-    i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    for _ in range(n_bumps):
-        ci, cj = rng.uniform(0, size, 2)
-        s = rng.uniform(scale * 0.5, scale * 1.5)
-        f += rng.uniform(-1, 1) * np.exp(-((i - ci) ** 2 + (j - cj) ** 2) / (2 * s * s))
-    return f
 
 
 def smooth_band(seed=0):
@@ -203,7 +194,7 @@ def test_criterion_low_rate_quality():
     """16 smoothly related bands: mean PSNR >= 30 dB at <= 0.1 bpppb, params only."""
     start = time.monotonic()
     rng = np.random.default_rng(42)
-    mask = smooth_field(rng) > 0
+    mask = smooth_field(rng, 256) > 0
     first = np.where(mask, 101, 100).astype(np.int64)
     second = np.round(64.0 + 128.0 / (1.0 + np.exp(-8.0 * (first - 100.5)))).astype(np.int64)
     bands = [first, second]
@@ -211,7 +202,7 @@ def test_criterion_low_rate_quality():
         beta = rng.uniform(-0.4, 0.4)
         u = bands[-1] / 255.0
         mapped = u + beta * u * (1.0 - u)
-        rho = smooth_field(rng, scale=40.0)
+        rho = smooth_field(rng, 256, scale=40.0)
         rho = 3.0 * rho / max(np.abs(rho).max(), 1e-9)
         bands.append(np.clip(np.round(255.0 * mapped + rho), 0, 255).astype(np.int64))
 
