@@ -38,7 +38,7 @@ from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, Workspace, train
 from .mlp import forward
 from .quantize import RECORD, dequantize_params, quantize_params
-from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
+from .wire import from_byte_planes, read_varint, to_byte_planes, varint_size, write_varint
 
 MAGIC = b"BIPN"
 VERSION = 3
@@ -93,18 +93,24 @@ def _check_grammar(header: BitstreamHeader, segments: list[tuple[int, bytes]]) -
         )
 
 
+def _pack_header(h: BitstreamHeader) -> bytearray:
+    """The stream's bytes before its first segment; a field past its width raises struct.error."""
+    comp = h.compensation
+    out = bytearray(MAGIC)
+    out.append(VERSION)
+    out += struct.pack("<HHHH", h.rows, h.cols, h.coded_bands, len(h.exclusions))
+    out += struct.pack(f"<{len(h.exclusions)}H", *h.exclusions)
+    out += struct.pack("<Bdh", int(comp.enabled), comp.lam, comp.q_step)
+    return out
+
+
 @dataclass
 class Bitstream:
     header: BitstreamHeader
     segments: list[tuple[int, bytes]]  # (tag, body)
 
     def to_bytes(self) -> bytes:
-        h, comp = self.header, self.header.compensation
-        out = bytearray(MAGIC)
-        out.append(VERSION)
-        out += struct.pack("<HHHH", h.rows, h.cols, h.coded_bands, len(h.exclusions))
-        out += struct.pack(f"<{len(h.exclusions)}H", *h.exclusions)
-        out += struct.pack("<Bdh", int(comp.enabled), comp.lam, comp.q_step)
+        out = _pack_header(self.header)
         for tag, body in self.segments:
             out.append(tag)
             write_varint(out, len(body))
@@ -162,7 +168,8 @@ class EncodeResult:
 
     bitstream: Bitstream
     band_indices: list[int]    # original cube indices of coded bands
-    resized_bands: np.ndarray  # int16 (coded, rows, cols): resized originals, the codec's reference
+    resized_bands: np.ndarray  # int16 (coded, rows, cols), read-only: resized originals, the codec's reference;
+                               # a view of the input cube where its coded bands need no resize or gather
     recon_bands: np.ndarray    # int16 (coded, rows, cols): encoder-side reconstructions
     train_reports: list[TrainReport]
     predict_mse: list[float]   # per predicted band: MSE of the params-only prediction, before offsets
@@ -225,20 +232,27 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     # leading all-zero bands join the exclusion list so the stream grammar
     # stays uniform and the decoder needs no special case
+    full_size = (cube.rows, cube.cols) == (BAND_SIZE, BAND_SIZE)
     coded: list[int] = []
-    bands: list[np.ndarray] = []
     for b in range(cube.bands):
         if b in exclusions:
             continue
-        rb = resize_band(cube.band(b))
-        if not coded and not rb.any():
+        if not coded and not (cube.band(b) if full_size else resize_band(cube.band(b))).any():
             exclusions.add(b)
             continue
         coded.append(b)
-        bands.append(rb)
     if not coded:
         raise NoContentError("cube has no nonzero non-excluded band")
-    resized = np.stack(bands)
+    # the codec's reference: a read-only view of full-size bands that sit in the
+    # cube as one C-ordered run, else the one array the coded bands are filled into
+    run = cube.data[coded[0] : coded[-1] + 1]
+    if full_size and len(run) == len(coded) and run.flags.c_contiguous:
+        resized = run
+    else:
+        resized = np.empty((len(coded), BAND_SIZE, BAND_SIZE), np.int16)
+        for k, b in enumerate(coded):
+            resized[k] = cube.band(b) if full_size else resize_band(cube.band(b))
+    resized.flags.writeable = False
 
     header = BitstreamHeader(
         rows=BAND_SIZE, cols=BAND_SIZE, coded_bands=len(coded), exclusions=tuple(sorted(exclusions)),
@@ -246,12 +260,14 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     )
     comp = header.compensation
     try:
-        Bitstream(header=header, segments=[]).to_bytes()
+        _pack_header(header)
     except struct.error as exc:
         raise DimensionError(f"cube does not fit the u16 header fields: {exc}") from exc
     segments = [(TAG_FIRST_BAND, segment_to_bytes(_pack_band(resized[0])))]
 
-    recon = resized.copy()
+    # the band step writes every later band, so only band 0 is copied
+    recon = np.empty(resized.shape, np.int16)
+    recon[0] = resized[0]
     reports: list[TrainReport] = []
     predict_mse: list[float] = []
     workspace = Workspace()  # training's band-sized buffers, shared by every band
@@ -299,6 +315,7 @@ def decode_cube(bs: Bitstream) -> HyperCube:
 
 
 def bitrate(bs: Bitstream) -> float:
-    """Bits per pixel per band over the full serialized stream."""
+    """Bits per pixel per band over the full serialized stream, sized without serializing it."""
     h = bs.header
-    return len(bs.to_bytes()) * 8 / (h.rows * h.cols * h.coded_bands)
+    size = len(_pack_header(h)) + sum(1 + varint_size(len(body)) + len(body) for _, body in bs.segments)
+    return size * 8 / (h.rows * h.cols * h.coded_bands)

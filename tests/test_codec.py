@@ -29,7 +29,7 @@ from hsicodec.codec import (
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual, offsets_to_bytes
 from hsicodec.blocks import band_to_blocks
-from hsicodec.cube import HyperCube, normalize_band
+from hsicodec.cube import HyperCube, normalize_band, resize_band
 from hsicodec.entropy import segment_from_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig, Workspace
@@ -295,6 +295,49 @@ def test_leading_zero_bands_become_exclusions():
     assert decoded.bands == 2
 
 
+def reference_cases():
+    """name -> (cube samples, exclusions, whether the reference can be a view of the cube)."""
+    data = smooth_cube(bands=4, size=256).data
+    zero_first = data.copy()
+    zero_first[0] = 0
+    return {
+        "full size": (data, (), True),
+        "leading all-zero band": (zero_first, (), True),
+        "trailing excluded band": (data, (3,), True),
+        "excluded middle band": (data, (1,), False),
+        "Fortran order": (np.asfortranarray(data), (), False),
+        "200x200": (smooth_cube(bands=3, size=200).data, (), False),
+    }
+
+
+@pytest.mark.parametrize("case", list(reference_cases()))
+def test_reference_is_the_resized_coded_bands(case):
+    data, exclusions, view = reference_cases()[case]
+    cube = HyperCube(data=data)
+    before = cube.data.copy()
+    cfg = dataclasses.replace(fast_cfg(lam=0.02, epochs=0), band_exclusions=exclusions)
+    result = encode_cube_full(cube, cfg)
+    resized, recon = result.resized_bands, result.recon_bands
+    assert np.array_equal(resized, np.stack([resize_band(cube.band(b)) for b in result.band_indices]))
+    assert resized.dtype == np.int16 and resized.flags.c_contiguous
+    assert not resized.flags.writeable
+    assert np.shares_memory(resized, cube.data) == view
+    # encoding neither writes the caller's cube nor takes its write access away
+    assert np.array_equal(cube.data, before) and cube.data.flags.writeable
+    assert recon.dtype == np.int16 and recon.flags.c_contiguous and recon.flags.writeable
+    assert not np.shares_memory(recon, cube.data)
+    assert np.array_equal(decode_cube(result.bitstream).data, recon)
+
+
+def test_memory_order_leaves_the_stream_alone():
+    # the same samples as a C-ordered cube (the view path) and a Fortran-ordered one (the copy path)
+    data = smooth_cube(bands=3, size=256).data
+    c_order = encode_cube_full(HyperCube(data=data), fast_cfg(lam=0.02, seed=7))
+    fortran = encode_cube_full(HyperCube(data=np.asfortranarray(data)), fast_cfg(lam=0.02, seed=7))
+    assert fortran.bitstream.to_bytes() == c_order.bitstream.to_bytes()
+    assert fortran.recon_bands.tobytes() == c_order.recon_bands.tobytes()
+
+
 def test_excluded_bands_absent_from_stream():
     cube = smooth_cube(bands=4)
     cfg = fast_cfg()
@@ -377,12 +420,15 @@ def test_header_declaring_more_bands_than_segments_rejected():
         decode_cube(Bitstream.from_bytes(Bitstream(header=header, segments=bs.segments).to_bytes()))
 
 
-def test_bitrate_arithmetic():
-    cube = smooth_cube(bands=2)
-    bs = encode_cube_full(cube, fast_cfg()).bitstream
-    blob = bs.to_bytes()
-    assert bitrate(bs) == pytest.approx(len(blob) * 8 / (256 * 256 * 2))
-    assert bitrate(bs) > 0
+@pytest.mark.parametrize("lam, enabled, per_band", [
+    (0.0, True, [TAG_PARAMS, TAG_RESIDUAL]), (0.2, True, [TAG_PARAMS, TAG_OFFSETS]), (0.0, False, [TAG_PARAMS]),
+], ids=["dense", "sparse", "compensation off"])
+def test_bitrate_arithmetic(lam, enabled, per_band):
+    # bitrate sizes the stream from its header and segments; it must be the serialized length
+    cfg = dataclasses.replace(fast_cfg(lam=lam, enabled=enabled), band_exclusions=(1,))
+    bs = encode_cube_full(smooth_cube(bands=4), cfg).bitstream
+    assert [t for t, _ in bs.segments] == [TAG_FIRST_BAND] + per_band * 2
+    assert bitrate(bs) == len(bs.to_bytes()) * 8 / (256 * 256 * 3)
 
 
 def test_params_only_band_payload_under_budget():

@@ -3,6 +3,7 @@
 The length and memory tests run in a fresh interpreter under a 1 GiB
 address-space limit, so a decoder that trusts a declared length fails the
 test with a MemoryError instead of allocating what the stream asks for.
+The encoder's memory is bounded here the same way.
 """
 
 import functools
@@ -33,7 +34,7 @@ from hsicodec.codec import (
     encode_cube_full,
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual
-from hsicodec.cube import HyperCube
+from hsicodec.cube import HyperCube, store_cube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
 from hsicodec.lm import TrainConfig
@@ -159,6 +160,46 @@ def test_decode_memory_is_the_output_plus_one_band(tmp_path, decode):
     peak = int(printed[-1])
     output = 200 * 256 * 256 * 2
     assert peak <= output + (8 << 20), f"decode peaked at {peak >> 20} MiB for a {output >> 20} MiB cube"
+
+
+@pytest.fixture(scope="module")
+def cube_of_100_bands(tmp_path_factory):
+    from make_synthetic_cube import make_cube
+
+    path = tmp_path_factory.mktemp("encode") / "cube.raw"
+    store_cube(make_cube(100, 256, 7), path)
+    return path
+
+
+@pytest.mark.parametrize("encode", [
+    "out.write_bytes(encode_cube_full(load_cube(cube), cfg).bitstream.to_bytes())",
+    "assert run(['encode', str(cube), str(out), '--max-epochs', '0', '--lambda', '0.05']) == 0",
+], ids=["library", "cli"])
+def test_encode_memory_is_input_recon_and_stream(cube_of_100_bands, encode):
+    # a 12.5 MiB cube of full-size bands: the encoder may hold the input, one
+    # int16 reconstruction, the stream, LM's Workspace (8.75 MiB at M = 4,096)
+    # and one band's working arrays, not a further copy of every band
+    out = cube_of_100_bands.with_name("cube.bip")
+    call = "; ".join([
+        "import tracemalloc",
+        "from pathlib import Path",
+        "from hsicodec.cli import run",
+        "from hsicodec.codec import EncoderConfig, encode_cube_full",
+        "from hsicodec.compensate import CompensationConfig",
+        "from hsicodec.cube import load_cube",
+        "from hsicodec.lm import TrainConfig",
+        f"cube, out = Path({str(cube_of_100_bands)!r}), Path({str(out)!r})",
+        "cfg = EncoderConfig(train=TrainConfig(max_epochs=0), compensation=CompensationConfig(lam=0.05))",
+        "tracemalloc.start()",
+        encode,
+        "print(tracemalloc.get_traced_memory()[1])",
+    ])
+    *printed, outcome = outcome_under_rlimit(call).split()
+    assert outcome == "ok"
+    peak = int(printed[-1])
+    samples = 100 * 256 * 256 * 2
+    bound = 2 * samples + out.stat().st_size + (16 << 20)
+    assert peak <= bound, f"encode peaked at {peak >> 20} MiB, over {bound >> 20} MiB"
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.errors import CorruptStreamError
-from hsicodec.wire import from_byte_planes, to_byte_planes
+from hsicodec.wire import from_byte_planes, to_byte_planes, varint_size, write_varint
 
 DTYPES = ["<u1", "<i2", "<u4", "<i8"]
 
@@ -51,3 +51,10 @@ def test_plane_bytes_not_a_multiple_of_the_width(dtype):
         if length % width:
             with pytest.raises(CorruptStreamError):
                 from_byte_planes(bytes(length), dtype)
+
+
+@pytest.mark.parametrize("value", [0, 1, 127, 128, 16383, 16384, 2**63 - 1, 2**63])
+def test_varint_size_is_the_written_length(value):
+    out = bytearray()
+    write_varint(out, value)
+    assert varint_size(value) == len(out)
