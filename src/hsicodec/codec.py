@@ -110,12 +110,13 @@ class Bitstream:
     segments: list[tuple[int, bytes]]  # (tag, body)
 
     def to_bytes(self) -> bytes:
-        out = _pack_header(self.header)
+        """The serialized stream, joined into its one copy."""
+        parts = [_pack_header(self.header)]
         for tag, body in self.segments:
-            out.append(tag)
-            write_varint(out, len(body))
-            out += body
-        return bytes(out)
+            head = bytearray([tag])
+            write_varint(head, len(body))
+            parts += (head, body)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Bitstream":
@@ -220,7 +221,7 @@ def _finish_band(pred: np.ndarray, offsets: tuple[int, bytes] | None, out: np.nd
     """Add the (tag, payload) offsets (None: compensation off) to ``pred`` in place; clip into ``out``."""
     if offsets is not None:
         tag, payload = offsets
-        (apply_residual if tag == TAG_RESIDUAL else apply_offsets)(pred, payload, out=pred)
+        (apply_residual if tag == TAG_RESIDUAL else apply_offsets)(pred, payload)
     np.clip(pred, INT16.min, INT16.max, out=out)
 
 

@@ -15,7 +15,7 @@ every pixel's zigzag offset (0 where it has none) as ``<u2`` byte planes,
 exactly 2 bytes per pixel. ``compensation_payload`` picks the plane when
 more than a quarter of the pixels carry an offset (it is then the smaller
 one raw) and each zigzag offset is below 2**16. ``apply_offsets`` and
-``apply_residual`` parse the two layouts and correct the prediction.
+``apply_residual`` parse the two layouts and correct the prediction in place.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ def compensation_payload(
     return False, _sparse_payload(zigzag)
 
 
-def apply_offsets(recon: np.ndarray, blob: bytes, out=None) -> np.ndarray:
-    """Add the offsets payload ``blob`` to ``recon``, into a new int64 array or the C-contiguous
-    int64 ``out`` (which may be recon); other pixels unchanged.
+def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
+    """Add the offsets payload ``blob`` into the C-contiguous int64 band ``recon`` and return it;
+    other pixels unchanged.
 
     A payload that does not describe strictly increasing in-band indices
     with nonzero offsets raises CorruptStreamError.
@@ -97,23 +97,19 @@ def apply_offsets(recon: np.ndarray, blob: bytes, out=None) -> np.ndarray:
     if not (deltas[1:].all() and zigzag.all()):
         raise CorruptStreamError("offset payload repeats an index or holds a zero offset")
     idx = np.cumsum(deltas, dtype=np.int64)
-    recon = np.asarray(recon)
     if idx.size and idx[-1] >= recon.size:
         raise CorruptStreamError(f"offset index {int(idx[-1])} outside band of {recon.size} pixels")
-    out = np.empty(recon.shape, np.int64) if out is None else out
-    np.copyto(out, recon)  # nothing to copy when out is recon
     # zigzag decoded in uint32 wraps to the int32 offset's two's complement
-    out.reshape(-1)[idx] += ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int32)
-    return out
+    recon.reshape(-1)[idx] += ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int32)
+    return recon
 
 
-def apply_residual(recon: np.ndarray, blob: bytes, out=None) -> np.ndarray:
-    """Add the residual plane ``blob`` to ``recon``, into a new int64 array or the int64 ``out``:
-    every payload of 2 bytes per pixel is valid, and any other length raises CorruptStreamError."""
-    recon = np.asarray(recon)
+def apply_residual(recon: np.ndarray, blob: bytes) -> np.ndarray:
+    """Add the residual plane ``blob`` into the int64 band ``recon`` and return it: every
+    payload of 2 bytes per pixel is valid, and any other length raises CorruptStreamError."""
     if len(blob) != 2 * recon.size:
         raise CorruptStreamError(f"residual payload of {len(blob)} bytes for {recon.size} pixels")
     zigzag = from_byte_planes(blob, "<u2")
     # zigzag decoded in uint16 wraps to the int16 offset's two's complement
     offs = ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int16).reshape(recon.shape)
-    return np.add(recon, offs, out=out, dtype=np.int64)
+    return np.add(recon, offs, out=recon, dtype=np.int64)

@@ -139,21 +139,19 @@ def store_cube(cube: HyperCube, path) -> None:
         raise WriteError(f"cannot write cube to {raw}: {exc}") from exc
 
 
-def resize_band(band: np.ndarray, size: int = BAND_SIZE) -> np.ndarray:
-    """Nearest-neighbor resize to size x size.
+def resize_band(band: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor resize to BAND_SIZE x BAND_SIZE, as a new array.
 
-    Source coordinate for output pixel i is floor((i + 0.5) * rows / size),
+    Source coordinate for output pixel i is floor((i + 0.5) * rows / BAND_SIZE),
     computed in exact integer arithmetic.
     """
     band = np.asarray(band)
     if band.ndim != 2 or min(band.shape) < 1:
         raise DimensionError(f"band must be a non-empty 2-D matrix, got {band.shape}")
     rows, cols = band.shape
-    if rows == cols == size:
-        return band.copy()  # the gather below is the identity
-    out = np.arange(size)
-    src_i = ((2 * out + 1) * rows) // (2 * size)
-    src_j = ((2 * out + 1) * cols) // (2 * size)
+    out = np.arange(BAND_SIZE)
+    src_i = ((2 * out + 1) * rows) // (2 * BAND_SIZE)
+    src_j = ((2 * out + 1) * cols) // (2 * BAND_SIZE)
     return band[np.ix_(src_i, src_j)]
 
 
@@ -173,19 +171,17 @@ def normalize_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
     return values, lo, hi
 
 
-def denormalize_band(values: np.ndarray, src_min: int, src_max: int, out=None) -> np.ndarray:
-    """Invert normalize_band: clip to [0, 1], scale back, round, add src_min.
+def denormalize_band(values: np.ndarray, src_min: int, src_max: int, out: np.ndarray) -> np.ndarray:
+    """Invert normalize_band into ``out``: clip to [0, 1], scale back, round, add src_min.
 
     The clip keeps every result in [src_min, src_max], as v * d <= d for
     v <= 1, and keeps a huge value (a hostile band payload can predict
     1e39) from overflowing the integer cast; after it, round_half_away(v)
     is bitwise floor(v + 0.5), which the cast takes by truncating v + 0.5 > 0.
-    The integers go to a new int64 array or to ``out``, any int64 array of
-    values' size (filled in values' order, as in a band's
-    ``blocks.block_view``), and then values is overwritten.
+    ``values`` is overwritten, and the integers fill ``out``, any int64 array
+    of values' size, in values' order (as in a band's ``blocks.block_view``).
     """
-    scaled = np.clip(values, 0.0, 1.0, out=None if out is None else values)
-    scaled *= float(src_max - src_min)
-    scaled += 0.5
-    out = np.empty(scaled.shape, np.int64) if out is None else out
-    return np.add(scaled.reshape(out.shape), src_min, out=out, dtype=np.int64, casting="unsafe")
+    np.clip(values, 0.0, 1.0, out=values)
+    values *= float(src_max - src_min)
+    values += 0.5
+    return np.add(values.reshape(out.shape), src_min, out=out, dtype=np.int64, casting="unsafe")

@@ -246,10 +246,10 @@ def _split_columns(m: int, rng: np.random.Generator):
     return perm[:n_train], perm[n_train : n_train + n_val]
 
 
-def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, TrainReport]:
+def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[MlpParams, TrainReport]:
     """Fit the network to map inputs to target, both 16 x M in [0, 1].
 
-    The band-sized buffers live in ``workspace`` (a new one if None); no result is a view of them.
+    The band-sized buffers live in ``workspace``; no result is a view of them.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -270,7 +270,7 @@ def train(inputs, target, cfg: TrainConfig, workspace=None) -> tuple[MlpParams, 
         err = np.subtract(out, t_tr, out=out)
         return hidden, err, float(np.mean(err * err))
 
-    workspace = (workspace or Workspace()).load(x_tr)
+    workspace.load(x_tr)
     start = time.monotonic()
     mu = MU_INIT
     hidden, err, train_mse = evaluate(params)

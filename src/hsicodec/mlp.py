@@ -63,11 +63,6 @@ class MlpParams:
         return cls(*(vec[start:end].reshape(shape) for (start, end), shape in zip(GROUPS, SHAPES)))
 
 
-def tansig(x, out=None):
-    """Hidden-layer transfer function: 2/(1+exp(-2x)) - 1 == tanh(x)."""
-    return np.tanh(x, out=out)
-
-
 def layers(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the network on a 16 x M column batch: the hidden layer (10 x M) and output (16 x M).
 
@@ -80,7 +75,7 @@ def layers(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
     hidden = params.w1 @ inputs
     hidden += params.b1[:, None]
-    tansig(hidden, out=hidden)
+    np.tanh(hidden, out=hidden)
     out = params.w2 @ hidden
     out += params.b2[:, None]
     return hidden, out

@@ -7,20 +7,20 @@ Training never builds it; the tests check ``lm.normal_equations`` and
 import numpy as np
 
 from hsicodec.errors import DimensionError
-from hsicodec.mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams, tansig
+from hsicodec.mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, MlpParams
 
 
 def compute_jacobian(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the network outputs w.r.t. all 346 parameters.
 
     Row 16*c + r holds d output(r, c) / d theta, with theta flattened as
-    w1 row-major, b1, w2 row-major, b2. Uses tansig'(z) = 1 - tansig(z)^2.
+    w1 row-major, b1, w2 row-major, b2. Uses tanh'(z) = 1 - tanh(z)^2.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
         raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
     m = inputs.shape[1]
-    hidden = tansig(params.w1 @ inputs + params.b1[:, None])   # 10 x M
+    hidden = np.tanh(params.w1 @ inputs + params.b1[:, None])  # 10 x M
     dh = 1.0 - hidden * hidden                                 # 10 x M
 
     # d y_r / d w1[u, v] = w2[r, u] * dh[u, c] * x[v, c]

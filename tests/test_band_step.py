@@ -31,7 +31,8 @@ def reference_denormalize(values, src_min, src_max):
 
 
 def reference_step(pred, record, offsets, shape):
-    """clip(apply(blocks_to_band(denormalize_band(pred)))), every step out of place."""
+    """clip(apply(blocks_to_band(denormalize_band(pred)))), each step in a new array but apply,
+    which adds into the band blocks_to_band built."""
     _, src_min, src_max = dequantize_params(record)
     band = blocks_to_band(reference_denormalize(pred, src_min, src_max), shape)
     if offsets is not None:
@@ -146,7 +147,7 @@ def test_non_square_band_step_matches_reference():
             denormalize_band(prediction, src_min, src_max, out=block_view(pred))
             if offsets is not None:
                 tag, payload = offsets
-                APPLY[tag](pred, payload, out=pred)
+                APPLY[tag](pred, payload)
             got = np.empty(band.shape, np.int16)
             np.clip(pred, INT16.min, INT16.max, out=got)
             assert got.tobytes() == expected.tobytes()

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -429,6 +430,24 @@ def test_bitrate_arithmetic(lam, enabled, per_band):
     bs = encode_cube_full(smooth_cube(bands=4), cfg).bitstream
     assert [t for t, _ in bs.segments] == [TAG_FIRST_BAND] + per_band * 2
     assert bitrate(bs) == len(bs.to_bytes()) * 8 / (256 * 256 * 3)
+
+
+def test_serializing_holds_one_copy_of_the_stream():
+    # imported here: other tests import this module in interpreters without scripts/ on the path
+    from make_synthetic_cube import make_cube
+
+    # 40 textured bands at lambda 0 and no training: a 2.1 MiB stream, nearly all residual planes
+    cfg = EncoderConfig(train=TrainConfig(max_epochs=0), compensation=CompensationConfig(lam=0.0))
+    bs = encode_cube_full(make_cube(40, 256, 7, 12.0), cfg).bitstream
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        size = len(bs.to_bytes())
+        rise = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 2**21
+    assert rise <= size + 2**20, (rise, size)
 
 
 def test_params_only_band_payload_under_budget():

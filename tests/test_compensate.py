@@ -34,7 +34,7 @@ def test_lossless_limit_is_exact_residual():
     recon = rng.integers(0, 256, (8, 8))
     cfg = CompensationConfig(lam=0.0, q_step=1)
     blob = offsets_to_bytes(target, recon, cfg)
-    fixed = apply_offsets(recon, blob)
+    fixed = apply_offsets(recon.copy(), blob)
     assert np.array_equal(fixed, target)
     # one entry per pixel whose residual is nonzero
     assert len(blob) // 8 == np.count_nonzero(target - recon)
@@ -124,7 +124,7 @@ def test_offsets_payload_matches_reference(seed, lam, q_step, spread):
 
 def test_apply_empty_map_is_identity():
     band = np.arange(16).reshape(4, 4)
-    assert np.array_equal(apply_offsets(band, b""), band)
+    assert np.array_equal(apply_offsets(band.copy(), b""), band)
 
 
 def test_apply_single_entry():
@@ -190,7 +190,7 @@ def test_near_lossless_guarantee(seed, lam, q_step):
     target = rng.integers(-500, 2000, (8, 8))
     recon = target + rng.integers(-300, 300, (8, 8))
     cfg = CompensationConfig(lam=lam, q_step=q_step)
-    fixed = apply_offsets(recon, offsets_to_bytes(target, recon, cfg))
+    fixed = apply_offsets(recon.copy(), offsets_to_bytes(target, recon, cfg))
     t, r, c = target.ravel(), recon.ravel(), fixed.ravel()
     flagged = np.abs(t - r) / np.maximum(np.abs(t), 1) > lam
     # a pixel over lam ends within q_step/2 of its target; every other pixel is untouched
@@ -270,7 +270,7 @@ def test_apply_offsets_matches_int64_reference(case):
         with pytest.raises(CorruptStreamError):
             apply_offsets(recon, blob)
         return
-    got = apply_offsets(recon, blob)
+    got = apply_offsets(recon.copy(), blob)
     assert got.dtype == expected.dtype == np.int64
     assert got.shape == recon.shape
     assert np.array_equal(got, expected)
@@ -282,7 +282,7 @@ def test_residual_payload_golden_digest():
     assert dense
     assert len(blob) == 2 * GOLDEN_TARGET.size
     assert hashlib.sha256(blob).hexdigest() == "d4da30f6f64a2485e4ff65cb4e1fd095018868607b29e2461b3d843f1f7adf46"
-    assert np.array_equal(apply_residual(GOLDEN_RECON, blob), GOLDEN_TARGET)
+    assert np.array_equal(apply_residual(GOLDEN_RECON.copy(), blob), GOLDEN_TARGET)
 
 
 @settings(max_examples=300, deadline=None)
@@ -309,7 +309,7 @@ def test_compensation_payload_layouts(rows, cols, seed, spread, exact, lam, q_st
     # the rule: dense exactly when over a quarter of the pixels carry an offset, each below 2**16 zigzagged
     assert dense == (4 * zigzag.size > target.size and zigzag.max(initial=0) < 2**16)
     assert len(blob) == 2 * target.size if dense else blob == sparse
-    got = (apply_residual if dense else apply_offsets)(recon, blob)
+    got = (apply_residual if dense else apply_offsets)(recon.copy(), blob)
     assert np.array_equal(got, reference_apply_offsets(recon, sparse))
 
 
@@ -328,6 +328,21 @@ def test_layout_rule_boundaries(offsets, dense):
     got_dense, blob = compensation_payload(target, recon, CompensationConfig())
     assert got_dense == dense
     assert np.array_equal((apply_residual if dense else apply_offsets)(recon, blob), target)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_apply_adds_into_the_band_it_is_given(dense):
+    # the band step corrects its prediction in the buffer it holds: no new array comes back
+    rng = np.random.default_rng(6)
+    recon = rng.integers(-1000, 1000, (16, 16))
+    target = recon + (rng.integers(-50, 51, recon.shape) if dense else 0)
+    target[3, 4] += 7
+    got_dense, blob = compensation_payload(target, recon, CompensationConfig())
+    assert got_dense == dense
+    band = recon.copy()
+    got = (apply_residual if dense else apply_offsets)(band, blob)
+    assert got is band
+    assert np.array_equal(band, target)
 
 
 def test_every_residual_payload_of_the_band_size_is_valid():

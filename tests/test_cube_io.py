@@ -124,15 +124,15 @@ def test_normalize_constant_band():
 
 
 def test_denormalize_endpoints():
-    lo = denormalize_band(np.zeros((2, 2)), 10, 99)
-    hi = denormalize_band(np.ones((2, 2)), 10, 200)
+    lo = denormalize_band(np.zeros((2, 2)), 10, 99, np.empty((2, 2), np.int64))
+    hi = denormalize_band(np.ones((2, 2)), 10, 200, np.empty((2, 2), np.int64))
     assert np.all(lo == 10)
     assert np.all(hi == 200)
 
 
 def test_denormalize_rounds_half_away_from_zero():
     # 0.5 * 255 = 127.5 -> 128
-    assert denormalize_band(np.full((1, 1), 0.5), 0, 255)[0, 0] == 128
+    assert denormalize_band(np.full((1, 1), 0.5), 0, 255, np.empty((1, 1), np.int64))[0, 0] == 128
 
 
 @settings(max_examples=50)
@@ -151,7 +151,7 @@ def test_normalize_matches_out_of_place_formula(seed, dtype):
 def test_normalize_round_trip_8bit(lo, hi):
     rng = np.random.default_rng(abs(hash((lo, hi))) % 2**32)
     band = rng.integers(min(lo, hi), max(lo, hi) + 1, (8, 8))
-    assert np.array_equal(denormalize_band(*normalize_band(band)), band)
+    assert np.array_equal(denormalize_band(*normalize_band(band), np.empty(band.shape, np.int64)), band)
 
 
 @settings(max_examples=50)
@@ -163,4 +163,4 @@ def test_normalize_output_in_unit_interval(base, spread):
     values, src_min, src_max = normalize_band(band)
     assert values.min() >= 0.0
     assert values.max() <= 1.0
-    assert np.array_equal(denormalize_band(values, src_min, src_max), band)
+    assert np.array_equal(denormalize_band(values, src_min, src_max, np.empty(band.shape, np.int64)), band)

@@ -185,7 +185,7 @@ def test_train_never_builds_the_jacobian():
     cfg = TrainConfig(max_epochs=3, mse_goal=1e-12, seed=7)
     tracemalloc.start()
     try:
-        _, report = train(x, target, cfg)
+        _, report = train(x, target, cfg, Workspace())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,7 +209,7 @@ def test_train_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(lm, "layers", counted("layers", lm.layers))
     monkeypatch.setattr(lm, "solve_step", counted("solve_step", lm.solve_step))
-    _, report = train(x, 0.6 * x + 0.1, TrainConfig(max_epochs=6, mse_goal=1e-12, seed=8))
+    _, report = train(x, 0.6 * x + 0.1, TrainConfig(max_epochs=6, mse_goal=1e-12, seed=8), Workspace())
     assert report.epochs_run == 6
     assert counts["solve_step"] >= report.epochs_run
     assert counts["layers"] == counts["solve_step"] + 1
@@ -302,7 +302,7 @@ def test_solve_step_rejects_indefinite_or_nonfinite_system():
 def test_train_identity_map_reaches_goal():
     x = band_blocks(seed=1)
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=100, seed=1)
-    params, report = train(x, x, cfg)
+    params, report = train(x, x, cfg, Workspace())
     assert report.stop_reason == "goal"
     assert report.final_mse <= 1e-4
 
@@ -311,7 +311,7 @@ def test_train_affine_map_reaches_goal_quickly():
     x = band_blocks(seed=2)
     target = 0.3 * x + 0.1
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, seed=2)
-    params, report = train(x, target, cfg)
+    params, report = train(x, target, cfg, Workspace())
     assert report.stop_reason == "goal"
     assert report.final_mse <= 1e-4
     assert report.epochs_run <= 200
@@ -320,7 +320,7 @@ def test_train_affine_map_reaches_goal_quickly():
 def test_train_zero_epochs_returns_initial_params():
     x = band_blocks(seed=3)[:, :64]
     cfg = TrainConfig(max_epochs=0, seed=3)
-    params, report = train(x, 0.5 * x, cfg)
+    params, report = train(x, 0.5 * x, cfg, Workspace())
     assert report.stop_reason == "epochs"
     assert report.epochs_run == 0
     assert np.array_equal(params.to_vector(), init_params(cfg).to_vector())
@@ -330,8 +330,8 @@ def test_train_deterministic():
     x = band_blocks(seed=4)[:, :512]
     target = 0.4 * x + 0.2
     cfg = TrainConfig(max_epochs=5, seed=9)
-    p1, r1 = train(x, target, cfg)
-    p2, r2 = train(x, target, cfg)
+    p1, r1 = train(x, target, cfg, Workspace())
+    p2, r2 = train(x, target, cfg, Workspace())
     assert np.array_equal(p1.to_vector(), p2.to_vector())
     assert r1.train_mse_history == r2.train_mse_history
 
@@ -347,7 +347,7 @@ def test_train_through_one_workspace_matches_fresh_training():
         (x_a, 0.4 * x_a + 0.2), (x_b, 0.8 * x_b), (x_c, 0.5 * x_c + 0.3), (x_a, 0.4 * x_a + 0.2)
     ]:
         params, report = train(x, target, cfg, workspace)
-        fresh_params, fresh_report = train(x, target, cfg)
+        fresh_params, fresh_report = train(x, target, cfg, Workspace())
         assert np.array_equal(params.to_vector(), fresh_params.to_vector())
         assert report == fresh_report
 
@@ -372,7 +372,7 @@ def test_train_accepted_mse_strictly_decreasing():
     x = band_blocks(seed=5)[:, :1024]
     target = 0.7 * x + 0.05
     cfg = TrainConfig(max_epochs=15, mse_goal=1e-12, seed=5)
-    _, report = train(x, target, cfg)
+    _, report = train(x, target, cfg, Workspace())
     hist = report.train_mse_history
     assert len(hist) >= 2
     assert all(b < a for a, b in zip(hist, hist[1:]))
@@ -381,7 +381,7 @@ def test_train_accepted_mse_strictly_decreasing():
 def test_train_time_limit():
     x = band_blocks(seed=6)
     cfg = TrainConfig(max_epochs=1000, max_seconds=0.0, mse_goal=1e-15, seed=6)
-    _, report = train(x, 0.9 * x, cfg)
+    _, report = train(x, 0.9 * x, cfg, Workspace())
     assert report.stop_reason == "time"
     assert report.epochs_run == 0
 
@@ -392,7 +392,7 @@ def test_train_mu_overflow_on_exact_fit():
     cfg = TrainConfig(mse_goal=1e-30, max_epochs=10, seed=3)
     x = np.random.default_rng(0).uniform(0, 1, (16, 64))
     target = forward(init_params(cfg), x)
-    params, report = train(x, target, cfg)
+    params, report = train(x, target, cfg, Workspace())
     assert report.stop_reason == "mu_overflow"
     assert report.epochs_run == 0
     assert np.array_equal(params.to_vector(), init_params(cfg).to_vector())
@@ -403,7 +403,7 @@ def test_train_patience_stop_returns_best_validation():
     x = rng.uniform(0, 1, (16, 40))
     target = rng.uniform(0, 1, (16, 40))  # noise: overfits the tiny split
     cfg = TrainConfig(mse_goal=1e-30, max_epochs=60, seed=1)
-    params, report = train(x, target, cfg)
+    params, report = train(x, target, cfg, Workspace())
     assert report.stop_reason == "patience"
     assert len(report.validation_mse_history) == report.epochs_run
     # returned parameters are the ones from the best-validation epoch

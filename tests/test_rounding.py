@@ -59,7 +59,7 @@ INT32 = st.integers(-(2**31), 2**31 - 1)
 def test_denormalize_stays_in_range(values, a, b):
     src_min, src_max = min(a, b), max(a, b)
     x = np.array(values)
-    ints = denormalize_band(x, src_min, src_max)
+    ints = denormalize_band(x.copy(), src_min, src_max, np.empty(x.shape, np.int64))
     assert ints.dtype == np.int64
     assert ints.min() >= src_min and ints.max() <= src_max
     assert np.array_equal(ints, reference_denormalize(x, src_min, src_max))
@@ -68,7 +68,7 @@ def test_denormalize_stays_in_range(values, a, b):
 @pytest.mark.parametrize("values", [[-1e39, 0.0, 0.5, 1.0, 1e39], [0.9999999999999999, 1e-300, -0.0]])
 def test_denormalize_int32_extreme_range(values):
     lo, hi = -(2**31), 2**31 - 1
-    ints = denormalize_band(np.array(values), lo, hi)
+    ints = denormalize_band(np.array(values), lo, hi, np.empty(len(values), np.int64))
     assert ints.min() >= lo and ints.max() <= hi
     assert np.array_equal(ints, reference_denormalize(np.array(values), lo, hi))
-    assert denormalize_band(np.array([0.0, 1.0]), lo, hi).tolist() == [lo, hi]
+    assert denormalize_band(np.array([0.0, 1.0]), lo, hi, np.empty(2, np.int64)).tolist() == [lo, hi]

@@ -111,6 +111,18 @@ def test_make_synthetic_cube(tmp_path):
     assert "adjacent-band CC" in made.stdout
 
 
+def test_importing_the_generator_leaves_metrics_unloaded():
+    # the bench imports make_cube inside its timed setup; only the script's CLI needs the metrics
+    code = (
+        f"import sys; sys.path.insert(0, {str(SCRIPTS)!r}); import make_synthetic_cube; "
+        "print('hsicodec' in sys.modules, 'hsicodec.metrics' in sys.modules)"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
+
+
 def test_one_band_cube_prints_no_cc_summary(tmp_path):
     cube = tmp_path / "cube.raw"
     made = run_script("make_synthetic_cube.py", cube, "--bands", "1", "--size", "16")
