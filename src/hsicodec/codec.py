@@ -16,9 +16,10 @@ compensation on either 0x04 sparse offsets or 0x05 the residual plane of
 2 bytes per pixel, as ``compensate.compensation_payload`` picks per band),
 each varint-length-prefixed and coded by ``entropy``. ``quantize`` owns
 the params record; ``_fit_band`` is the one place the encoder fits a band.
-``Bitstream.from_bytes`` rejects a header with another band geometry, no
-coded band or invalid compensation settings, and segments that break the
-grammar; ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
+``Bitstream.from_bytes`` rejects invalid compensation settings; it and
+``decode_cube`` both run ``_check_grammar``, which rejects a header with
+another band geometry or no coded band, and segments that break the
+grammar. ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
 ``entropy.segment_from_bytes``, which rejects a segment declaring more
 before inflating.
 """
@@ -81,7 +82,12 @@ class BitstreamHeader:
 
 
 def _check_grammar(header: BitstreamHeader, segments: list[tuple[int, bytes]]) -> None:
-    """Raise CorruptStreamError unless the segment tags follow the bands ``header`` declares."""
+    """Raise CorruptStreamError unless ``header`` declares 256x256 bands, at least one coded,
+    and the segment tags follow the bands it declares."""
+    if (header.rows, header.cols) != (BAND_SIZE, BAND_SIZE):
+        raise CorruptStreamError(f"unsupported band geometry {header.rows}x{header.cols}")
+    if header.coded_bands < 1:
+        raise CorruptStreamError("stream declares no coded bands")
     comp = header.compensation
     # a band's second segment may be either layout, so residual tags check as offsets tags
     per_band = [TAG_PARAMS] + ([TAG_OFFSETS] if comp.enabled else [])
@@ -134,10 +140,6 @@ class Bitstream:
             offset += struct.calcsize("<Bdh")
         except struct.error as exc:
             raise CorruptStreamError("truncated header") from exc
-        if (rows, cols) != (BAND_SIZE, BAND_SIZE):
-            raise CorruptStreamError(f"unsupported band geometry {rows}x{cols}")
-        if coded < 1:
-            raise CorruptStreamError("stream declares no coded bands")
         if enabled > 1:
             raise CorruptStreamError(f"bad compensation header: enabled byte {enabled} is not 0 or 1")
         try:

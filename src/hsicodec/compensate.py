@@ -26,7 +26,6 @@ from numbers import Integral
 import numpy as np
 
 from .errors import CorruptStreamError, DimensionError
-from .rounding import round_half_away
 from .wire import from_byte_planes, to_byte_planes
 
 
@@ -48,9 +47,9 @@ def _zigzag_offsets(target: np.ndarray, recon: np.ndarray, cfg: CompensationConf
     if np.shape(target) != np.shape(recon):
         raise DimensionError(f"shape mismatch {np.shape(target)} vs {np.shape(recon)}")
     diff = np.subtract(target, recon, dtype=np.int64).ravel()
-    # dividing by 1 and rounding is exact below 2**53, and a larger offset fails the 32-bit check
+    # the nearest multiple of q, halves away from zero, in exact integers
     q = cfg.q_step
-    offs = diff if q == 1 else q * round_half_away(diff / q).astype(np.int64)
+    offs = diff if q == 1 else np.sign(diff) * ((np.abs(diff) + q // 2) // q * q)
     # at lam 0 every nonzero offset is flagged, as its pixel's error is nonzero too
     if cfg.lam > 0:
         t = np.abs(np.asarray(target, dtype=np.int64).ravel())
@@ -83,8 +82,8 @@ def compensation_payload(
 
 
 def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
-    """Add the offsets payload ``blob`` into the C-contiguous int64 band ``recon`` and return it;
-    other pixels unchanged.
+    """Add the offsets payload ``blob`` into the int64 band ``recon``, at its row-major indices,
+    and return it; other pixels unchanged.
 
     A payload that does not describe strictly increasing in-band indices
     with nonzero offsets raises CorruptStreamError.
@@ -99,8 +98,9 @@ def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:
     idx = np.cumsum(deltas, dtype=np.int64)
     if idx.size and idx[-1] >= recon.size:
         raise CorruptStreamError(f"offset index {int(idx[-1])} outside band of {recon.size} pixels")
-    # zigzag decoded in uint32 wraps to the int32 offset's two's complement
-    recon.reshape(-1)[idx] += ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int32)
+    # zigzag decoded in uint32 wraps to the int32 offset's two's complement; take and put
+    # index row-major in any memory order, in under half the time recon.flat takes
+    np.put(recon, idx, recon.take(idx) + ((zigzag >> 1) ^ -(zigzag & 1)).view(np.int32))
     return recon
 
 

@@ -176,8 +176,9 @@ def denormalize_band(values: np.ndarray, src_min: int, src_max: int, out: np.nda
 
     The clip keeps every result in [src_min, src_max], as v * d <= d for
     v <= 1, and keeps a huge value (a hostile band payload can predict
-    1e39) from overflowing the integer cast; after it, round_half_away(v)
-    is bitwise floor(v + 0.5), which the cast takes by truncating v + 0.5 > 0.
+    1e39) from overflowing the integer cast. It also leaves each scaled
+    value non-negative, so the codec's one rounding rule holds: add 0.5 and
+    truncate, which the integer cast does.
     ``values`` is overwritten, and the integers fill ``out``, any int64 array
     of values' size, in values' order (as in a band's ``blocks.block_view``).
     """

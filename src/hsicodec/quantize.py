@@ -3,7 +3,8 @@
 This is the lossy step that bounds the transmitted payload. ``RECORD`` is
 the 346 parameter bytes in ``MlpParams.to_vector`` order, one float32
 (min, max) pair per parameter group (``mlp.GROUPS``: w1, b1, w2, b2), then
-the band's ``<ii`` min and max. Each group maps onto [0, 255] by its pair.
+the band's ``<ii`` min and max. Each group maps onto [0, 255] by its pair,
+rounded by the codec's one rule: add 0.5 to a non-negative value and truncate.
 The extrema are reduced to 32-bit float precision *before* quantizing and
 the reduced values are what both codec sides use, so dequantization is
 identical at encoder and decoder. ``quantize_params`` writes a record and
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import CorruptStreamError
 from .mlp import GROUPS, N_PARAMS, MlpParams
-from .rounding import round_half_away
 
 RECORD = struct.Struct(f"<{N_PARAMS}s8fii")
 
@@ -36,7 +36,8 @@ def quantize_params(params: MlpParams, src_min: int, src_max: int) -> bytes:
         if hi <= lo:
             hi = lo  # a constant group: zero bytes
         else:
-            q[start:end] = np.clip(round_half_away(255.0 * (group - lo) / (hi - lo)), 0, 255)
+            # the uint8 store truncates; below 0, where float32 puts lo above the minimum, clips to 0
+            q[start:end] = np.clip(255.0 * (group - lo) / (hi - lo) + 0.5, 0, 255)
         ranges += [lo, hi]
     return RECORD.pack(q.tobytes(), *ranges, src_min, src_max)
 

@@ -2,13 +2,15 @@
 
 ``_decode_band`` and ``_finish_band`` clip, scale, round, cast, permute and
 correct a band in buffers they own. The reference runs the same seams out of
-place, with the earlier rounding formula (``round_half_away`` of the scaled
-values), so a change to the clip or to the rounding of the in-place step shows
-as a differing band.
+place, with the earlier rounding formula (sign(v) * floor(|v| + 0.5) of the
+scaled values), so a change to the clip or to the rounding of the in-place step
+shows as a differing band.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsicodec.blocks import block_view, blocks_to_band
 from hsicodec import codec
@@ -17,7 +19,6 @@ from hsicodec.compensate import apply_offsets, apply_residual
 from hsicodec.cube import BAND_SIZE, INT16, denormalize_band
 from hsicodec.mlp import MlpParams, forward
 from hsicodec.quantize import dequantize_params, quantize_params
-from hsicodec.rounding import round_half_away
 from hsicodec.wire import to_byte_planes
 from test_codec import block_order_bands
 
@@ -25,9 +26,14 @@ INT32 = np.iinfo(np.int32)
 APPLY = {TAG_OFFSETS: apply_offsets, TAG_RESIDUAL: apply_residual}
 
 
+def sign_floor(x):
+    """Round to the nearest integer, halves away from zero."""
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
 def reference_denormalize(values, src_min, src_max):
     scaled = np.clip(values, 0.0, 1.0) * float(src_max - src_min)
-    return round_half_away(scaled).astype(np.int64) + src_min
+    return sign_floor(scaled).astype(np.int64) + src_min
 
 
 def reference_step(pred, record, offsets, shape):
@@ -151,3 +157,31 @@ def test_non_square_band_step_matches_reference():
             got = np.empty(band.shape, np.int16)
             np.clip(pred, INT16.min, INT16.max, out=got)
             assert got.tobytes() == expected.tobytes()
+
+
+INT32_VALUES = st.integers(INT32.min, INT32.max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(-1e300, 1e300), st.floats(-2.0, 3.0), st.sampled_from([np.inf, -np.inf])),
+             min_size=1, max_size=32),
+    INT32_VALUES,
+    INT32_VALUES,
+)
+def test_denormalize_stays_in_range(values, a, b):
+    src_min, src_max = min(a, b), max(a, b)
+    x = np.array(values)
+    ints = denormalize_band(x.copy(), src_min, src_max, np.empty(x.shape, np.int64))
+    assert ints.dtype == np.int64
+    assert ints.min() >= src_min and ints.max() <= src_max
+    assert np.array_equal(ints, reference_denormalize(x, src_min, src_max))
+
+
+@pytest.mark.parametrize("values", [[-1e39, 0.0, 0.5, 1.0, 1e39], [0.9999999999999999, 1e-300, -0.0]])
+def test_denormalize_int32_extreme_range(values):
+    lo, hi = INT32.min, INT32.max
+    ints = denormalize_band(np.array(values), lo, hi, np.empty(len(values), np.int64))
+    assert ints.min() >= lo and ints.max() <= hi
+    assert np.array_equal(ints, reference_denormalize(np.array(values), lo, hi))
+    assert denormalize_band(np.array([0.0, 1.0]), lo, hi, np.empty(2, np.int64)).tolist() == [lo, hi]

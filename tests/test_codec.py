@@ -31,7 +31,7 @@ from hsicodec.codec import (
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual, offsets_to_bytes
 from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import HyperCube, normalize_band, resize_band
-from hsicodec.entropy import segment_from_bytes
+from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig, Workspace
 from hsicodec.metrics import psnr, psnr_db
@@ -419,6 +419,19 @@ def test_header_declaring_more_bands_than_segments_rejected():
     header = dataclasses.replace(bs.header, coded_bands=3)
     with pytest.raises(CorruptStreamError):
         decode_cube(Bitstream.from_bytes(Bitstream(header=header, segments=bs.segments).to_bytes()))
+
+
+@pytest.mark.parametrize("rows, coded", [(128, 2), (256, 0)], ids=["128x128", "no coded band"])
+def test_bad_header_in_memory_rejected(rows, coded):
+    # a Bitstream built in memory skips from_bytes, so decode_cube checks its header as from_bytes does
+    bs = encode_cube_full(smooth_cube(bands=2), fast_cfg()).bitstream
+    first = (TAG_FIRST_BAND, segment_to_bytes(_pack_band(np.ones((rows, rows), np.int16))))
+    header = dataclasses.replace(bs.header, rows=rows, cols=rows, coded_bands=coded)
+    segments = [first] + bs.segments[1:] if coded else [first]
+    with pytest.raises(CorruptStreamError):
+        decode_cube(Bitstream(header=header, segments=segments))
+    with pytest.raises(CorruptStreamError):
+        Bitstream.from_bytes(Bitstream(header=header, segments=segments).to_bytes())
 
 
 @pytest.mark.parametrize("lam, enabled, per_band", [

@@ -14,7 +14,6 @@ from hsicodec.compensate import (
 )
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
-from hsicodec.rounding import round_half_away
 from hsicodec.wire import from_byte_planes, to_byte_planes
 
 
@@ -83,7 +82,9 @@ def reference_offsets_to_bytes(target, recon, cfg):
     t = np.asarray(target, dtype=np.int64).ravel()
     r = np.asarray(recon, dtype=np.int64).ravel()
     violating = np.abs(t - r) / np.maximum(np.abs(t), 1) > cfg.lam
-    offs = cfg.q_step * round_half_away((t - r) / cfg.q_step).astype(np.int64)
+    scaled = (t - r) / cfg.q_step
+    # the nearest integer, halves away from zero, in floating point
+    offs = cfg.q_step * (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int64)
     idx = np.nonzero(violating & (offs != 0))[0]
     offs = offs[idx]
     deltas = np.diff(idx, prepend=0)
@@ -106,9 +107,14 @@ def outcome(fn, *args):
     st.sampled_from([0.0, 1e-3, 0.05, 2.0]),
     st.sampled_from([1, 2, 7, 32767]),
     st.sampled_from([40, 2**20, 2**40]),  # prediction spread; 2**40 overflows 32 bits
+    st.booleans(),
 )
-@example(seed=0, lam=0.0, q_step=1, spread=2**40)
-def test_offsets_payload_matches_reference(seed, lam, q_step, spread):
+@example(seed=0, lam=0.0, q_step=1, spread=2**40, ties=False)
+# exact ties: 16 pixels whose difference is -3q/2, -q/2, q/2 or 3q/2
+@example(seed=1, lam=0.0, q_step=2, spread=40, ties=True)
+@example(seed=2, lam=0.0, q_step=32766, spread=40, ties=True)
+@example(seed=3, lam=0.05, q_step=32766, spread=2**20, ties=True)
+def test_offsets_payload_matches_reference(seed, lam, q_step, spread, ties):
     rng = np.random.default_rng(seed)
     target = rng.integers(-32768, 32768, 96).astype(np.int16)
     target[rng.integers(0, 96, 8)] = rng.choice([-32768, 32767], 8)
@@ -116,6 +122,9 @@ def test_offsets_payload_matches_reference(seed, lam, q_step, spread):
     recon[rng.integers(0, 96, 8)] = rng.choice([-32768, 32767], 8)
     exact = rng.random(96) < 0.3
     recon[exact] = target[exact]
+    if ties:
+        tied = rng.choice(96, 16, replace=False)
+        recon[tied] = target[tied] - np.tile([-3, -1, 1, 3], 4) * (q_step // 2)
     cfg = CompensationConfig(lam=lam, q_step=q_step)
     assert outcome(offsets_to_bytes, target, recon, cfg) == outcome(
         reference_offsets_to_bytes, target, recon, cfg
@@ -131,6 +140,15 @@ def test_apply_single_entry():
     band = np.zeros((4, 4), dtype=np.int64)
     out = apply_offsets(band, payload([0], [10]))  # zigzag(5) = 10
     assert out[0, 0] == 5
+    assert out.sum() == 5
+
+
+def test_apply_into_a_band_that_is_not_c_contiguous():
+    # index 6 is row 1, column 2 of the band as it is indexed, not as it is stored
+    band = np.zeros((4, 4), dtype=np.int64).T
+    out = apply_offsets(band, payload([6], [10]))
+    assert out is band
+    assert out[1, 2] == 5
     assert out.sum() == 5
 
 

@@ -195,3 +195,36 @@ def test_payload_golden_digest(b1_value):
         params.b1[:] = b1_value
     param_bytes, range_bytes = quantize(params)
     assert hashlib.sha256(param_bytes + range_bytes).hexdigest() == GOLDEN[b1_value]
+
+
+def reference_param_bytes(vec) -> bytes:
+    """Each group scaled onto [0, 255] by its float32 extrema, rounded halves away from zero, clipped."""
+    q = np.zeros(PARAM_BYTES, dtype=np.uint8)
+    for group in (W1, B1, W2, B2):
+        lo, hi = float(np.float32(vec[group].min())), float(np.float32(vec[group].max()))
+        if hi > lo:
+            scaled = 255.0 * (vec[group] - lo) / (hi - lo)
+            q[group] = np.clip(np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), 0, 255)
+    return q.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.1, 0.49]))
+def test_quantize_matches_the_sign_floor_reference(seed, outside):
+    # each group spans 255 steps of a power of two between float32-exact extremes, so its
+    # odd half-steps scale to exact halves; the extremes then move outward by up to a quarter
+    # of a float32 spacing, which float32 rounds back, so they scale to just below 0 and above 255
+    rng = np.random.default_rng(seed)
+    vec = np.empty(PARAM_BYTES)
+    for group in (W1, B1, W2, B2):
+        step = 2.0 ** rng.integers(-30, 10)
+        lo = rng.integers(-1000, 1000) * step
+        n = group.stop - group.start
+        halves = rng.integers(0, 510, n)
+        halves[: n // 2] |= 1  # odd: exactly halfway between two bytes
+        values = lo + halves * (step / 2)
+        values[0], values[1] = lo, lo + 255 * step
+        values[0] -= outside * abs(np.spacing(np.float32(values[0]))) / 2
+        values[1] += outside * abs(np.spacing(np.float32(values[1]))) / 2
+        vec[group] = rng.permutation(values)
+    assert quantize(params_with(vec))[0] == reference_param_bytes(vec)
