@@ -154,12 +154,17 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decode(args) -> int:
+def _read_stream(path: str) -> tuple[bytes, Bitstream]:
+    """The bytes of the stream file at ``path`` and the Bitstream they parse to."""
     try:
-        blob = Path(args.input).read_bytes()
+        blob = Path(path).read_bytes()
     except OSError as exc:
-        raise CorruptInputError(f"cannot read {args.input}: {exc}") from exc
-    cube = decode_cube(Bitstream.from_bytes(blob))
+        raise CorruptInputError(f"cannot read {path}: {exc}") from exc
+    return blob, Bitstream.from_bytes(blob)
+
+
+def _cmd_decode(args) -> int:
+    cube = decode_cube(_read_stream(args.input)[1])
     store_cube(cube, args.output)
     print(f"decoded {cube.bands} bands to {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -194,11 +199,7 @@ def _cmd_rd(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    try:
-        blob = Path(args.input).read_bytes()
-    except OSError as exc:
-        raise CorruptInputError(f"cannot read {args.input}: {exc}") from exc
-    bs = Bitstream.from_bytes(blob)
+    blob, bs = _read_stream(args.input)
     h, comp = bs.header, bs.header.compensation
     print(f"geometry: {h.rows}x{h.cols}, {h.coded_bands} coded bands")
     print(f"exclusions: {list(h.exclusions)}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -230,8 +231,8 @@ def _finish_band(pred: np.ndarray, offsets: tuple[int, bytes] | None, out: np.nd
 def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     exclusions = set(cfg.band_exclusions)
     for b in exclusions:
-        if not 0 <= b < cube.bands:
-            raise DimensionError(f"excluded band {b} out of range [0, {cube.bands})")
+        if not isinstance(b, Integral) or not 0 <= b < cube.bands:
+            raise DimensionError(f"excluded band {b!r} is not an integer in [0, {cube.bands})")
 
     # leading all-zero bands join the exclusion list so the stream grammar
     # stays uniform and the decoder needs no special case

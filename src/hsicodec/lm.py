@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Literal
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, flatten, forward, layers, mse
+from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, flatten, forward, layers, mse, unpack
 
 StopReason = Literal["goal", "epochs", "time", "mu_overflow", "patience"]
 
@@ -56,8 +57,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.mse_goal > 0:
             raise ValueError("mse_goal must be positive")
-        if not (self.max_epochs >= 0 and self.max_seconds >= 0):
-            raise ValueError("max_epochs and max_seconds must be non-negative")
+        if not (isinstance(self.max_epochs, Integral) and isinstance(self.seed, Integral)):
+            raise ValueError("max_epochs and seed must be integers")
+        if not (self.max_epochs >= 0 and self.max_seconds >= 0 and self.seed >= 0):
+            raise ValueError("max_epochs, max_seconds and seed must be non-negative")
         lo, hi = self.init_range
         if not (lo < hi and np.isfinite(hi - lo)):
             raise ValueError("init_range must be a non-empty interval of finite width")
@@ -72,19 +75,9 @@ class TrainReport:
     train_mse_history: list[float] = field(default_factory=list)
 
 
-def _draw_params(rng: np.random.Generator, init_range) -> MlpParams:
-    lo, hi = init_range
-    return MlpParams(
-        w1=rng.uniform(lo, hi, (N_HIDDEN, N_INPUT)),
-        b1=rng.uniform(lo, hi, N_HIDDEN),
-        w2=rng.uniform(lo, hi, (N_OUTPUT, N_HIDDEN)),
-        b2=rng.uniform(lo, hi, N_OUTPUT),
-    )
-
-
-def init_params(cfg: TrainConfig) -> MlpParams:
-    """Uniform random parameters in cfg.init_range, deterministic in cfg.seed."""
-    return _draw_params(np.random.default_rng(cfg.seed), cfg.init_range)
+def init_params(cfg: TrainConfig) -> np.ndarray:
+    """Uniform random parameters in cfg.init_range, deterministic in cfg.seed: ``train``'s start."""
+    return np.random.default_rng(cfg.seed).uniform(*cfg.init_range, N_PARAMS)
 
 
 # The Gram form numbers the parameters layer by layer, each neuron's bias
@@ -203,7 +196,7 @@ def normal_equations(w2, workspace: Workspace, hidden, err) -> NormalEquations:
 
 
 def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
-    """The damped step (J'J + mu I)^-1 J'e, in the order of ``MlpParams.to_vector``.
+    """The damped step (J'J + mu I)^-1 J'e, in the flat parameter vector's order.
 
     The linear output layer's block I16 (x) (g + mu I) is eliminated in
     closed form. With K = (g + mu I)^-1 = (L L')^-1 by Cholesky, the first
@@ -246,7 +239,7 @@ def _split_columns(m: int, rng: np.random.Generator):
     return perm[:n_train], perm[n_train : n_train + n_val]
 
 
-def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[MlpParams, TrainReport]:
+def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.ndarray, TrainReport]:
     """Fit the network to map inputs to target, both 16 x M in [0, 1].
 
     The band-sized buffers live in ``workspace``; no result is a view of them.
@@ -259,12 +252,12 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[MlpPa
         )
 
     rng = np.random.default_rng(cfg.seed)
-    params = _draw_params(rng, cfg.init_range)
+    params = rng.uniform(*cfg.init_range, N_PARAMS)  # init_params' draw
     tr_idx, val_idx = _split_columns(inputs.shape[1], rng)
     x_tr, t_tr = inputs[:, tr_idx], target[:, tr_idx]
     x_val, t_val = inputs[:, val_idx], target[:, val_idx]
 
-    def evaluate(p: MlpParams):
+    def evaluate(p: np.ndarray):
         """The hidden layer, error and MSE of p on the training columns."""
         hidden, out = layers(p, x_tr)
         err = np.subtract(out, t_tr, out=out)
@@ -287,11 +280,11 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[MlpPa
             stop = "time"
             break
 
-        eq = normal_equations(params.w2, workspace, hidden, err)
+        eq = normal_equations(unpack(params)[2], workspace, hidden, err)
 
         accepted = False
         while not accepted:
-            candidate = MlpParams.from_vector(params.to_vector() - solve_step(eq, mu))
+            candidate = params - solve_step(eq, mu)
             cand_hidden, cand_err, cand_mse = evaluate(candidate)
             if cand_mse < train_mse:
                 params, hidden, err, train_mse = candidate, cand_hidden, cand_err, cand_mse

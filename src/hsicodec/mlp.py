@@ -1,5 +1,8 @@
 """The 16-10-16 feed-forward network: parameters, forward pass, objective.
 
+A network is one flat vector of its 346 parameters, in ``GROUPS`` order, as the
+params record stores them; ``unpack`` gives its four groups as views.
+
 The hidden layer uses the tangent sigmoid 2/(1+exp(-2x)) - 1, which is
 exactly tanh and is evaluated as such (the libm tanh is exactly odd and
 cannot overflow, unlike the literal exp form). The output layer is linear.
@@ -9,7 +12,6 @@ and decoder-side reconstructions agree bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from math import prod
 
@@ -33,37 +35,15 @@ def flatten(w1, b1, w2, b2) -> np.ndarray:
     return np.concatenate([np.ravel(w1), b1, np.ravel(w2), b2])
 
 
-@dataclass
-class MlpParams:
-    w1: np.ndarray  # 10 x 16, input -> hidden
-    b1: np.ndarray  # 10
-    w2: np.ndarray  # 16 x 10, hidden -> output
-    b2: np.ndarray  # 16
-
-    def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        shapes = (self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape)
-        if shapes != SHAPES:
-            raise DimensionError(f"parameter shapes {shapes}, expected {SHAPES}")
-        if not all(np.all(np.isfinite(a)) for a in (self.w1, self.b1, self.w2, self.b2)):
-            raise DimensionError("parameters must be finite")
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten as w1 row-major, b1, w2 row-major, b2 (length 346)."""
-        return flatten(self.w1, self.b1, self.w2, self.b2)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "MlpParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (N_PARAMS,):
-            raise DimensionError(f"parameter vector must have length {N_PARAMS}")
-        return cls(*(vec[start:end].reshape(shape) for (start, end), shape in zip(GROUPS, SHAPES)))
+def unpack(params) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The views w1, b1, w2, b2 of ``params``; DimensionError unless it holds 346 finite values."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (N_PARAMS,) or not np.all(np.isfinite(params)):
+        raise DimensionError(f"parameters must be {N_PARAMS} finite values, got shape {params.shape}")
+    return tuple(params[start:end].reshape(shape) for (start, end), shape in zip(GROUPS, SHAPES))
 
 
-def layers(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def layers(params: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the network on a 16 x M column batch: the hidden layer (10 x M) and output (16 x M).
 
     Order is fixed: matrix product, bias add, elementwise transfer, each
@@ -73,15 +53,16 @@ def layers(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
         raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
-    hidden = params.w1 @ inputs
-    hidden += params.b1[:, None]
+    w1, b1, w2, b2 = unpack(params)
+    hidden = w1 @ inputs
+    hidden += b1[:, None]
     np.tanh(hidden, out=hidden)
-    out = params.w2 @ hidden
-    out += params.b2[:, None]
+    out = w2 @ hidden
+    out += b2[:, None]
     return hidden, out
 
 
-def forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
+def forward(params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """The network's output (16 x M) on a 16 x M column batch."""
     return layers(params, inputs)[1]
 

@@ -1,7 +1,7 @@
 """The params record: a band's network in 8 bits, and the band's range.
 
 This is the lossy step that bounds the transmitted payload. ``RECORD`` is
-the 346 parameter bytes in ``MlpParams.to_vector`` order, one float32
+the 346 parameter bytes in the flat vector's order (``mlp``), one float32
 (min, max) pair per parameter group (``mlp.GROUPS``: w1, b1, w2, b2), then
 the band's ``<ii`` min and max. Each group maps onto [0, 255] by its pair,
 rounded by the codec's one rule: add 0.5 to a non-negative value and truncate.
@@ -19,30 +19,28 @@ import struct
 import numpy as np
 
 from .errors import CorruptStreamError
-from .mlp import GROUPS, N_PARAMS, MlpParams
+from .mlp import GROUPS, N_PARAMS, unpack
 
 RECORD = struct.Struct(f"<{N_PARAMS}s8fii")
 
 
-def quantize_params(params: MlpParams, src_min: int, src_max: int) -> bytes:
+def quantize_params(params: np.ndarray, src_min: int, src_max: int) -> bytes:
     """The params record of ``params`` and the band range [src_min, src_max] (386 bytes)."""
-    vec = params.to_vector()
     q = np.zeros(N_PARAMS, dtype=np.uint8)
     ranges = []
-    for start, end in GROUPS:
-        group = vec[start:end]
+    for (start, end), group in zip(GROUPS, unpack(params)):
         lo = float(np.float32(group.min()))
         hi = float(np.float32(group.max()))
         if hi <= lo:
             hi = lo  # a constant group: zero bytes
         else:
             # the uint8 store truncates; below 0, where float32 puts lo above the minimum, clips to 0
-            q[start:end] = np.clip(255.0 * (group - lo) / (hi - lo) + 0.5, 0, 255)
+            q[start:end] = np.clip(255.0 * (group - lo) / (hi - lo) + 0.5, 0, 255).ravel()
         ranges += [lo, hi]
     return RECORD.pack(q.tobytes(), *ranges, src_min, src_max)
 
 
-def dequantize_params(record: bytes) -> tuple[MlpParams, int, int]:
+def dequantize_params(record: bytes) -> tuple[np.ndarray, int, int]:
     """Invert quantize_params: (params, src_min, src_max), v = min + q * (max - min) / 255 per group.
 
     A record that does not describe a valid network and band range raises CorruptStreamError.
@@ -59,4 +57,4 @@ def dequantize_params(record: bytes) -> tuple[MlpParams, int, int]:
         if not -math.inf < lo <= hi < math.inf:
             raise CorruptStreamError(f"parameter range ({lo}, {hi}) is not finite with min <= max")
         vec[start:end] = lo if hi == lo else lo + q[start:end] * (hi - lo) / 255.0
-    return MlpParams.from_vector(vec), src_min, src_max
+    return vec, src_min, src_max

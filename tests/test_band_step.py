@@ -17,7 +17,7 @@ from hsicodec import codec
 from hsicodec.codec import TAG_OFFSETS, TAG_RESIDUAL, _band_blocks, _decode_band, _finish_band
 from hsicodec.compensate import apply_offsets, apply_residual
 from hsicodec.cube import BAND_SIZE, INT16, denormalize_band
-from hsicodec.mlp import MlpParams, forward
+from hsicodec.mlp import flatten, forward
 from hsicodec.quantize import dequantize_params, quantize_params
 from hsicodec.wire import to_byte_planes
 from test_codec import block_order_bands
@@ -61,11 +61,11 @@ def run_step(x, record, offsets):
 def record(rng, src_min, src_max, w2_scale=1.0, b2=None):
     """A params record of random first-layer weights, output weights in +-w2_scale, and b2."""
     return quantize_params(
-        MlpParams(
-            w1=rng.uniform(-2, 2, (10, 16)),
-            b1=rng.uniform(-1, 1, 10),
-            w2=rng.uniform(-w2_scale, w2_scale, (16, 10)),
-            b2=rng.uniform(-0.3, 1.3, 16) if b2 is None else np.full(16, b2),
+        flatten(
+            rng.uniform(-2, 2, (10, 16)),
+            rng.uniform(-1, 1, 10),
+            rng.uniform(-w2_scale, w2_scale, (16, 10)),
+            rng.uniform(-0.3, 1.3, 16) if b2 is None else np.full(16, b2),
         ),
         src_min,
         src_max,

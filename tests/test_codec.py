@@ -14,6 +14,7 @@ import pytest
 from hsicodec.codec import (
     MAX_PAYLOAD,
     Bitstream,
+    BitstreamHeader,
     EncoderConfig,
     TAG_FIRST_BAND,
     TAG_OFFSETS,
@@ -30,11 +31,12 @@ from hsicodec.codec import (
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual, offsets_to_bytes
 from hsicodec.blocks import band_to_blocks
-from hsicodec.cube import HyperCube, normalize_band, resize_band
+from hsicodec.cube import BAND_SIZE, HyperCube, normalize_band, resize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
-from hsicodec.lm import TrainConfig, Workspace
+from hsicodec.lm import TrainConfig, Workspace, init_params
 from hsicodec.metrics import psnr, psnr_db
+from hsicodec.quantize import quantize_params
 from hsicodec.wire import from_byte_planes
 
 
@@ -234,6 +236,32 @@ def test_stream_digest_on_the_recorded_build(lam, tag):
     assert hashlib.sha256(bs.to_bytes()).hexdigest() == STREAM_DIGESTS[lam]
 
 
+# the sha256 of the decoded cube below; recorded on numpy 2.4.6, OpenBLAS SkylakeX, 1 thread
+DECODED_DIGEST = "caf73547909727e4c3c50194d12c1e72ad93f22a5d50a7aea63366d78cff1159"
+
+
+def test_decoded_cube_digest():
+    # a compensation-off stream built without training: band 0 of a synthetic cube and two
+    # initial networks' records. Its decode rests on the first band, the records and the
+    # decoder's arithmetic only, not on zlib's bytes or on LM, so the digest holds on any build
+    # whose rounded predictions agree
+    from make_synthetic_cube import make_cube
+
+    cube = make_cube(3, BAND_SIZE, 7, 3.0)
+    segments = [(TAG_FIRST_BAND, segment_to_bytes(_pack_band(cube.band(0))))]
+    for s in (1, 2):
+        params = init_params(TrainConfig(seed=s, init_range=(-0.3, 0.3)))
+        record = quantize_params(params, int(cube.band(s).min()), int(cube.band(s).max()))
+        segments.append((TAG_PARAMS, segment_to_bytes(record)))
+    header = BitstreamHeader(
+        rows=BAND_SIZE, cols=BAND_SIZE, coded_bands=3, exclusions=(),
+        compensation=CompensationConfig(enabled=False),
+    )
+    decoded = decode_cube(Bitstream(header=header, segments=segments))
+    assert decoded.data.shape == (3, BAND_SIZE, BAND_SIZE)
+    assert hashlib.sha256(decoded.data.astype("<i2").tobytes()).hexdigest() == DECODED_DIGEST
+
+
 def test_segment_grammar():
     cube = smooth_cube(bands=3)
     # a smooth first band, then bands of noise that no map of the band before can predict
@@ -352,14 +380,16 @@ def test_excluded_bands_absent_from_stream():
 
 
 def test_exclusion_out_of_range():
+    # a band index that is not an integer of the cube is named as such, not as a header overflow
     cube = smooth_cube(bands=2)
-    cfg = EncoderConfig(
-        train=TrainConfig(max_epochs=1),
-        compensation=CompensationConfig(),
-        band_exclusions=(5,),
-    )
-    with pytest.raises(DimensionError):
-        encode_cube_full(cube, cfg)
+    for band in (5, 2, -1, 1.5, 1.0, "1"):
+        cfg = EncoderConfig(
+            train=TrainConfig(max_epochs=1),
+            compensation=CompensationConfig(),
+            band_exclusions=(band,),
+        )
+        with pytest.raises(DimensionError, match="excluded band"):
+            encode_cube_full(cube, cfg)
 
 
 def test_changing_later_band_leaves_earlier_decode_alone():

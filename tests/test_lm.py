@@ -10,7 +10,7 @@ from hsicodec.cube import normalize_band
 from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
 from hsicodec.lm import TrainConfig, Workspace, init_params, normal_equations, solve_step, train
-from hsicodec.mlp import MlpParams, N_PARAMS, forward, layers
+from hsicodec.mlp import N_PARAMS, SHAPES, flatten, forward, layers, unpack
 
 from jacobian_oracle import compute_jacobian
 
@@ -32,14 +32,13 @@ def band_blocks(seed=0):
 
 
 def fd_jacobian(params, x, h=1e-6):
-    vec = params.to_vector()
     cols = []
     for p in range(N_PARAMS):
-        vp, vm = vec.copy(), vec.copy()
+        vp, vm = params.copy(), params.copy()
         vp[p] += h
         vm[p] -= h
-        fp = forward(MlpParams.from_vector(vp), x).T.ravel()
-        fm = forward(MlpParams.from_vector(vm), x).T.ravel()
+        fp = forward(vp, x).T.ravel()
+        fm = forward(vm, x).T.ravel()
         cols.append((fp - fm) / (2 * h))
     return np.stack(cols, axis=1)
 
@@ -48,23 +47,39 @@ def test_init_params_deterministic():
     cfg = TrainConfig(seed=11)
     a = init_params(cfg)
     b = init_params(cfg)
-    assert np.array_equal(a.to_vector(), b.to_vector())
+    assert np.array_equal(a, b)
 
 
 def test_init_params_seed_sensitivity():
     a = init_params(TrainConfig(seed=1))
     b = init_params(TrainConfig(seed=2))
-    assert np.any(a.to_vector() != b.to_vector())
+    assert np.any(a != b)
 
 
 def test_init_params_range():
     # ~10^4 sampled entries stay inside the init interval
     vecs = np.concatenate(
-        [init_params(TrainConfig(seed=s)).to_vector() for s in range(30)]
+        [init_params(TrainConfig(seed=s)) for s in range(30)]
     )
     assert vecs.size >= 10000
     assert vecs.min() >= -1.0
     assert vecs.max() <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**40])
+@pytest.mark.parametrize("init", [0.3, 1.0, 3.0])
+def test_init_params_is_the_grouped_draw(seed, init):
+    # one draw of 346 is the four draws of w1, b1, w2, b2 in turn, and leaves the
+    # generator where they did, so training's column split sees the same stream
+    cfg = TrainConfig(init_range=(-init, init), seed=seed)
+    rng = np.random.default_rng(seed)
+    grouped = [rng.uniform(-init, init, shape) for shape in SHAPES]
+    params = init_params(cfg)
+    assert params.shape == (N_PARAMS,)
+    assert params.tobytes() == flatten(*grouped).tobytes()
+    drawn = np.random.default_rng(seed)
+    drawn.uniform(-init, init, N_PARAMS)
+    assert np.array_equal(drawn.permutation(1000), rng.permutation(1000))
 
 
 def test_jacobian_b2_columns_are_indicators():
@@ -78,7 +93,7 @@ def test_jacobian_b2_columns_are_indicators():
 
 def test_jacobian_zero_input_kills_w1_block():
     params = init_params(TrainConfig(seed=5))
-    params = MlpParams(w1=params.w1, b1=np.zeros(10), w2=params.w2, b2=params.b2)
+    unpack(params)[1][:] = 0.0  # b1
     jac = compute_jacobian(params, np.zeros((16, 2)))
     assert not jac[:, :160].any()
 
@@ -87,12 +102,7 @@ def test_jacobian_matches_finite_differences():
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        params = MlpParams(
-            w1=rng.uniform(-1, 1, (10, 16)),
-            b1=rng.uniform(-1, 1, 10),
-            w2=rng.uniform(-1, 1, (16, 10)),
-            b2=rng.uniform(-1, 1, 16),
-        )
+        params = rng.uniform(-1, 1, N_PARAMS)
         x = rng.uniform(0, 1, (16, 4))
         rel = np.abs(compute_jacobian(params, x) - fd_jacobian(params, x))
         rel /= np.maximum(np.abs(fd_jacobian(params, x)), 1.0)
@@ -101,7 +111,7 @@ def test_jacobian_matches_finite_differences():
 
 
 def assemble_normal_equations(eq):
-    """J'J and J'e in the order of ``MlpParams.to_vector``, from the layer blocks."""
+    """J'J and J'e in the flat parameter vector's order, from the layer blocks."""
     gram = eq.w2.T @ eq.w2
     a = (eq.zz.reshape(10, 17, 10, 17) * gram[:, None, :, None]).reshape(170, 170)
     b = (eq.w2.T[:, None, :, None] * eq.c.reshape(10, 17, 1, 11)).reshape(170, 176)
@@ -119,13 +129,12 @@ def assemble_normal_equations(eq):
 def evaluated_normal_equations(params, x, target):
     """``normal_equations`` at params, evaluated on x by ``mlp.layers`` as ``train`` does."""
     hidden, out = layers(params, x)
-    return normal_equations(params.w2, Workspace().load(x), hidden, out - target)
+    return normal_equations(unpack(params)[2], Workspace().load(x), hidden, out - target)
 
 
 def lm_update(params, x, target, mu):
     """params - (J'J + mu I)^-1 J'e, built as ``train`` builds its step."""
-    delta = solve_step(evaluated_normal_equations(params, x, target), mu)
-    return MlpParams.from_vector(params.to_vector() - delta)
+    return params - solve_step(evaluated_normal_equations(params, x, target), mu)
 
 
 def assert_matches_jacobian_oracle(params, x, target):
@@ -157,7 +166,7 @@ def test_normal_equations_reject_mismatched_error():
     x = np.random.default_rng(13).uniform(0, 1, (16, 5))
     hidden, out = layers(params, x)
     with pytest.raises(DimensionError):
-        normal_equations(params.w2, Workspace().load(x), hidden, out[:, :4])
+        normal_equations(unpack(params)[2], Workspace().load(x), hidden, out[:, :4])
     with pytest.raises(DimensionError):
         Workspace().load(x[:15])
 
@@ -170,7 +179,7 @@ def test_normal_equations_do_not_depend_on_the_input_memory_order():
     hidden, out = layers(params, x)
     err = out - (0.6 * x + 0.1)
     c_eq, f_eq = (
-        normal_equations(params.w2, Workspace().load(copy), hidden, err)
+        normal_equations(unpack(params)[2], Workspace().load(copy), hidden, err)
         for copy in (np.ascontiguousarray(x), np.asfortranarray(x))
     )
     for name, block in vars(c_eq).items():
@@ -220,7 +229,7 @@ def test_lm_step_zero_residual_is_identity():
     x = np.random.default_rng(6).uniform(0, 1, (16, 5))
     target = forward(params, x)
     stepped = lm_update(params, x, target, mu=1e-3)
-    assert np.allclose(stepped.to_vector(), params.to_vector(), atol=1e-12)
+    assert np.allclose(stepped, params, atol=1e-12)
 
 
 def test_lm_step_gradient_descent_limit():
@@ -230,7 +239,7 @@ def test_lm_step_gradient_descent_limit():
     target = rng.uniform(0, 1, (16, 6))
     mu = 1e12
     stepped = lm_update(params, x, target, mu)
-    delta = params.to_vector() - stepped.to_vector()
+    delta = params - stepped
     jac = compute_jacobian(params, x)
     e = (forward(params, x) - target).T.ravel()
     expected = jac.T @ e / mu
@@ -240,16 +249,16 @@ def test_lm_step_gradient_descent_limit():
 def test_lm_step_bias_only_closed_form():
     # all-zero params make the Jacobian vanish except the b2 identity block,
     # so for a single column the solve reduces to delta_b2 = e / (1 + mu)
-    params = MlpParams(w1=np.zeros((10, 16)), b1=np.zeros(10),
-                       w2=np.zeros((16, 10)), b2=np.zeros(16))
+    params = np.zeros(N_PARAMS)
     x = np.random.default_rng(8).uniform(0, 1, (16, 1))
     target = np.random.default_rng(9).uniform(0, 1, (16, 1))
     mu = 0.5
-    stepped = lm_update(params, x, target, mu)
+    w1, b1, w2, b2 = unpack(lm_update(params, x, target, mu))
     expected_b2 = target[:, 0] / (1 + mu)
-    assert np.allclose(stepped.b2, expected_b2, atol=1e-12)
-    assert np.allclose(stepped.w1, 0)
-    assert np.allclose(stepped.b1, 0)
+    assert np.allclose(b2, expected_b2, atol=1e-12)
+    assert np.allclose(w1, 0)
+    assert np.allclose(b1, 0)
+    assert np.allclose(w2, 0)
 
 
 def test_lm_step_normal_equations_residual():
@@ -259,7 +268,7 @@ def test_lm_step_normal_equations_residual():
     target = rng.uniform(0, 1, (16, 8))
     mu = 1e-3
     stepped = lm_update(params, x, target, mu)
-    delta = params.to_vector() - stepped.to_vector()
+    delta = params - stepped
     jac = compute_jacobian(params, x)
     e = (forward(params, x) - target).T.ravel()
     jte = jac.T @ e
@@ -323,7 +332,7 @@ def test_train_zero_epochs_returns_initial_params():
     params, report = train(x, 0.5 * x, cfg, Workspace())
     assert report.stop_reason == "epochs"
     assert report.epochs_run == 0
-    assert np.array_equal(params.to_vector(), init_params(cfg).to_vector())
+    assert np.array_equal(params, init_params(cfg))
 
 
 def test_train_deterministic():
@@ -332,7 +341,7 @@ def test_train_deterministic():
     cfg = TrainConfig(max_epochs=5, seed=9)
     p1, r1 = train(x, target, cfg, Workspace())
     p2, r2 = train(x, target, cfg, Workspace())
-    assert np.array_equal(p1.to_vector(), p2.to_vector())
+    assert np.array_equal(p1, p2)
     assert r1.train_mse_history == r2.train_mse_history
 
 
@@ -348,7 +357,7 @@ def test_train_through_one_workspace_matches_fresh_training():
     ]:
         params, report = train(x, target, cfg, workspace)
         fresh_params, fresh_report = train(x, target, cfg, Workspace())
-        assert np.array_equal(params.to_vector(), fresh_params.to_vector())
+        assert np.array_equal(params, fresh_params)
         assert report == fresh_report
 
 
@@ -356,15 +365,15 @@ def test_train_returns_no_view_of_its_workspace():
     x = band_blocks(seed=7)[:, :512]
     workspace = Workspace()
     params, report = train(x, 0.5 * x + 0.1, TrainConfig(max_epochs=3, seed=2), workspace)
-    kept_params, kept_report = params.to_vector(), copy.deepcopy(report)
+    kept_params, kept_report = params.copy(), copy.deepcopy(report)
     hidden, out = layers(params, x)
-    eq = normal_equations(params.w2, workspace.load(x), hidden, out - x)
+    eq = normal_equations(unpack(params)[2], workspace.load(x), hidden, out - x)
     buffers = (workspace.x1, workspace.q, workspace.scratch)
-    for a in [params.w1, params.b1, params.w2, params.b2, *vars(eq).values()]:
+    for a in [params, *vars(eq).values()]:
         assert not any(np.shares_memory(a, buf) for buf in buffers)
     for buf in buffers:
         buf.fill(np.nan)
-    assert np.array_equal(params.to_vector(), kept_params)
+    assert np.array_equal(params, kept_params)
     assert report == kept_report
 
 
@@ -395,7 +404,7 @@ def test_train_mu_overflow_on_exact_fit():
     params, report = train(x, target, cfg, Workspace())
     assert report.stop_reason == "mu_overflow"
     assert report.epochs_run == 0
-    assert np.array_equal(params.to_vector(), init_params(cfg).to_vector())
+    assert np.array_equal(params, init_params(cfg))
 
 
 def test_train_patience_stop_returns_best_validation():
@@ -416,8 +425,14 @@ def test_config_validation():
         TrainConfig(mse_goal=0.0)
     with pytest.raises(ValueError, match="mse_goal"):
         TrainConfig(mse_goal=float("nan"))
-    with pytest.raises(ValueError, match="max_epochs"):
-        TrainConfig(max_epochs=-1)
+    for bad in (-1, 2.5, 3.0, "4"):
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=bad)
+    for bad in (-1, 1.5, 2.0, None):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=bad)
+    cfg = TrainConfig(max_epochs=np.int64(3), seed=np.uint32(7))
+    assert (cfg.max_epochs, cfg.seed) == (3, 7)
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="max_seconds"):
             TrainConfig(max_seconds=bad)

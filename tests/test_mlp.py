@@ -4,31 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.errors import DimensionError
-from hsicodec.mlp import MlpParams, N_PARAMS, forward, layers, mse
+from hsicodec.mlp import GROUPS, N_PARAMS, SHAPES, flatten, forward, layers, mse, unpack
 
 
 def zero_params():
-    return MlpParams(
-        w1=np.zeros((10, 16)), b1=np.zeros(10), w2=np.zeros((16, 10)), b2=np.zeros(16)
-    )
+    return np.zeros(N_PARAMS)
 
 
 def random_params(seed):
-    rng = np.random.default_rng(seed)
-    return MlpParams(
-        w1=rng.uniform(-1, 1, (10, 16)),
-        b1=rng.uniform(-1, 1, 10),
-        w2=rng.uniform(-1, 1, (16, 10)),
-        b2=rng.uniform(-1, 1, 16),
-    )
+    return np.random.default_rng(seed).uniform(-1, 1, N_PARAMS)
 
 
 def tansig(x):
     """The hidden layer's transfer function at x, read through ``layers``: unit 0 sees exactly x."""
     x = np.asarray(x, dtype=np.float64)
-    w1 = np.zeros((10, 16))
-    w1[0, 0] = 1.0
-    params = MlpParams(w1=w1, b1=np.zeros(10), w2=np.zeros((16, 10)), b2=np.zeros(16))
+    params = zero_params()
+    unpack(params)[0][0, 0] = 1.0  # w1[0, 0]
     inputs = np.zeros((16, x.size))
     inputs[0] = x.ravel()
     return layers(params, inputs)[0][0].reshape(x.shape)
@@ -36,16 +27,37 @@ def tansig(x):
 
 def test_parameter_count():
     assert N_PARAMS == 346
-    assert zero_params().to_vector().shape == (346,)
+    assert [end - start for start, end in GROUPS] == [160, 10, 160, 16]
 
 
-def test_vector_round_trip():
+def test_unpack_gives_views_in_shapes_order():
     params = random_params(3)
-    back = MlpParams.from_vector(params.to_vector())
-    assert np.array_equal(back.w1, params.w1)
-    assert np.array_equal(back.b1, params.b1)
-    assert np.array_equal(back.w2, params.w2)
-    assert np.array_equal(back.b2, params.b2)
+    groups = unpack(params)
+    assert [g.shape for g in groups] == list(SHAPES)
+    assert all(np.shares_memory(g, params) for g in groups)
+    # w1 row-major, b1, w2 row-major, b2: the groups laid end to end are the vector
+    assert np.array_equal(flatten(*groups), params)
+    w1, _, _, b2 = groups
+    assert w1[0, 1] == params[1] and w1[1, 0] == params[16]
+    b2[:] = 7.0
+    assert np.all(params[-16:] == 7.0)
+
+
+@pytest.mark.parametrize("shape", [(345,), (347,), (0,), (346, 1), (2, 173)])
+def test_unpack_refuses_a_wrong_length(shape):
+    with pytest.raises(DimensionError):
+        unpack(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 165, 345])
+def test_unpack_refuses_nonfinite_values(bad, index):
+    params = random_params(4)
+    params[index] = bad
+    with pytest.raises(DimensionError, match="finite"):
+        unpack(params)
+    with pytest.raises(DimensionError):
+        forward(params, np.zeros((16, 2)))
 
 
 def test_tansig_zero():
@@ -82,7 +94,7 @@ def test_forward_zero_network():
 def test_forward_dead_hidden_layer():
     # w1 = 0, b1 = 0 makes every hidden unit tansig(0) = 0 regardless of w2
     params = zero_params()
-    params.w2[:] = np.random.default_rng(3).uniform(-1, 1, (16, 10))
+    unpack(params)[2][:] = np.random.default_rng(3).uniform(-1, 1, (16, 10))
     out = forward(params, np.ones((16, 4)))
     assert np.array_equal(out, np.zeros((16, 4)))
 
@@ -91,20 +103,22 @@ def test_forward_matches_scalar_loop():
     params = random_params(4)
     x = np.random.default_rng(5).uniform(0, 1, (16, 3))
     out = forward(params, x)
+    w1, b1, w2, b2 = unpack(params)
     for c in range(3):
         for r in range(16):
             hidden = [
-                np.tanh(sum(params.w1[u, v] * x[v, c] for v in range(16)) + params.b1[u])
+                np.tanh(sum(w1[u, v] * x[v, c] for v in range(16)) + b1[u])
                 for u in range(10)
             ]
-            y = sum(params.w2[r, u] * hidden[u] for u in range(10)) + params.b2[r]
+            y = sum(w2[r, u] * hidden[u] for u in range(10)) + b2[r]
             assert out[r, c] == pytest.approx(y, abs=1e-12)
 
 
 def test_forward_linear_in_output_layer():
     params = random_params(6)
     x = np.random.default_rng(7).uniform(0, 1, (16, 8))
-    doubled = MlpParams(w1=params.w1, b1=params.b1, w2=2 * params.w2, b2=2 * params.b2)
+    w1, b1, w2, b2 = unpack(params)
+    doubled = flatten(w1, b1, 2 * w2, 2 * b2)
     assert np.array_equal(forward(doubled, x), 2 * forward(params, x))
 
 
@@ -116,8 +130,9 @@ def test_layers_match_out_of_place_formula_bitwise(seed, m, fortran):
     params = random_params(seed)
     x = rng.uniform(-0.5, 1.5, (16, m))
     x = np.asfortranarray(x) if fortran else x
-    hidden = np.tanh(params.w1 @ x + params.b1[:, None])
-    out = params.w2 @ hidden + params.b2[:, None]
+    w1, b1, w2, b2 = unpack(params)
+    hidden = np.tanh(w1 @ x + b1[:, None])
+    out = w2 @ hidden + b2[:, None]
     got_hidden, got_out = layers(params, x)
     assert got_hidden.tobytes() == hidden.tobytes()
     assert got_out.tobytes() == out.tobytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hsicodec.errors import CorruptStreamError, DimensionError
 from hsicodec.lm import TrainConfig, init_params
-from hsicodec.mlp import MlpParams
+from hsicodec.mlp import flatten, unpack
 from hsicodec.quantize import dequantize_params, quantize_params
 
 # each group's slice of the flat vector and of the params payload
@@ -16,10 +16,6 @@ W1, B1, W2, B2 = slice(0, 160), slice(160, 170), slice(170, 330), slice(330, 346
 
 # a record is the parameter bytes, the float32 group ranges, then the band's <ii min and max
 PARAM_BYTES, RANGE_BYTES, BAND_BYTES = 346, 32, 8
-
-
-def params_with(vec) -> MlpParams:
-    return MlpParams.from_vector(np.asarray(vec, dtype=np.float64))
 
 
 def split(record: bytes) -> tuple[bytes, bytes]:
@@ -32,11 +28,11 @@ def record_of(param_bytes: bytes, range_bytes: bytes, src_min=0, src_max=255) ->
     return param_bytes + range_bytes + struct.pack("<ii", src_min, src_max)
 
 
-def quantize(params: MlpParams) -> tuple[bytes, bytes]:
+def quantize(params: np.ndarray) -> tuple[bytes, bytes]:
     return split(quantize_params(params, 0, 255))
 
 
-def dequantize(param_bytes: bytes, range_bytes: bytes) -> MlpParams:
+def dequantize(param_bytes: bytes, range_bytes: bytes) -> np.ndarray:
     return dequantize_params(record_of(param_bytes, range_bytes))[0]
 
 
@@ -47,8 +43,8 @@ def group_ranges(range_bytes: bytes) -> list[tuple[float, float]]:
 
 def test_record_layout():
     # the record's fields at their byte offsets, read with this test's own struct format
-    vec = init_params(TrainConfig(seed=4)).to_vector()
-    record = quantize_params(params_with(vec), -7, 4000)
+    vec = init_params(TrainConfig(seed=4))
+    record = quantize_params(vec, -7, 4000)
     param_bytes, *ranges, src_min, src_max = struct.unpack(f"<{PARAM_BYTES}s8fii", record)
     assert len(record) == struct.calcsize(f"<{PARAM_BYTES}s8fii") == 386
     assert (src_min, src_max) == (-7, 4000)
@@ -69,9 +65,9 @@ def test_band_min_above_max_rejected(band):
 
 
 def test_endpoints_map_to_0_and_255():
-    vec = init_params(TrainConfig(seed=1)).to_vector()
+    vec = init_params(TrainConfig(seed=1))
     vec[W1] = np.linspace(-2.0, 5.0, 160)
-    param_bytes, range_bytes = quantize(params_with(vec))
+    param_bytes, range_bytes = quantize(vec)
     q = np.frombuffer(param_bytes, dtype=np.uint8)
     assert q[0] == 0
     assert q[159] == 255
@@ -79,21 +75,24 @@ def test_endpoints_map_to_0_and_255():
 
 
 def test_constant_matrix_degenerate():
-    vec = init_params(TrainConfig(seed=2)).to_vector()
+    vec = init_params(TrainConfig(seed=2))
     vec[W1] = 1.25
-    param_bytes, range_bytes = quantize(params_with(vec))
+    param_bytes, range_bytes = quantize(vec)
     assert param_bytes[W1] == bytes(160)
     assert group_ranges(range_bytes)[0] == (1.25, 1.25)
     back = dequantize(param_bytes, range_bytes)
-    assert np.all(back.w1 == 1.25)
+    assert np.all(back[W1] == 1.25)
 
 
 def test_nonfinite_rejected():
-    # MlpParams refuses non-finite values, so none can reach quantization
-    vec = init_params(TrainConfig(seed=3)).to_vector()
-    vec[B2.start] = np.inf
+    # quantizing refuses a vector that is not 346 finite values
+    vec = init_params(TrainConfig(seed=3))
+    for bad in (np.inf, -np.inf, np.nan):
+        vec[B2.start] = bad
+        with pytest.raises(DimensionError, match="finite"):
+            quantize(vec)
     with pytest.raises(DimensionError):
-        quantize(params_with(vec))
+        quantize(vec[:-1])
 
 
 def test_dequantize_endpoints():
@@ -101,8 +100,8 @@ def test_dequantize_endpoints():
     param_bytes = bytearray(PARAM_BYTES)
     param_bytes[1] = 255
     back = dequantize(bytes(param_bytes), ranges)
-    assert back.w1[0, 0] == -1.0
-    assert back.w1[0, 1] == 3.0
+    assert back[0] == -1.0
+    assert back[1] == 3.0
 
 
 def test_dequantize_count_mismatch():
@@ -126,8 +125,8 @@ def test_half_step_error_bound(seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
     vec = rng.uniform(-scale, scale, PARAM_BYTES)
-    param_bytes, range_bytes = quantize(params_with(vec))
-    back = dequantize(param_bytes, range_bytes).to_vector()
+    param_bytes, range_bytes = quantize(vec)
+    back = dequantize(param_bytes, range_bytes)
     for group, (lo, hi) in zip((W1, B1, W2, B2), group_ranges(range_bytes)):
         # half a quantization step plus float32 slack on the extrema
         tol = (hi - lo) / 510.0 + 2.0 * np.spacing(np.float32(max(abs(lo), abs(hi), 1.0)))
@@ -137,7 +136,7 @@ def test_half_step_error_bound(seed):
 @given(st.integers(0, 2**31 - 1))
 def test_quantize_idempotent_on_its_own_grid(seed):
     rng = np.random.default_rng(seed)
-    params = params_with(rng.uniform(-4, 4, PARAM_BYTES))
+    params = rng.uniform(-4, 4, PARAM_BYTES)
     first = quantize(params)
     assert quantize(dequantize(*first)) == first
 
@@ -154,12 +153,7 @@ def test_params_round_trip_and_payload_sizes():
 def test_params_quantization_error_bounded():
     params = init_params(TrainConfig(seed=21))
     dq = dequantize(*quantize(params))
-    for orig, back in [
-        (params.w1, dq.w1),
-        (params.b1, dq.b1),
-        (params.w2, dq.w2),
-        (params.b2, dq.b2),
-    ]:
+    for orig, back in zip(unpack(params), unpack(dq)):
         span = float(orig.max() - orig.min())
         assert np.abs(orig - back).max() <= span / 510.0 + 1e-6
 
@@ -167,16 +161,14 @@ def test_params_quantization_error_bounded():
 def test_payload_byte_order_is_w1_b1_w2_b2():
     # each group holds one distinct constant, so its bytes are zero and its
     # range names the group: the ranges come in w1, b1, w2, b2 order
-    params = MlpParams(
-        w1=np.full((10, 16), 1.0), b1=np.full(10, 2.0), w2=np.full((16, 10), 3.0), b2=np.full(16, 4.0)
-    )
+    params = flatten(np.full((10, 16), 1.0), np.full(10, 2.0), np.full((16, 10), 3.0), np.full(16, 4.0))
     assert group_ranges(quantize(params)[1]) == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
     # one extreme per group: its byte lands where that group's slice starts
     vec = np.zeros(PARAM_BYTES)
     for k, group in enumerate((W1, B1, W2, B2)):
         vec[group] = -1.0
         vec[group.start] = k + 1.0
-    q = np.frombuffer(quantize(params_with(vec))[0], dtype=np.uint8)
+    q = np.frombuffer(quantize(vec)[0], dtype=np.uint8)
     assert [int(i) for i in np.flatnonzero(q)] == [0, 160, 170, 330]
 
 
@@ -192,7 +184,7 @@ def test_payload_golden_digest(b1_value):
     # numpy and struct, so the digest depends on neither BLAS nor zlib
     params = init_params(TrainConfig(seed=20))
     if b1_value is not None:
-        params.b1[:] = b1_value
+        params[B1] = b1_value
     param_bytes, range_bytes = quantize(params)
     assert hashlib.sha256(param_bytes + range_bytes).hexdigest() == GOLDEN[b1_value]
 
@@ -227,4 +219,4 @@ def test_quantize_matches_the_sign_floor_reference(seed, outside):
         values[0] -= outside * abs(np.spacing(np.float32(values[0]))) / 2
         values[1] += outside * abs(np.spacing(np.float32(values[1]))) / 2
         vec[group] = rng.permutation(values)
-    assert quantize(params_with(vec))[0] == reference_param_bytes(vec)
+    assert quantize(vec)[0] == reference_param_bytes(vec)
