@@ -3,7 +3,8 @@
 A 256x256 band splits into 64x64 blocks of 4x4 pixels. Blocks are scanned
 row-major; within a block, pixels are scanned row-major. Pixel (i, j) lands
 at row 4*(i mod 4) + (j mod 4) of column (cols/4)*(i div 4) + (j div 4).
-Both directions are exact inverses.
+``band_to_blocks`` reads the columns through ``block_view``, and the decoder
+writes a predicted band's pixels back through the same view.
 """
 
 from __future__ import annotations
@@ -33,14 +34,3 @@ def block_view(band: np.ndarray) -> np.ndarray:
 def band_to_blocks(band: np.ndarray) -> np.ndarray:
     """The 16 x M block columns of a band whose sides are multiples of 4."""
     return block_view(band).copy().reshape(BLOCK * BLOCK, -1)
-
-
-def blocks_to_band(blocks: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Invert band_to_blocks for a band of the given shape."""
-    rows, cols = shape
-    br, bc = rows // BLOCK, cols // BLOCK
-    if rows % BLOCK or cols % BLOCK or blocks.shape != (BLOCK * BLOCK, br * bc):
-        raise DimensionError(f"block matrix shape {blocks.shape} does not fill a {rows}x{cols} band")
-    band = np.empty(shape, blocks.dtype)
-    block_view(band)[...] = blocks.reshape(BLOCK, BLOCK, br, bc)
-    return band

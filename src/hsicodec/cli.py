@@ -55,7 +55,6 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         mse_goal=args.mse_goal,
         max_epochs=args.max_epochs,
-        max_seconds=args.max_seconds,
         seed=args.seed,
         init_range=(-args.init_range, args.init_range),
     )
@@ -73,7 +72,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=d.seed, help="training RNG seed")
     p.add_argument("--mse-goal", type=float, default=d.mse_goal, dest="mse_goal")
     p.add_argument("--max-epochs", type=int, default=d.max_epochs, dest="max_epochs")
-    p.add_argument("--max-seconds", type=float, default=d.max_seconds, dest="max_seconds")
     p.add_argument("--init-range", type=float, default=d.init_range[1], dest="init_range",
                    help="weights start uniform in [-r, r]; smaller values "
                         "tend to quantize better")

@@ -12,10 +12,11 @@ little-endian uint32 arrays of one entry per corrected pixel, the
 row-major index deltas then the zigzag offsets, as byte planes (see
 ``wire``), so it holds 8 bytes per entry. The dense residual plane is
 every pixel's zigzag offset (0 where it has none) as ``<u2`` byte planes,
-exactly 2 bytes per pixel. ``compensation_payload`` picks the plane when
-more than a quarter of the pixels carry an offset (it is then the smaller
-one raw) and each zigzag offset is below 2**16. ``apply_offsets`` and
-``apply_residual`` parse the two layouts and correct the prediction in place.
+exactly 2 bytes per pixel. ``compensation_payload``, the encoder's one
+writer of either layout, picks the plane when more than a quarter of the
+pixels carry an offset (it is then the smaller one raw) and each zigzag
+offset is below 2**16. ``apply_offsets`` and ``apply_residual`` parse the
+two layouts and correct the prediction in place.
 """
 
 from __future__ import annotations
@@ -57,20 +58,6 @@ def _zigzag_offsets(target: np.ndarray, recon: np.ndarray, cfg: CompensationConf
     return (offs << 1) ^ (offs >> 63)
 
 
-def _sparse_payload(zigzag: np.ndarray) -> bytes:
-    idx = np.flatnonzero(zigzag)
-    deltas = np.diff(idx, prepend=0)
-    zigzag = zigzag[idx]
-    if np.any((deltas >> 32) | (zigzag >> 32)):
-        raise ValueError("offset entry does not fit 32 bits")
-    return to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")
-
-
-def offsets_to_bytes(target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig) -> bytes:
-    """The sparse offsets payload for every pixel whose relative error exceeds cfg.lam."""
-    return _sparse_payload(_zigzag_offsets(target, recon, cfg))
-
-
 def compensation_payload(
     target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig
 ) -> tuple[bool, bytes]:
@@ -78,7 +65,12 @@ def compensation_payload(
     zigzag = _zigzag_offsets(target, recon, cfg)
     if 4 * np.count_nonzero(zigzag) > zigzag.size and not np.any(zigzag >> 16):
         return True, to_byte_planes(zigzag, "<u2")
-    return False, _sparse_payload(zigzag)
+    idx = np.flatnonzero(zigzag)
+    deltas = np.diff(idx, prepend=0)
+    zigzag = zigzag[idx]
+    if np.any((deltas >> 32) | (zigzag >> 32)):
+        raise ValueError("offset entry does not fit 32 bits")
+    return False, to_byte_planes(deltas, "<u4") + to_byte_planes(zigzag, "<u4")
 
 
 def apply_offsets(recon: np.ndarray, blob: bytes) -> np.ndarray:

@@ -75,9 +75,7 @@ def _header_path(raw_path) -> Path:
 
 def read_header(path) -> CubeHeader:
     """Parse a ``.hdr`` sidecar (pass either the .raw or .hdr path)."""
-    hdr = Path(path)
-    if hdr.suffix != ".hdr":
-        hdr = _header_path(hdr)
+    hdr = _header_path(path)
     try:
         text = hdr.read_text()
     except OSError as exc:

@@ -22,6 +22,7 @@ goal-hitting parameters win).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -50,7 +51,8 @@ PATIENCE = 6
 class TrainConfig:
     mse_goal: float = 1e-4
     max_epochs: int = 1000
-    max_seconds: float = 1000.0
+    # a finite limit makes the stream depend on how fast the host runs
+    max_seconds: float = math.inf
     init_range: tuple[float, float] = (-1.0, 1.0)
     seed: int = 0
 
@@ -73,11 +75,6 @@ class TrainReport:
     stop_reason: StopReason
     validation_mse_history: list[float] = field(default_factory=list)
     train_mse_history: list[float] = field(default_factory=list)
-
-
-def init_params(cfg: TrainConfig) -> np.ndarray:
-    """Uniform random parameters in cfg.init_range, deterministic in cfg.seed: ``train``'s start."""
-    return np.random.default_rng(cfg.seed).uniform(*cfg.init_range, N_PARAMS)
 
 
 # The Gram form numbers the parameters layer by layer, each neuron's bias
@@ -252,7 +249,7 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.nd
         )
 
     rng = np.random.default_rng(cfg.seed)
-    params = rng.uniform(*cfg.init_range, N_PARAMS)  # init_params' draw
+    params = rng.uniform(*cfg.init_range, N_PARAMS)  # the start, drawn before the column split
     tr_idx, val_idx = _split_columns(inputs.shape[1], rng)
     x_tr, t_tr = inputs[:, tr_idx], target[:, tr_idx]
     x_val, t_val = inputs[:, val_idx], target[:, val_idx]

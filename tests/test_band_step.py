@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.blocks import block_view, blocks_to_band
+from hsicodec.blocks import block_view
 from hsicodec import codec
 from hsicodec.codec import TAG_OFFSETS, TAG_RESIDUAL, _band_blocks, _decode_band, _finish_band
 from hsicodec.compensate import apply_offsets, apply_residual
@@ -29,6 +29,13 @@ APPLY = {TAG_OFFSETS: apply_offsets, TAG_RESIDUAL: apply_residual}
 def sign_floor(x):
     """Round to the nearest integer, halves away from zero."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def blocks_to_band(blocks, shape):
+    """The band whose pixel (i, j) is row 4 (i mod 4) + (j mod 4) of column
+    (cols / 4)(i div 4) + (j div 4) of ``blocks``, gathered into a new array."""
+    i, j = np.indices(shape)
+    return blocks[4 * (i % 4) + j % 4, shape[1] // 4 * (i // 4) + j // 4]
 
 
 def reference_denormalize(values, src_min, src_max):

@@ -3,14 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.blocks import band_to_blocks, blocks_to_band
+from hsicodec.blocks import band_to_blocks, block_view
 from hsicodec.errors import DimensionError
+
+
+def written_band(blocks, shape):
+    """The band of ``shape`` that 16 x M block columns fill through ``block_view``, as the decoder
+    writes its prediction."""
+    band = np.empty(shape, blocks.dtype)
+    view = block_view(band)
+    view[...] = blocks.reshape(view.shape)
+    return band
 
 
 def test_round_trip_identity():
     rng = np.random.default_rng(0)
     band = rng.uniform(0, 1, (256, 256))
-    assert np.array_equal(blocks_to_band(band_to_blocks(band), band.shape), band)
+    assert np.array_equal(written_band(band_to_blocks(band), band.shape), band)
 
 
 def test_toy_8x8_index_oracle():
@@ -31,14 +40,14 @@ def test_constant_band_gives_identical_columns():
 def test_column_zero_maps_to_top_left_block():
     data = np.zeros((16, 4096))
     data[:, 0] = np.arange(1, 17)
-    band = blocks_to_band(data, (256, 256))
+    band = written_band(data, (256, 256))
     assert np.array_equal(band[:4, :4], np.arange(1, 17).reshape(4, 4))
     assert band[4:, :].sum() == 0
     assert band[:, 4:].sum() == 0
 
 
 def test_zero_matrix_round_trip():
-    band = blocks_to_band(np.zeros((16, 4096)), (256, 256))
+    band = written_band(np.zeros((16, 4096)), (256, 256))
     assert band.shape == (256, 256)
     assert not band.any()
 
@@ -47,9 +56,7 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         band_to_blocks(np.zeros((10, 8)))
     with pytest.raises(DimensionError):
-        blocks_to_band(np.zeros((16, 100)), (256, 256))
-    with pytest.raises(DimensionError):
-        blocks_to_band(np.zeros((16, 4)), (8, 10))
+        block_view(np.zeros((8, 10)))
 
 
 @settings(max_examples=30)
@@ -59,5 +66,5 @@ def test_bijection_property(block_rows, block_cols, seed):
     band = rng.uniform(-5, 5, (4 * block_rows, 4 * block_cols))
     blocks = band_to_blocks(band)
     assert blocks.shape == (16, block_rows * block_cols)
-    assert np.array_equal(blocks_to_band(blocks, band.shape), band)
+    assert np.array_equal(written_band(blocks, band.shape), band)
     assert blocks.sum() == pytest.approx(band.sum(), rel=1e-12)

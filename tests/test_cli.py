@@ -246,15 +246,19 @@ def test_bad_flag_value_is_usage_error(tmp_path, cube_file):
         ["--max-epochs", "-3"],
         ["--mse-goal", "-1"],
         ["--mse-goal", "nan"],
-        ["--max-seconds", "-1"],
+        # no such option: training never stops on the clock
+        ["--max-seconds", "5"],
         ["--max-seconds", "nan"],
         ["--init-range", "inf"],
         ["--init-range", "1e308"],
     ],
 )
-def test_bad_training_flag_is_usage_error(tmp_path, cube_file, flag):
+def test_bad_training_flag_is_usage_error(tmp_path, cube_file, capsys, flag):
     assert run(["encode", str(cube_file), str(tmp_path / "o.bip"), *flag]) == EXIT_USAGE
     assert not (tmp_path / "o.bip").exists()
+    capsys.readouterr()
+    assert run(["rd", str(cube_file), *flag]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_rd_command_csv(tmp_path, cube_file, capsys):

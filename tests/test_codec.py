@@ -29,15 +29,17 @@ from hsicodec.codec import (
     decode_cube,
     encode_cube_full,
 )
-from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual, offsets_to_bytes
+from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual
 from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import BAND_SIZE, HyperCube, normalize_band, resize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
-from hsicodec.lm import TrainConfig, Workspace, init_params
+from hsicodec.lm import TrainConfig, Workspace
 from hsicodec.metrics import psnr, psnr_db
 from hsicodec.quantize import quantize_params
 from hsicodec.wire import from_byte_planes
+from test_compensate import reference_offsets_to_bytes
+from test_mlp import random_params
 
 
 def fast_cfg(lam=0.0, enabled=True, seed=1, epochs=2):
@@ -65,7 +67,7 @@ def rule_tags(result, comp) -> list[int]:
     for k in range(1, len(result.recon_bands)):
         record = segment_from_bytes(segments[2 * k - 1][1], MAX_PAYLOAD[TAG_PARAMS])
         pred = _decode_band(_band_blocks(result.recon_bands[k - 1]), record)
-        sparse = offsets_to_bytes(result.resized_bands[k], pred, comp)
+        sparse = reference_offsets_to_bytes(result.resized_bands[k], pred, comp)
         zigzag = from_byte_planes(sparse[len(sparse) // 2 :], "<u4")
         dense = 4 * zigzag.size > pred.size and zigzag.max(initial=0) < 2**16
         tags.append(TAG_RESIDUAL if dense else TAG_OFFSETS)
@@ -250,7 +252,7 @@ def test_decoded_cube_digest():
     cube = make_cube(3, BAND_SIZE, 7, 3.0)
     segments = [(TAG_FIRST_BAND, segment_to_bytes(_pack_band(cube.band(0))))]
     for s in (1, 2):
-        params = init_params(TrainConfig(seed=s, init_range=(-0.3, 0.3)))
+        params = random_params(s, 0.3)
         record = quantize_params(params, int(cube.band(s).min()), int(cube.band(s).max()))
         segments.append((TAG_PARAMS, segment_to_bytes(record)))
     header = BitstreamHeader(
@@ -476,12 +478,17 @@ def test_bitrate_arithmetic(lam, enabled, per_band):
 
 
 def test_serializing_holds_one_copy_of_the_stream():
-    # imported here: other tests import this module in interpreters without scripts/ on the path
-    from make_synthetic_cube import make_cube
-
-    # 40 textured bands at lambda 0 and no training: a 2.1 MiB stream, nearly all residual planes
-    cfg = EncoderConfig(train=TrainConfig(max_epochs=0), compensation=CompensationConfig(lam=0.0))
-    bs = encode_cube_full(make_cube(40, 256, 7, 12.0), cfg).bitstream
+    # 17 bands of random, incompressible segments of band size: a 2.1 MiB stream. ``to_bytes``
+    # does not parse a segment, so its size, not the predictor, sets the stream's
+    rng = np.random.default_rng(0)
+    band = 2 * BAND_SIZE * BAND_SIZE
+    segments = [(TAG_FIRST_BAND, rng.bytes(band))]
+    for _ in range(16):
+        segments += [(TAG_PARAMS, rng.bytes(386)), (TAG_RESIDUAL, rng.bytes(band))]
+    header = BitstreamHeader(
+        rows=BAND_SIZE, cols=BAND_SIZE, coded_bands=17, exclusions=(), compensation=CompensationConfig()
+    )
+    bs = Bitstream(header=header, segments=segments)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -10,7 +10,6 @@ from hsicodec.compensate import (
     apply_offsets,
     apply_residual,
     compensation_payload,
-    offsets_to_bytes,
 )
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
@@ -22,30 +21,39 @@ def payload(deltas, zigzags) -> bytes:
     return to_byte_planes(np.asarray(deltas), "<u4") + to_byte_planes(np.asarray(zigzags), "<u4")
 
 
+def corrected(target, recon, cfg):
+    """recon corrected by the payload ``compensation_payload`` builds, parsed as its layout."""
+    dense, blob = compensation_payload(target, recon, cfg)
+    return (apply_residual if dense else apply_offsets)(np.array(recon, np.int64), blob)
+
+
 def test_perfect_prediction_gives_empty_map():
     band = np.arange(64).reshape(8, 8)
-    assert offsets_to_bytes(band, band, CompensationConfig(lam=0.0, q_step=1)) == b""
+    assert compensation_payload(band, band, CompensationConfig(lam=0.0, q_step=1)) == (False, b"")
 
 
 def test_lossless_limit_is_exact_residual():
     rng = np.random.default_rng(0)
     target = rng.integers(0, 256, (8, 8))
-    recon = rng.integers(0, 256, (8, 8))
     cfg = CompensationConfig(lam=0.0, q_step=1)
-    blob = offsets_to_bytes(target, recon, cfg)
-    fixed = apply_offsets(recon.copy(), blob)
-    assert np.array_equal(fixed, target)
-    # one entry per pixel whose residual is nonzero
-    assert len(blob) // 8 == np.count_nonzero(target - recon)
+    # every pixel mispredicted takes the residual plane, about one in seven the sparse payload
+    for wrong in (np.ones((8, 8), bool), rng.random((8, 8)) < 0.15):
+        recon = np.where(wrong, rng.integers(0, 256, (8, 8)), target)
+        dense, blob = compensation_payload(target, recon, cfg)
+        assert dense == wrong.all()
+        assert np.array_equal(corrected(target, recon, cfg), target)
+        # 2 bytes per pixel, or one 8-byte entry per pixel whose residual is nonzero
+        assert len(blob) == (2 * target.size if dense else 8 * np.count_nonzero(target - recon))
 
 
 def test_hand_worked_example():
     # target 100, recon 90, lam 0.05: violation (10/100 > 0.05);
-    # the offset is the residual itself, so the pixel lands on its target
-    target = np.full((1, 1), 100)
-    recon = np.full((1, 1), 90)
-    blob = offsets_to_bytes(target, recon, CompensationConfig(lam=0.05, q_step=1))
-    assert blob == payload([0], [20])  # zigzag(10) = 20
+    # the offset is the residual itself, so the pixel lands on its target;
+    # one pixel in four carries an offset, so the payload is sparse
+    target = np.full((2, 2), 100)
+    recon = np.array([[90, 100], [100, 100]])
+    dense, blob = compensation_payload(target, recon, CompensationConfig(lam=0.05, q_step=1))
+    assert (dense, blob) == (False, payload([0], [20]))  # zigzag(10) = 20
     fixed = apply_offsets(recon, blob)
     assert fixed[0, 0] == 100
 
@@ -53,7 +61,7 @@ def test_hand_worked_example():
 def test_within_tolerance_pixels_untouched():
     target = np.full((2, 2), 100)
     recon = np.full((2, 2), 98)  # rel err 0.02
-    assert offsets_to_bytes(target, recon, CompensationConfig(lam=0.05, q_step=1)) == b""
+    assert compensation_payload(target, recon, CompensationConfig(lam=0.05, q_step=1)) == (False, b"")
 
 
 # fixed integer bands (no RNG), so the payload digests hold on any machine
@@ -71,14 +79,19 @@ GOLDEN_RECON = GOLDEN_TARGET + (_K * 104729) % 401 - 200
     ],
 )
 def test_offsets_payload_golden_digest(lam, q_step, entries, digest):
+    # at these shares the codec writes the residual plane: it must correct the band as the
+    # pinned sparse payload does
     cfg = CompensationConfig(lam=lam, q_step=q_step)
-    blob = offsets_to_bytes(GOLDEN_TARGET, GOLDEN_RECON, cfg)
+    blob = reference_offsets_to_bytes(GOLDEN_TARGET, GOLDEN_RECON, cfg)
     assert len(blob) == 8 * entries
     assert hashlib.sha256(blob).hexdigest() == digest
+    assert np.array_equal(
+        corrected(GOLDEN_TARGET, GOLDEN_RECON, cfg), apply_offsets(GOLDEN_RECON.copy(), blob)
+    )
 
 
 def reference_offsets_to_bytes(target, recon, cfg):
-    """The payload by the first, all-pixel formula of ``offsets_to_bytes``: the oracle."""
+    """The sparse payload by the first, all-pixel formula: the oracle for the sparse layout."""
     t = np.asarray(target, dtype=np.int64).ravel()
     r = np.asarray(recon, dtype=np.int64).ravel()
     violating = np.abs(t - r) / np.maximum(np.abs(t), 1) > cfg.lam
@@ -126,9 +139,13 @@ def test_offsets_payload_matches_reference(seed, lam, q_step, spread, ties):
         tied = rng.choice(96, 16, replace=False)
         recon[tied] = target[tied] - np.tile([-3, -1, 1, 3], 4) * (q_step // 2)
     cfg = CompensationConfig(lam=lam, q_step=q_step)
-    assert outcome(offsets_to_bytes, target, recon, cfg) == outcome(
-        reference_offsets_to_bytes, target, recon, cfg
-    )
+    want = outcome(reference_offsets_to_bytes, target, recon, cfg)
+    got = outcome(compensation_payload, target, recon, cfg)
+    if got[0] is True:
+        # the residual plane carries the reference's corrections
+        assert np.array_equal(apply_residual(recon.copy(), got[1]), reference_apply_offsets(recon, want))
+    else:
+        assert got == ((False, want) if isinstance(want, bytes) else want)
 
 
 def test_apply_empty_map_is_identity():
@@ -170,7 +187,8 @@ def test_serialization_round_trip():
     recon = np.zeros((256, 256), dtype=np.int64)
     target = recon.copy()
     target.ravel()[[0, 5, 65535]] = [-300, 7, 12345]
-    blob = offsets_to_bytes(target, recon, CompensationConfig())
+    dense, blob = compensation_payload(target, recon, CompensationConfig())
+    assert not dense
     assert len(blob) == 3 * 8
     assert np.array_equal(apply_offsets(recon, blob), target)
 
@@ -183,7 +201,8 @@ def test_serialization_through_entropy_coder():
     recon = np.zeros((256, 256), dtype=np.int64)
     target = recon.copy()
     target.ravel()[idx] = offs
-    blob = offsets_to_bytes(target, recon, CompensationConfig())
+    dense, blob = compensation_payload(target, recon, CompensationConfig())
+    assert not dense
     back = segment_from_bytes(segment_to_bytes(blob), len(blob))
     assert np.array_equal(apply_offsets(recon, back), target)
 
@@ -208,7 +227,7 @@ def test_near_lossless_guarantee(seed, lam, q_step):
     target = rng.integers(-500, 2000, (8, 8))
     recon = target + rng.integers(-300, 300, (8, 8))
     cfg = CompensationConfig(lam=lam, q_step=q_step)
-    fixed = apply_offsets(recon.copy(), offsets_to_bytes(target, recon, cfg))
+    fixed = corrected(target, recon, cfg)
     t, r, c = target.ravel(), recon.ravel(), fixed.ravel()
     flagged = np.abs(t - r) / np.maximum(np.abs(t), 1) > lam
     # a pixel over lam ends within q_step/2 of its target; every other pixel is untouched

@@ -9,10 +9,11 @@ from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import normalize_band
 from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
-from hsicodec.lm import TrainConfig, Workspace, init_params, normal_equations, solve_step, train
+from hsicodec.lm import TrainConfig, Workspace, normal_equations, solve_step, train
 from hsicodec.mlp import N_PARAMS, SHAPES, flatten, forward, layers, unpack
 
 from jacobian_oracle import compute_jacobian
+from test_mlp import random_params
 
 
 def smooth_band(seed=0, size=256):
@@ -43,23 +44,30 @@ def fd_jacobian(params, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def train_start(cfg):
+    """The initial parameters ``train`` runs from under cfg, which it returns after zero epochs:
+    what the test_init_params_* tests check."""
+    x = np.random.default_rng(0).uniform(0, 1, (16, 20))
+    return train(x, x, dataclasses.replace(cfg, max_epochs=0), Workspace())[0]
+
+
 def test_init_params_deterministic():
     cfg = TrainConfig(seed=11)
-    a = init_params(cfg)
-    b = init_params(cfg)
+    a = train_start(cfg)
+    b = train_start(cfg)
     assert np.array_equal(a, b)
 
 
 def test_init_params_seed_sensitivity():
-    a = init_params(TrainConfig(seed=1))
-    b = init_params(TrainConfig(seed=2))
+    a = train_start(TrainConfig(seed=1))
+    b = train_start(TrainConfig(seed=2))
     assert np.any(a != b)
 
 
 def test_init_params_range():
     # ~10^4 sampled entries stay inside the init interval
     vecs = np.concatenate(
-        [init_params(TrainConfig(seed=s)) for s in range(30)]
+        [train_start(TrainConfig(seed=s)) for s in range(30)]
     )
     assert vecs.size >= 10000
     assert vecs.min() >= -1.0
@@ -74,7 +82,7 @@ def test_init_params_is_the_grouped_draw(seed, init):
     cfg = TrainConfig(init_range=(-init, init), seed=seed)
     rng = np.random.default_rng(seed)
     grouped = [rng.uniform(-init, init, shape) for shape in SHAPES]
-    params = init_params(cfg)
+    params = train_start(cfg)
     assert params.shape == (N_PARAMS,)
     assert params.tobytes() == flatten(*grouped).tobytes()
     drawn = np.random.default_rng(seed)
@@ -83,7 +91,7 @@ def test_init_params_is_the_grouped_draw(seed, init):
 
 
 def test_jacobian_b2_columns_are_indicators():
-    params = init_params(TrainConfig(seed=4))
+    params = random_params(4)
     x = np.random.default_rng(4).uniform(0, 1, (16, 3))
     jac = compute_jacobian(params, x)
     b2_block = jac[:, -16:]
@@ -92,7 +100,7 @@ def test_jacobian_b2_columns_are_indicators():
 
 
 def test_jacobian_zero_input_kills_w1_block():
-    params = init_params(TrainConfig(seed=5))
+    params = random_params(5)
     unpack(params)[1][:] = 0.0  # b1
     jac = compute_jacobian(params, np.zeros((16, 2)))
     assert not jac[:, :160].any()
@@ -149,20 +157,20 @@ def assert_matches_jacobian_oracle(params, x, target):
 @pytest.mark.parametrize("m", [1, 17, 2867])
 @pytest.mark.parametrize("init", [0.3, 1.0, 3.0])  # 3.0 saturates tanh
 def test_normal_equations_match_jacobian(m, init):
-    params = init_params(TrainConfig(init_range=(-init, init), seed=m))
+    params = random_params(m, init)
     rng = np.random.default_rng(m)
     x = rng.uniform(0, 1, (16, m))
     assert_matches_jacobian_oracle(params, x, rng.uniform(0, 1, (16, m)))
 
 
 def test_normal_equations_zero_inputs():
-    params = init_params(TrainConfig(seed=12))
+    params = random_params(12)
     x = np.zeros((16, 5))
     assert_matches_jacobian_oracle(params, x, np.random.default_rng(12).uniform(0, 1, (16, 5)))
 
 
 def test_normal_equations_reject_mismatched_error():
-    params = init_params(TrainConfig(seed=13))
+    params = random_params(13)
     x = np.random.default_rng(13).uniform(0, 1, (16, 5))
     hidden, out = layers(params, x)
     with pytest.raises(DimensionError):
@@ -175,7 +183,7 @@ def test_normal_equations_do_not_depend_on_the_input_memory_order():
     # OpenBLAS rounds the products with x1' differently for a C- and an F-ordered
     # x1; ``load`` fixes x1's order, so the caller's layout cannot reach the stream
     x = band_blocks(seed=3)[:, :2868]
-    params = init_params(TrainConfig(seed=3))
+    params = random_params(3)
     hidden, out = layers(params, x)
     err = out - (0.6 * x + 0.1)
     c_eq, f_eq = (
@@ -225,7 +233,7 @@ def test_train_evaluates_each_point_once(monkeypatch):
 
 
 def test_lm_step_zero_residual_is_identity():
-    params = init_params(TrainConfig(seed=6))
+    params = random_params(6)
     x = np.random.default_rng(6).uniform(0, 1, (16, 5))
     target = forward(params, x)
     stepped = lm_update(params, x, target, mu=1e-3)
@@ -233,7 +241,7 @@ def test_lm_step_zero_residual_is_identity():
 
 
 def test_lm_step_gradient_descent_limit():
-    params = init_params(TrainConfig(seed=7))
+    params = random_params(7)
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, (16, 6))
     target = rng.uniform(0, 1, (16, 6))
@@ -262,7 +270,7 @@ def test_lm_step_bias_only_closed_form():
 
 
 def test_lm_step_normal_equations_residual():
-    params = init_params(TrainConfig(seed=10))
+    params = random_params(10)
     rng = np.random.default_rng(10)
     x = rng.uniform(0, 1, (16, 8))
     target = rng.uniform(0, 1, (16, 8))
@@ -279,7 +287,7 @@ def test_lm_step_normal_equations_residual():
 @pytest.mark.parametrize("m", [1, 17, 2867])
 @pytest.mark.parametrize("init", [0.3, 1.0, 3.0])  # 3.0 saturates tanh
 def test_lm_step_solves_damped_normal_equations(m, init):
-    params = init_params(TrainConfig(init_range=(-init, init), seed=m))
+    params = random_params(m, init)
     rng = np.random.default_rng(m)
     x = rng.uniform(0, 1, (16, m))
     target = rng.uniform(0, 1, (16, m))
@@ -295,7 +303,7 @@ def test_lm_step_solves_damped_normal_equations(m, init):
 
 
 def test_solve_step_rejects_indefinite_or_nonfinite_system():
-    params = init_params(TrainConfig(seed=4))
+    params = random_params(4)
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 1, (16, 40))
     eq = evaluated_normal_equations(params, x, rng.uniform(0, 1, (16, 40)))
@@ -332,7 +340,7 @@ def test_train_zero_epochs_returns_initial_params():
     params, report = train(x, 0.5 * x, cfg, Workspace())
     assert report.stop_reason == "epochs"
     assert report.epochs_run == 0
-    assert np.array_equal(params, init_params(cfg))
+    assert np.array_equal(params, random_params(cfg.seed))
 
 
 def test_train_deterministic():
@@ -400,11 +408,11 @@ def test_train_mu_overflow_on_exact_fit():
     # improving step, so the damping factor climbs until it caps out
     cfg = TrainConfig(mse_goal=1e-30, max_epochs=10, seed=3)
     x = np.random.default_rng(0).uniform(0, 1, (16, 64))
-    target = forward(init_params(cfg), x)
+    target = forward(random_params(cfg.seed), x)
     params, report = train(x, target, cfg, Workspace())
     assert report.stop_reason == "mu_overflow"
     assert report.epochs_run == 0
-    assert np.array_equal(params, init_params(cfg))
+    assert np.array_equal(params, random_params(cfg.seed))
 
 
 def test_train_patience_stop_returns_best_validation():

@@ -11,8 +11,9 @@ def zero_params():
     return np.zeros(N_PARAMS)
 
 
-def random_params(seed):
-    return np.random.default_rng(seed).uniform(-1, 1, N_PARAMS)
+def random_params(seed, init=1.0):
+    """The flat vector drawn uniform in [-init, init] by a generator seeded with seed."""
+    return np.random.default_rng(seed).uniform(-init, init, N_PARAMS)
 
 
 def tansig(x):

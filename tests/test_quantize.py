@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.errors import CorruptStreamError, DimensionError
-from hsicodec.lm import TrainConfig, init_params
 from hsicodec.mlp import flatten, unpack
 from hsicodec.quantize import dequantize_params, quantize_params
+from test_mlp import random_params
 
 # each group's slice of the flat vector and of the params payload
 W1, B1, W2, B2 = slice(0, 160), slice(160, 170), slice(170, 330), slice(330, 346)
@@ -43,7 +43,7 @@ def group_ranges(range_bytes: bytes) -> list[tuple[float, float]]:
 
 def test_record_layout():
     # the record's fields at their byte offsets, read with this test's own struct format
-    vec = init_params(TrainConfig(seed=4))
+    vec = random_params(4)
     record = quantize_params(vec, -7, 4000)
     param_bytes, *ranges, src_min, src_max = struct.unpack(f"<{PARAM_BYTES}s8fii", record)
     assert len(record) == struct.calcsize(f"<{PARAM_BYTES}s8fii") == 386
@@ -59,13 +59,13 @@ def test_record_layout():
 
 @pytest.mark.parametrize("band", [(1, 0), (2**31 - 1, -(2**31))])
 def test_band_min_above_max_rejected(band):
-    param_bytes, range_bytes = quantize(init_params(TrainConfig(seed=5)))
+    param_bytes, range_bytes = quantize(random_params(5))
     with pytest.raises(CorruptStreamError, match="band min exceeds max"):
         dequantize_params(record_of(param_bytes, range_bytes, *band))
 
 
 def test_endpoints_map_to_0_and_255():
-    vec = init_params(TrainConfig(seed=1))
+    vec = random_params(1)
     vec[W1] = np.linspace(-2.0, 5.0, 160)
     param_bytes, range_bytes = quantize(vec)
     q = np.frombuffer(param_bytes, dtype=np.uint8)
@@ -75,7 +75,7 @@ def test_endpoints_map_to_0_and_255():
 
 
 def test_constant_matrix_degenerate():
-    vec = init_params(TrainConfig(seed=2))
+    vec = random_params(2)
     vec[W1] = 1.25
     param_bytes, range_bytes = quantize(vec)
     assert param_bytes[W1] == bytes(160)
@@ -86,7 +86,7 @@ def test_constant_matrix_degenerate():
 
 def test_nonfinite_rejected():
     # quantizing refuses a vector that is not 346 finite values
-    vec = init_params(TrainConfig(seed=3))
+    vec = random_params(3)
     for bad in (np.inf, -np.inf, np.nan):
         vec[B2.start] = bad
         with pytest.raises(DimensionError, match="finite"):
@@ -142,7 +142,7 @@ def test_quantize_idempotent_on_its_own_grid(seed):
 
 
 def test_params_round_trip_and_payload_sizes():
-    params = init_params(TrainConfig(seed=20))
+    params = random_params(20)
     param_bytes, range_bytes = quantize(params)
     assert PARAM_BYTES == len(param_bytes) == 346
     assert RANGE_BYTES == len(range_bytes) == 32
@@ -151,7 +151,7 @@ def test_params_round_trip_and_payload_sizes():
 
 
 def test_params_quantization_error_bounded():
-    params = init_params(TrainConfig(seed=21))
+    params = random_params(21)
     dq = dequantize(*quantize(params))
     for orig, back in zip(unpack(params), unpack(dq)):
         span = float(orig.max() - orig.min())
@@ -182,7 +182,7 @@ GOLDEN = {
 def test_payload_golden_digest(b1_value):
     # the wire bytes of a fixed parameter set; the arithmetic is elementwise
     # numpy and struct, so the digest depends on neither BLAS nor zlib
-    params = init_params(TrainConfig(seed=20))
+    params = random_params(20)
     if b1_value is not None:
         params[B1] = b1_value
     param_bytes, range_bytes = quantize(params)
