@@ -16,6 +16,9 @@ compensation on either 0x04 sparse offsets or 0x05 the residual plane of
 2 bytes per pixel, as ``compensate.compensation_payload`` picks per band),
 each varint-length-prefixed and coded by ``entropy``. ``quantize`` owns
 the params record; ``_fit_band`` is the one place the encoder fits a band.
+``_band_blocks`` is the one builder of a band's scaled block columns, in
+``cube.block_view``'s order: the network's input on both sides and the
+encoder's training target.
 ``Bitstream.from_bytes`` rejects invalid compensation settings; it and
 ``decode_cube`` both run ``_check_grammar``, which rejects a header with
 another band geometry or no coded band, and segments that break the
@@ -32,15 +35,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .blocks import band_to_blocks, block_view
 from .compensate import CompensationConfig, apply_offsets, apply_residual, compensation_payload
-from .cube import BAND_SIZE, INT16, HyperCube, denormalize_band, normalize_band, resize_band
+from .cube import BAND_SIZE, BLOCK, INT16, HyperCube, block_view, denormalize_band, normalize_band, resize_band
 from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, Workspace, train
 from .mlp import forward
 from .quantize import RECORD, dequantize_params, quantize_params
-from .wire import from_byte_planes, read_varint, to_byte_planes, varint_size, write_varint
+from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 MAGIC = b"BIPN"
 VERSION = 3
@@ -111,6 +113,14 @@ def _pack_header(h: BitstreamHeader) -> bytearray:
     return out
 
 
+def _framed(segments: list[tuple[int, bytes]]):
+    """Each segment's head (its tag byte and varint body length), then its body, as the stream holds them."""
+    for tag, body in segments:
+        head = bytearray([tag])
+        write_varint(head, len(body))
+        yield from (head, body)
+
+
 @dataclass
 class Bitstream:
     header: BitstreamHeader
@@ -118,12 +128,7 @@ class Bitstream:
 
     def to_bytes(self) -> bytes:
         """The serialized stream, joined into its one copy."""
-        parts = [_pack_header(self.header)]
-        for tag, body in self.segments:
-            head = bytearray([tag])
-            write_varint(head, len(body))
-            parts += (head, body)
-        return b"".join(parts)
+        return b"".join([_pack_header(self.header), *_framed(self.segments)])
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Bitstream":
@@ -179,27 +184,23 @@ class EncodeResult:
     predict_mse: list[float]   # per predicted band: MSE of the params-only prediction, before offsets
 
 
-def _pack_band(band: np.ndarray) -> bytes:
-    """A band as int16 little-endian byte planes."""
-    return to_byte_planes(band, "<i2")
-
-
 def _unpack_band(blob: bytes, shape) -> np.ndarray:
     if len(blob) != 2 * int(np.prod(shape)):
         raise CorruptStreamError("first-band payload does not match declared size")
     return from_byte_planes(blob, "<i2").reshape(shape)
 
 
-def _band_blocks(band: np.ndarray) -> np.ndarray:
-    """The network input built from a reconstructed band (permuted as int16, then scaled)."""
-    return normalize_band(band_to_blocks(band))[0]
+def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(columns, src_min, src_max): a band's 16 x M block columns, permuted as int16, then scaled
+    to [0, 1] in a new C-contiguous float64 array, the layout ``forward`` rounds ``w1 @ x`` in."""
+    return normalize_band(block_view(band).reshape(BLOCK * BLOCK, -1))
 
 
 def _fit_band(
     x: np.ndarray, band: np.ndarray, cfg: TrainConfig, workspace: Workspace
 ) -> tuple[bytes, TrainReport]:
     """The params record predicting ``band`` from ``x``, the previous reconstructed band's blocks."""
-    target, src_min, src_max = normalize_band(band_to_blocks(band))
+    target, src_min, src_max = _band_blocks(band)
     params, report = train(x, target, cfg, workspace)
     return quantize_params(params, src_min, src_max), report
 
@@ -267,7 +268,7 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         _pack_header(header)
     except struct.error as exc:
         raise DimensionError(f"cube does not fit the u16 header fields: {exc}") from exc
-    segments = [(TAG_FIRST_BAND, segment_to_bytes(_pack_band(resized[0])))]
+    segments = [(TAG_FIRST_BAND, segment_to_bytes(to_byte_planes(resized[0], "<i2")))]
 
     # the band step writes every later band, so only band 0 is copied
     recon = np.empty(resized.shape, np.int16)
@@ -277,7 +278,7 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     workspace = Workspace()  # training's band-sized buffers, shared by every band
 
     for k in range(1, len(coded)):
-        x = _band_blocks(recon[k - 1])
+        x = _band_blocks(recon[k - 1])[0]
         record, report = _fit_band(x, resized[k], cfg.train, workspace)
         reports.append(report)
         pred = _decode_band(x, record)
@@ -313,7 +314,7 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     data = np.empty((h.coded_bands, h.rows, h.cols), np.int16)
     data[0] = _unpack_band(next(payloads)[1], (h.rows, h.cols))
     for k in range(1, h.coded_bands):
-        pred = _decode_band(_band_blocks(data[k - 1]), next(payloads)[1])
+        pred = _decode_band(_band_blocks(data[k - 1])[0], next(payloads)[1])
         _finish_band(pred, next(payloads) if comp.enabled else None, out=data[k])
     return HyperCube(data=data)
 
@@ -321,5 +322,5 @@ def decode_cube(bs: Bitstream) -> HyperCube:
 def bitrate(bs: Bitstream) -> float:
     """Bits per pixel per band over the full serialized stream, sized without serializing it."""
     h = bs.header
-    size = len(_pack_header(h)) + sum(1 + varint_size(len(body)) + len(body) for _, body in bs.segments)
+    size = len(_pack_header(h)) + sum(map(len, _framed(bs.segments)))
     return size * 8 / (h.rows * h.cols * h.coded_bands)

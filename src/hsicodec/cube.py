@@ -8,6 +8,12 @@ Every band the codec touches is first resized to BAND_SIZE x BAND_SIZE by
 nearest-neighbor sampling and normalized to [0, 1]; ``normalize_band``
 returns the values with the band's (src_min, src_max), and that pair makes
 the normalization exactly invertible on integers.
+
+A band's 4x4 blocks are the network's 16 inputs and outputs. Blocks are
+scanned row-major, and so are the pixels within a block: pixel (i, j) lands
+at row 4*(i mod 4) + (j mod 4) of column (cols/4)*(i div 4) + (j div 4).
+``block_view`` lays a band out in that order; the codec reads a band's block
+columns and writes a predicted band's pixels back through it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import CorruptInputError, DimensionError, FormatError, WriteError
 
 BAND_SIZE = 256
+BLOCK = 4
 INT16 = np.iinfo(np.int16)
 
 
@@ -153,6 +160,19 @@ def resize_band(band: np.ndarray) -> np.ndarray:
     return band[np.ix_(src_i, src_j)]
 
 
+def block_view(band: np.ndarray) -> np.ndarray:
+    """A band's pixels on axes (i mod 4, j mod 4, i div 4, j div 4), the block-column order.
+
+    A view of a C-contiguous band: 16 x M blocks reshaped to its shape are
+    read from or written to the band in one strided pass.
+    """
+    band = np.asarray(band)
+    if band.ndim != 2 or band.shape[0] % BLOCK or band.shape[1] % BLOCK:
+        raise DimensionError(f"band shape {band.shape} is not a multiple of {BLOCK}x{BLOCK}")
+    br, bc = band.shape[0] // BLOCK, band.shape[1] // BLOCK
+    return band.reshape(br, BLOCK, bc, BLOCK).transpose(1, 3, 0, 2)
+
+
 def normalize_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Scale an integer band to [0, 1]: (values, src_min, src_max).
 
@@ -178,7 +198,7 @@ def denormalize_band(values: np.ndarray, src_min: int, src_max: int, out: np.nda
     value non-negative, so the codec's one rounding rule holds: add 0.5 and
     truncate, which the integer cast does.
     ``values`` is overwritten, and the integers fill ``out``, any int64 array
-    of values' size, in values' order (as in a band's ``blocks.block_view``).
+    of values' size, in values' order (as in a band's ``block_view``).
     """
     np.clip(values, 0.0, 1.0, out=values)
     values *= float(src_max - src_min)

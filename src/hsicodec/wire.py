@@ -27,11 +27,6 @@ def write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def varint_size(value: int) -> int:
-    """The number of bytes write_varint takes for a non-negative ``value``."""
-    return max(1, -(-value.bit_length() // 7))
-
-
 def read_varint(buf, offset: int) -> tuple[int, int]:
     result = 0
     shift = 0

@@ -21,7 +21,6 @@ from hsicodec.codec import (
 )
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, normalize_band
-from hsicodec.blocks import band_to_blocks
 from hsicodec.entropy import segment_from_bytes, segment_header, segment_to_bytes
 from hsicodec.lm import TrainConfig, Workspace, train
 from hsicodec.metrics import correlation_coefficient, psnr, ssim
@@ -29,6 +28,7 @@ from hsicodec.mlp import N_PARAMS, forward
 
 from jacobian_oracle import compute_jacobian
 from make_synthetic_cube import smooth_field
+from test_blocks import block_columns
 
 
 def report(name):
@@ -86,7 +86,7 @@ def test_criterion_jacobian_correctness():
 
 def test_criterion_trainability_at_goal():
     """Affine band map at M=4096 reaches the 1e-4 MSE goal in time."""
-    x = band_to_blocks(normalize_band(smooth_band(seed=2))[0])
+    x = block_columns(normalize_band(smooth_band(seed=2))[0])
     target = 0.3 * x + 0.1
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, max_seconds=60, seed=0)
     start = time.monotonic()

@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.blocks import block_view
 from hsicodec import codec
 from hsicodec.codec import TAG_OFFSETS, TAG_RESIDUAL, _band_blocks, _decode_band, _finish_band
 from hsicodec.compensate import apply_offsets, apply_residual
-from hsicodec.cube import BAND_SIZE, INT16, denormalize_band
+from hsicodec.cube import BAND_SIZE, INT16, block_view, denormalize_band
 from hsicodec.mlp import flatten, forward
 from hsicodec.quantize import dequantize_params, quantize_params
 from hsicodec.wire import to_byte_planes
@@ -107,7 +106,7 @@ def offsets_segments(rng, n_pixels):
 
 def square_inputs():
     bands = [band for band in block_order_bands() if band.shape == (BAND_SIZE, BAND_SIZE)]
-    return [_band_blocks(band) for band in bands]
+    return [_band_blocks(band)[0] for band in bands]
 
 
 @pytest.mark.parametrize("name, rec", list(records()), ids=[name for name, _ in records()])
@@ -149,7 +148,7 @@ def test_band_step_on_chosen_predictions(monkeypatch, src_min, src_max):
 def test_non_square_band_step_matches_reference():
     # the seams of the band step, as _decode_band and _finish_band compose them, on an 8 x 12 band
     (band,) = [band for band in block_order_bands() if band.shape == (8, 12)]
-    x = _band_blocks(band)
+    x = _band_blocks(band)[0]
     rng = np.random.default_rng(4)
     for _, rec in records():
         for offsets in offsets_segments(rng, band.size):

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.blocks import band_to_blocks, block_view
+from hsicodec.cube import BLOCK, block_view
 from hsicodec.errors import DimensionError
+
+
+def block_columns(band):
+    """The 16 x M block columns of a band, C-contiguous."""
+    return block_view(band).reshape(BLOCK * BLOCK, -1)
 
 
 def written_band(blocks, shape):
@@ -19,21 +24,21 @@ def written_band(blocks, shape):
 def test_round_trip_identity():
     rng = np.random.default_rng(0)
     band = rng.uniform(0, 1, (256, 256))
-    assert np.array_equal(written_band(band_to_blocks(band), band.shape), band)
+    assert np.array_equal(written_band(block_columns(band), band.shape), band)
 
 
 def test_toy_8x8_index_oracle():
     # 8x8 band: 2x2 grid of 4x4 blocks. pixel (0,5): block col 1, in-block (0,1)
     band = np.zeros((8, 8))
     band[0, 5] = 1.0
-    blocks = band_to_blocks(band)
+    blocks = block_columns(band)
     assert blocks.shape == (16, 4)
     assert blocks[1, 1] == 1.0
     assert blocks.sum() == 1.0
 
 
 def test_constant_band_gives_identical_columns():
-    blocks = band_to_blocks(np.full((256, 256), 3.5))
+    blocks = block_columns(np.full((256, 256), 3.5))
     assert np.all(blocks == blocks[:, :1])
 
 
@@ -54,7 +59,7 @@ def test_zero_matrix_round_trip():
 
 def test_dimension_errors():
     with pytest.raises(DimensionError):
-        band_to_blocks(np.zeros((10, 8)))
+        block_columns(np.zeros((10, 8)))
     with pytest.raises(DimensionError):
         block_view(np.zeros((8, 10)))
 
@@ -64,7 +69,7 @@ def test_dimension_errors():
 def test_bijection_property(block_rows, block_cols, seed):
     rng = np.random.default_rng(seed)
     band = rng.uniform(-5, 5, (4 * block_rows, 4 * block_cols))
-    blocks = band_to_blocks(band)
+    blocks = block_columns(band)
     assert blocks.shape == (16, block_rows * block_cols)
     assert np.array_equal(written_band(blocks, band.shape), band)
     assert blocks.sum() == pytest.approx(band.sum(), rel=1e-12)

@@ -128,6 +128,23 @@ def test_info_on_truncated_stream(tmp_path, cube_file):
     assert run(["info", str(out)]) == EXIT_CORRUPT
 
 
+def test_info_lists_a_segment_it_cannot_parse(tmp_path, cube_file, capsys):
+    # a params segment whose mode byte names no mode: info still lists it, decode rejects it
+    two_bands = tmp_path / "two.raw"
+    store_cube(HyperCube(data=load_cube(cube_file).data[:2]), two_bands)
+    out = tmp_path / "out.bip"
+    assert run(["encode", str(two_bands), str(out), "--max-epochs", "1"]) == EXIT_OK
+    bs = Bitstream.from_bytes(out.read_bytes())
+    tag, body = bs.segments[1]
+    assert tag == TAG_PARAMS
+    bs.segments[1] = (tag, b"\x07" + body[1:])
+    out.write_bytes(bs.to_bytes())
+    capsys.readouterr()
+    assert run(["info", str(out)]) == EXIT_OK
+    assert "segment 1: params, 389 bytes, unparsed" in capsys.readouterr().out.splitlines()
+    assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+
+
 def test_decode_garbage_stream(tmp_path):
     bad = tmp_path / "bad.bip"
     bad.write_bytes(b"not a stream at all")

@@ -22,7 +22,6 @@ from hsicodec.codec import (
     TAG_RESIDUAL,
     _band_blocks,
     _decode_band,
-    _pack_band,
     _unpack_band,
     _fit_band,
     bitrate,
@@ -30,14 +29,15 @@ from hsicodec.codec import (
     encode_cube_full,
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual
-from hsicodec.blocks import band_to_blocks
-from hsicodec.cube import BAND_SIZE, HyperCube, normalize_band, resize_band
+from hsicodec.cube import BAND_SIZE, BLOCK, HyperCube, normalize_band, resize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig, Workspace
 from hsicodec.metrics import psnr, psnr_db
+from hsicodec.mlp import N_INPUT
 from hsicodec.quantize import quantize_params
-from hsicodec.wire import from_byte_planes
+from hsicodec.wire import from_byte_planes, to_byte_planes
+from test_blocks import block_columns
 from test_compensate import reference_offsets_to_bytes
 from test_mlp import random_params
 
@@ -66,7 +66,7 @@ def rule_tags(result, comp) -> list[int]:
     tags = []
     for k in range(1, len(result.recon_bands)):
         record = segment_from_bytes(segments[2 * k - 1][1], MAX_PAYLOAD[TAG_PARAMS])
-        pred = _decode_band(_band_blocks(result.recon_bands[k - 1]), record)
+        pred = _decode_band(_band_blocks(result.recon_bands[k - 1])[0], record)
         sparse = reference_offsets_to_bytes(result.resized_bands[k], pred, comp)
         zigzag = from_byte_planes(sparse[len(sparse) // 2 :], "<u4")
         dense = 4 * zigzag.size > pred.size and zigzag.max(initial=0) < 2**16
@@ -78,7 +78,7 @@ def test_pack_band_round_trip():
     rng = np.random.default_rng(3)
     for lo, hi in [(0, 0), (5, 6), (0, 255), (-1000, 4000), (-32768, 32767)]:
         band = rng.integers(lo, hi + 1, (16, 16)).astype(np.int64)
-        packed = _pack_band(band)
+        packed = to_byte_planes(band, "<i2")
         assert len(packed) == 2 * band.size
         back = _unpack_band(packed, band.shape)
         assert np.array_equal(back, band)
@@ -97,11 +97,24 @@ def block_order_bands():
 @pytest.mark.parametrize("band", block_order_bands())
 def test_band_blocks_match_normalize_then_permute(band):
     # blocks are permuted as int16 and then scaled; the order must not change a bit
-    got = _band_blocks(band)
-    expected = band_to_blocks(normalize_band(band)[0])
+    got = _band_blocks(band)[0]
+    expected = block_columns(normalize_band(band)[0])
     assert got.dtype == expected.dtype == np.float64
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def test_network_input_is_a_contiguous_array_of_its_own():
+    # forward rounds w1 @ x by x's memory order, so both sides must hand it the same layout
+    assert N_INPUT == BLOCK * BLOCK
+    result = encode_cube_full(smooth_cube(bands=2), fast_cfg())
+    decoded = decode_cube(result.bitstream).data
+    for band in (result.recon_bands[1], decoded[1]):
+        x = _band_blocks(band)[0]
+        assert x.dtype == np.float64
+        assert x.shape == (N_INPUT, BAND_SIZE * BAND_SIZE // N_INPUT)
+        assert x.flags.c_contiguous
+        assert x.flags.owndata
 
 
 def test_single_band_cube_is_exact():
@@ -250,7 +263,7 @@ def test_decoded_cube_digest():
     from make_synthetic_cube import make_cube
 
     cube = make_cube(3, BAND_SIZE, 7, 3.0)
-    segments = [(TAG_FIRST_BAND, segment_to_bytes(_pack_band(cube.band(0))))]
+    segments = [(TAG_FIRST_BAND, segment_to_bytes(to_byte_planes(cube.band(0), "<i2")))]
     for s in (1, 2):
         params = random_params(s, 0.3)
         record = quantize_params(params, int(cube.band(s).min()), int(cube.band(s).max()))
@@ -291,7 +304,7 @@ def test_params_record_layout():
     result = encode_cube_full(smooth_cube(bands=2), cfg)
     [_, (tag, body)] = result.bitstream.segments
     assert tag == TAG_PARAMS
-    x = _band_blocks(result.resized_bands[0])
+    x = _band_blocks(result.resized_bands[0])[0]
     expected, _ = _fit_band(x, result.resized_bands[1], cfg.train, Workspace())
     assert segment_from_bytes(body, MAX_PAYLOAD[tag]) == expected
 
@@ -457,7 +470,7 @@ def test_header_declaring_more_bands_than_segments_rejected():
 def test_bad_header_in_memory_rejected(rows, coded):
     # a Bitstream built in memory skips from_bytes, so decode_cube checks its header as from_bytes does
     bs = encode_cube_full(smooth_cube(bands=2), fast_cfg()).bitstream
-    first = (TAG_FIRST_BAND, segment_to_bytes(_pack_band(np.ones((rows, rows), np.int16))))
+    first = (TAG_FIRST_BAND, segment_to_bytes(to_byte_planes(np.ones((rows, rows), np.int16), "<i2")))
     header = dataclasses.replace(bs.header, rows=rows, cols=rows, coded_bands=coded)
     segments = [first] + bs.segments[1:] if coded else [first]
     with pytest.raises(CorruptStreamError):

@@ -299,7 +299,7 @@ def test_offsets_past_int16_saturate():
     bs = two_band_stream()
     decoded = decode_cube(bs).data.astype(np.int64)
     record = segment_from_bytes(bs.segments[1][1], MAX_PAYLOAD[TAG_PARAMS])
-    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0]), record)
+    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0])[0], record)
     # the layout rule: dense when over a quarter of the pixels carry an offset, each within int16
     dense = 4 * np.count_nonzero(offsets) > offsets.size and -(2**15) <= offsets.min() <= offsets.max() < 2**15
     assert bs.segments[2][0] == (TAG_RESIDUAL if dense else TAG_OFFSETS)
@@ -374,6 +374,6 @@ def test_huge_parameter_ranges():
         decode_cube(Bitstream(header=bs.header, segments=segments))
     except CorruptStreamError:
         return
-    x = _band_blocks(decode_cube(bs).data[0])
+    x = _band_blocks(decode_cube(bs).data[0])[0]
     pred = _decode_band(x, payload)
     assert src_min <= pred.min() and pred.max() <= src_max

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsicodec.blocks import band_to_blocks
 from hsicodec.cube import normalize_band
 from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
@@ -13,6 +12,7 @@ from hsicodec.lm import TrainConfig, Workspace, normal_equations, solve_step, tr
 from hsicodec.mlp import N_PARAMS, SHAPES, flatten, forward, layers, unpack
 
 from jacobian_oracle import compute_jacobian
+from test_blocks import block_columns
 from test_mlp import random_params
 
 
@@ -29,7 +29,7 @@ def smooth_band(seed=0, size=256):
 
 
 def band_blocks(seed=0):
-    return band_to_blocks(normalize_band(smooth_band(seed))[0])
+    return block_columns(normalize_band(smooth_band(seed))[0])
 
 
 def fd_jacobian(params, x, h=1e-6):

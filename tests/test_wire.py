@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicodec.errors import CorruptStreamError
-from hsicodec.wire import from_byte_planes, to_byte_planes, varint_size, write_varint
+from hsicodec.wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 DTYPES = ["<u1", "<i2", "<u4", "<i8"]
 
@@ -53,8 +53,14 @@ def test_plane_bytes_not_a_multiple_of_the_width(dtype):
                 from_byte_planes(bytes(length), dtype)
 
 
-@pytest.mark.parametrize("value", [0, 1, 127, 128, 16383, 16384, 2**63 - 1, 2**63])
-def test_varint_size_is_the_written_length(value):
-    out = bytearray()
+VARINT_SIZES = [(0, 1), (1, 1), (127, 1), (128, 2), (16383, 2), (16384, 3), (2**63 - 1, 9), (2**63, 10)]
+
+
+@pytest.mark.parametrize("value, size", [pytest.param(v, n, id=str(v)) for v, n in VARINT_SIZES])
+def test_varint_size_is_the_written_length(value, size):
+    # each 7 bits of the value take one byte; read from inside a longer buffer, the
+    # varint ends exactly where its writer stopped
+    out = bytearray(b"\xaa")
     write_varint(out, value)
-    assert varint_size(value) == len(out)
+    assert len(out) == 1 + size
+    assert read_varint(out + b"\x00", 1) == (value, 1 + size)
