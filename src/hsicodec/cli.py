@@ -18,6 +18,7 @@ from . import metrics as qm
 from .codec import (
     Bitstream,
     EncoderConfig,
+    MAX_PAYLOAD,
     TAG_NAMES,
     bitrate,
     decode_cube,
@@ -25,7 +26,7 @@ from .codec import (
 )
 from .compensate import CompensationConfig
 from .cube import HyperCube, load_cube, store_cube
-from .entropy import segment_header
+from .entropy import MODES, segment_from_bytes
 from .errors import (
     CodecError,
     CorruptInputError,
@@ -205,9 +206,9 @@ def _cmd_info(args) -> int:
     print(f"total: {len(blob)} bytes, {bitrate(bs):.4f} bpppb")
     for k, (tag, body) in enumerate(bs.segments):
         try:
-            mode, original_len, _ = segment_header(body)
-            detail = f"mode={mode} original={original_len}"
-        except CodecError:
+            original = len(segment_from_bytes(body, MAX_PAYLOAD[tag]))
+            detail = f"mode={MODES[body[0]]} original={original}"
+        except CorruptStreamError:
             detail = "unparsed"
         print(f"segment {k}: {TAG_NAMES[tag]}, {len(body)} bytes, {detail}")
     return EXIT_OK

@@ -9,7 +9,7 @@ running the decoder's band step (``_decode_band`` and ``_finish_band``) on
 the payload bytes it emits, so decoder output matches the encoder-side
 reconstruction bit for bit by construction.
 
-Bitstream layout (version 3): magic "BIPN", version byte, fixed-width
+Bitstream layout (version 4): magic "BIPN", version byte, fixed-width
 little-endian header fields, then tagged segments (0x01 first band as
 int16 byte planes; per predicted band 0x02 its params record, and with
 compensation on either 0x04 sparse offsets or 0x05 the residual plane of
@@ -23,8 +23,7 @@ encoder's training target.
 ``decode_cube`` both run ``_check_grammar``, which rejects a header with
 another band geometry or no coded band, and segments that break the
 grammar. ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
-``entropy.segment_from_bytes``, which rejects a segment declaring more
-before inflating.
+``entropy.segment_from_bytes``, which inflates at most one byte past it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .quantize import RECORD, dequantize_params, quantize_params
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
 MAGIC = b"BIPN"
-VERSION = 3
+VERSION = 4
 
 TAG_FIRST_BAND = 0x01
 TAG_PARAMS = 0x02
@@ -59,7 +58,7 @@ TAG_NAMES = {
     TAG_RESIDUAL: "residual",
 }
 
-# the most pre-entropy bytes a segment of each tag may declare
+# the most pre-entropy bytes a segment of each tag may hold
 MAX_PAYLOAD = {
     TAG_FIRST_BAND: 2 * BAND_SIZE * BAND_SIZE,
     TAG_PARAMS: RECORD.size,

@@ -3,11 +3,10 @@
 Modes: ``zlib`` (level 6) and ``raw`` (verbatim bytes, used whenever
 DEFLATE does not shrink the input). Coded bytes are deterministic for one
 zlib build; another build may emit different, equally valid DEFLATE
-bytes, and any build decodes them. Decoding rejects a segment that
-declares more than the caller's ``max_len`` bytes before inflating, and
-never inflates past the declared length.
+bytes, and any build decodes them. Decoding rejects a payload of more
+than the caller's ``max_len`` bytes, and inflates at most one byte past it.
 
-Segment wire layout: 1 mode byte, varint original length, mode body.
+Segment wire layout: 1 mode byte, then the mode body; a zlib body marks its own end.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import zlib
 
 from .errors import CorruptStreamError
-from .wire import read_varint, write_varint
 
 MODES = ("raw", "zlib")  # indexed by the segment's mode byte
 
@@ -24,43 +22,29 @@ def segment_to_bytes(data: bytes) -> bytes:
     """The wire segment of ``data``: DEFLATE, or raw when DEFLATE would not shrink it."""
     data = bytes(data)
     packed = zlib.compress(data, 6)
-    mode, body = (0, data) if len(packed) >= len(data) else (1, packed)
-    out = bytearray([mode])
-    write_varint(out, len(data))
-    out += body
-    return bytes(out)
+    return b"\x00" + data if len(packed) >= len(data) else b"\x01" + packed
 
 
-def segment_header(blob: bytes) -> tuple[str, int, int]:
-    """(mode, declared original length, offset of the body) of a wire segment."""
+def segment_from_bytes(blob: bytes, max_len: int) -> bytes:
+    """Exact inverse of segment_to_bytes for payloads of at most ``max_len`` bytes;
+    malformed segments raise CorruptStreamError."""
     if not blob:
         raise CorruptStreamError("empty segment")
     if blob[0] >= len(MODES):
         raise CorruptStreamError(f"unknown segment mode byte {blob[0]}")
-    original_len, offset = read_varint(blob, 1)
-    return MODES[blob[0]], original_len, offset
-
-
-def segment_from_bytes(blob: bytes, max_len: int) -> bytes:
-    """Exact inverse of segment_to_bytes; malformed segments raise CorruptStreamError."""
-    mode, original_len, offset = segment_header(blob)
-    if original_len > max_len:
-        raise CorruptStreamError(f"segment declares {original_len} bytes, at most {max_len}")
-    body = blob[offset:]
-    if mode == "raw":
-        if len(body) != original_len:
-            raise CorruptStreamError("raw payload length mismatch")
+    body = blob[1:]
+    if MODES[blob[0]] == "raw":
+        if len(body) > max_len:
+            raise CorruptStreamError(f"raw payload of {len(body)} bytes is over its cap of {max_len}")
         return bytes(body)
-    if original_len == 0:
-        # max_length 0 would mean "no limit" to zlib; the encoder stores b"" raw
-        raise CorruptStreamError("empty zlib segment")
     inflater = zlib.decompressobj()
     try:
-        out = inflater.decompress(body, original_len)
+        # one byte past the cap shows a longer payload, and max_length 0 would mean "no limit" to zlib
+        out = inflater.decompress(body, max_len + 1)
     except zlib.error as exc:
         raise CorruptStreamError(f"bad zlib payload: {exc}") from exc
+    if len(out) > max_len:
+        raise CorruptStreamError(f"zlib payload inflates over its cap of {max_len} bytes")
     if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
-        raise CorruptStreamError("zlib payload does not end where its length says")
-    if len(out) != original_len:
-        raise CorruptStreamError("zlib payload length mismatch")
+        raise CorruptStreamError("zlib payload does not end where its segment ends")
     return out

@@ -21,10 +21,11 @@ from hsicodec.codec import (
 )
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, normalize_band
-from hsicodec.entropy import segment_from_bytes, segment_header, segment_to_bytes
+from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.lm import TrainConfig, Workspace, train
 from hsicodec.metrics import correlation_coefficient, psnr, ssim
 from hsicodec.mlp import N_PARAMS, forward
+from hsicodec.quantize import RECORD
 
 from jacobian_oracle import compute_jacobian
 from make_synthetic_cube import smooth_field
@@ -175,7 +176,7 @@ def test_criterion_bit_budget():
         compensation=CompensationConfig(enabled=False),
     )
     bs = encode_cube_full(cube, cfg).bitstream
-    per_band = [segment_header(body)[1] for tag, body in bs.segments if tag == TAG_PARAMS]
+    per_band = [len(segment_from_bytes(body, RECORD.size)) for tag, body in bs.segments if tag == TAG_PARAMS]
     assert per_band == [386, 386]  # 346 params + 32 range bytes + 8 min/max bytes
     per_band_total = 386
     assert per_band_total <= 400

@@ -129,7 +129,8 @@ def test_info_on_truncated_stream(tmp_path, cube_file):
 
 
 def test_info_lists_a_segment_it_cannot_parse(tmp_path, cube_file, capsys):
-    # a params segment whose mode byte names no mode: info still lists it, decode rejects it
+    # a params segment whose mode byte names no mode, or whose zlib body is not zlib:
+    # info still lists it, decode rejects it
     two_bands = tmp_path / "two.raw"
     store_cube(HyperCube(data=load_cube(cube_file).data[:2]), two_bands)
     out = tmp_path / "out.bip"
@@ -137,12 +138,13 @@ def test_info_lists_a_segment_it_cannot_parse(tmp_path, cube_file, capsys):
     bs = Bitstream.from_bytes(out.read_bytes())
     tag, body = bs.segments[1]
     assert tag == TAG_PARAMS
-    bs.segments[1] = (tag, b"\x07" + body[1:])
-    out.write_bytes(bs.to_bytes())
-    capsys.readouterr()
-    assert run(["info", str(out)]) == EXIT_OK
-    assert "segment 1: params, 389 bytes, unparsed" in capsys.readouterr().out.splitlines()
-    assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+    for bad in (b"\x07" + body[1:], b"\x01" + bytes(len(body) - 1)):
+        bs.segments[1] = (tag, bad)
+        out.write_bytes(bs.to_bytes())
+        capsys.readouterr()
+        assert run(["info", str(out)]) == EXIT_OK
+        assert "segment 1: params, 387 bytes, unparsed" in capsys.readouterr().out.splitlines()
+        assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
 
 
 def test_decode_garbage_stream(tmp_path):
@@ -173,15 +175,17 @@ def test_decode_corrupt_compensation_header(tmp_path, cube_file, capsys, command
 
 @pytest.mark.parametrize("command", ["info", "decode"])
 def test_version_2_stream_is_unsupported(tmp_path, cube_file, capsys, command):
+    # versions 2 and 3 carried a length inside each segment; no reader for them is kept
     out = tmp_path / "out.bip"
     assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
     blob = bytearray(out.read_bytes())
-    assert blob[4] == 3
-    blob[4] = 2
-    out.write_bytes(bytes(blob))
-    capsys.readouterr()
-    assert run(command_args(command, out, tmp_path)) == EXIT_CORRUPT
-    assert "unsupported version 2" in capsys.readouterr().err
+    assert blob[4] == 4
+    for version in (2, 3):
+        blob[4] = version
+        out.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(command_args(command, out, tmp_path)) == EXIT_CORRUPT
+        assert f"unsupported version {version}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["info", "decode"])

@@ -236,8 +236,8 @@ def openblas_build() -> str | None:
 # on and zlib's deflate as well as on this code, so their digests hold on the recorded build only.
 DIGEST_BUILD = ("numpy 2.4.6", "zlib 1.2.13", "OpenBLAS SkylakeX, threads=1")
 STREAM_DIGESTS = {
-    0.0: "e15c708d3e8b3ec3e856fa02c7839381f23e26a43de459378b459928aca39415",
-    0.2: "878ea8467e3a60924344aec64ebebba60c78d3d05ef89bf6a4a1324632509336",
+    0.0: "f3419df6f1f10e19c068c5321bf8d0ec60995c6fa007961c6052d42ef7e20298",
+    0.2: "1ab25265a51e861af38af121dec5b6f70f48722866ff3e5052c241e7bfb1adf8",
 }
 
 

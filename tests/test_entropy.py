@@ -3,39 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.entropy import segment_from_bytes, segment_header, segment_to_bytes
+from hsicodec.entropy import MODES, segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
-from hsicodec.wire import write_varint
 
 
 def round_trip(data: bytes) -> bytes:
     return segment_from_bytes(segment_to_bytes(data), len(data))
 
 
-def zlib_segment(original_len: int, body: bytes) -> bytes:
-    """A zlib-mode wire segment declaring ``original_len`` bytes."""
-    out = bytearray([1])
-    write_varint(out, original_len)
-    return bytes(out + body)
-
-
 def test_empty_input():
-    wire = segment_to_bytes(b"")
-    assert segment_header(wire) == ("raw", 0, len(wire))
+    assert segment_to_bytes(b"") == b"\x00"
     assert round_trip(b"") == b""
 
 
 def test_random_bytes_fall_back_to_raw():
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, 4096, dtype=np.uint8).tobytes()
-    assert segment_header(segment_to_bytes(data))[0] == "raw"
+    assert MODES[segment_to_bytes(data)[0]] == "raw"
     assert round_trip(data) == data
 
 
 def test_compressible_data_uses_zlib():
     data = b"aaaaabbbbbccc" * 200
     wire = segment_to_bytes(data)
-    assert segment_header(wire)[0] == "zlib"
+    assert MODES[wire[0]] == "zlib"
     assert len(wire) < len(data)
     assert round_trip(data) == data
 
@@ -48,7 +39,7 @@ def test_determinism():
 def test_truncated_payload_detected():
     data = bytes(np.random.default_rng(2).integers(0, 16, 1000, dtype=np.uint8))
     wire = segment_to_bytes(data)
-    assert segment_header(wire)[0] == "zlib"
+    assert MODES[wire[0]] == "zlib"
     with pytest.raises(CorruptStreamError):
         segment_from_bytes(wire[:-1], len(data))
 
@@ -56,29 +47,25 @@ def test_truncated_payload_detected():
 def test_corrupt_zlib_payload_detected():
     data = b"aaabbbccc" * 100
     wire = segment_to_bytes(data)
-    mode, original_len, offset = segment_header(wire)
-    assert mode == "zlib"
-    body = wire[offset:]
-    flipped = bytearray(body)
+    assert MODES[wire[0]] == "zlib"
+    flipped = bytearray(wire)
     flipped[len(flipped) // 2] ^= 0xFF
+    # (segment, cap): a damaged body, a cap one byte under the payload or at 0, data after the end
     bad_segments = [
-        zlib_segment(original_len, bytes(flipped)),
-        zlib_segment(original_len - 1, body),
-        zlib_segment(original_len + 1, body),
-        zlib_segment(original_len, body + b"\0"),
-        zlib_segment(0, body),
+        (bytes(flipped), 2 * len(data)),
+        (wire, len(data) - 1),
+        (wire, 0),
+        (wire + b"\0", 2 * len(data)),
     ]
-    for bad in bad_segments:
+    for bad, max_len in bad_segments:
         with pytest.raises(CorruptStreamError):
-            segment_from_bytes(bad, 2 * len(data))
+            segment_from_bytes(bad, max_len)
 
 
-def test_declared_length_above_cap_rejected():
-    for data in (b"abc", b"aaabbbccc" * 100):
-        wire = segment_to_bytes(data)
-        assert segment_from_bytes(wire, len(data)) == data
-        with pytest.raises(CorruptStreamError, match="declares"):
-            segment_from_bytes(wire, len(data) - 1)
+def test_unknown_mode_byte_rejected():
+    for bad in (b"", b"\x02" + b"abc", b"\xff"):
+        with pytest.raises(CorruptStreamError, match="empty segment|unknown segment mode"):
+            segment_from_bytes(bad, 1 << 20)
 
 
 def test_wire_round_trip_all_modes():

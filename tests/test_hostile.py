@@ -51,7 +51,7 @@ ADDRESS_LIMIT = 1 << 30
 def outcome_under_rlimit(call: str) -> str:
     """Run ``call`` in a fresh interpreter under RLIMIT_AS.
 
-    Returns "ok", or the name of the exception the call raised.
+    Returns "ok", or "<name>: <message>" of the exception the call raised.
     """
     code = "\n".join([
         "import resource",
@@ -60,7 +60,7 @@ def outcome_under_rlimit(call: str) -> str:
         f"    {call}",
         "    print('ok')",
         "except BaseException as exc:",
-        "    print(type(exc).__name__)",
+        "    print(f'{type(exc).__name__}: {exc}')",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
@@ -73,14 +73,15 @@ def outcome_under_rlimit(call: str) -> str:
 VARINT_2_TO_40 = bytes([0x80, 0x80, 0x80, 0x80, 0x80, 0x20])
 
 
-@pytest.mark.parametrize("mode", [0, 1, 2])  # 2 was the single-symbol mode of version 1
-def test_segment_declaring_2_to_40_bytes(mode):
-    blob = bytes([mode]) + VARINT_2_TO_40 + b"\x07"
-    call = (
-        "from hsicodec.entropy import segment_from_bytes; "
-        f"segment_from_bytes({blob!r}, 1 << 41)"
-    )
-    assert outcome_under_rlimit(call) == "CorruptStreamError"
+@pytest.mark.parametrize("mode", [0, 1], ids=["raw", "zlib"])
+def test_segment_of_max_len_bytes(mode):
+    # a payload of max_len bytes comes back, one of max_len + 1 is rejected, in either mode
+    for max_len in (0, 1, RECORD.size, MAX_PAYLOAD[TAG_FIRST_BAND]):
+        data = bytes(max_len + 1)
+        fits, over = (bytes([mode]) + (zlib.compress(d) if mode else d) for d in (data[:-1], data))
+        assert segment_from_bytes(fits, max_len) == data[:-1]
+        with pytest.raises(CorruptStreamError, match=f"over its cap of {max_len}"):
+            segment_from_bytes(over, max_len)
 
 
 def test_offsets_payload_with_2_to_40_varint_count():
@@ -88,7 +89,7 @@ def test_offsets_payload_with_2_to_40_varint_count():
         "import numpy as np; from hsicodec.compensate import apply_offsets; "
         f"apply_offsets(np.zeros((256, 256)), {VARINT_2_TO_40!r})"
     )
-    assert outcome_under_rlimit(call) == "CorruptStreamError"
+    assert outcome_under_rlimit(call) == "CorruptStreamError: offset payload of 6 bytes is not 8 per entry"
 
 
 def zlib_bomb(chunks: int, chunk: int = 1 << 24) -> bytes:
@@ -106,31 +107,62 @@ def test_zlib_bomb_is_valid():
     assert zlib.decompress(zlib_bomb(3, chunk=1 << 12)) == bytes(3 << 12)
 
 
-def test_first_band_bomb_rejected_before_inflating(tmp_path):
-    # a 1.25 GiB inflation declared as a 2**40-byte first band
-    seg = bytes([1]) + VARINT_2_TO_40 + zlib_bomb(80)
-    header = BitstreamHeader(
-        rows=256, cols=256, coded_bands=1, exclusions=(),
+def plain_header(bands: int) -> BitstreamHeader:
+    """The header of a stream of ``bands`` full-size bands with compensation off."""
+    return BitstreamHeader(
+        rows=256, cols=256, coded_bands=bands, exclusions=(),
         compensation=CompensationConfig(enabled=False),
     )
+
+
+def test_first_band_bomb_rejected_before_inflating(tmp_path):
+    # a 1.25 GiB inflation as a first band: the band's cap stops it one byte past 128 KiB
+    seg = bytes([1]) + zlib_bomb(80)
     stream = tmp_path / "bomb.bip"
-    stream.write_bytes(Bitstream(header=header, segments=[(TAG_FIRST_BAND, seg)]).to_bytes())
+    stream.write_bytes(Bitstream(header=plain_header(1), segments=[(TAG_FIRST_BAND, seg)]).to_bytes())
     call = (
         "from pathlib import Path; from hsicodec.codec import Bitstream, decode_cube; "
         f"decode_cube(Bitstream.from_bytes(Path({str(stream)!r}).read_bytes()))"
     )
-    assert outcome_under_rlimit(call) == "CorruptStreamError"
+    assert outcome_under_rlimit(call) == "CorruptStreamError: zlib payload inflates over its cap of 131072 bytes"
+
+
+def test_bomb_with_a_cap_of_0_is_bounded(tmp_path):
+    # zlib reads max_length 0 as "no limit", so a cap of 0 must still bound the inflation
+    seg = tmp_path / "bomb.seg"
+    seg.write_bytes(bytes([1]) + zlib_bomb(80))
+    call = (
+        "from pathlib import Path; from hsicodec.entropy import segment_from_bytes; "
+        f"segment_from_bytes(Path({str(seg)!r}).read_bytes(), 0)"
+    )
+    assert outcome_under_rlimit(call) == "CorruptStreamError: zlib payload inflates over its cap of 0 bytes"
 
 
 def minimal_stream(bands: int) -> bytes:
     """The smallest valid stream of ``bands`` bands: compensation off, every payload zero."""
-    header = BitstreamHeader(
-        rows=256, cols=256, coded_bands=bands, exclusions=(),
-        compensation=CompensationConfig(enabled=False),
-    )
     band = (TAG_PARAMS, segment_to_bytes(bytes(RECORD.size)))
     first = (TAG_FIRST_BAND, segment_to_bytes(bytes(MAX_PAYLOAD[TAG_FIRST_BAND])))
-    return Bitstream(header=header, segments=[first] + [band] * (bands - 1)).to_bytes()
+    return Bitstream(header=plain_header(bands), segments=[first] + [band] * (bands - 1)).to_bytes()
+
+
+@pytest.mark.parametrize("framing, error", [
+    (bytes([0x03, 0x00]), "unknown segment tag 0x3"),
+    (bytes([TAG_FIRST_BAND, 0x80]), "truncated varint"),
+    (bytes([TAG_FIRST_BAND]) + b"\x80" * 10 + b"\x01", "varint too long"),
+], ids=["unknown-tag", "truncated-length", "length-past-63-bits"])
+def test_bad_segment_framing(framing, error):
+    # the container's varint is the only length a segment has on the wire
+    with pytest.raises(CorruptStreamError, match=error):
+        Bitstream.from_bytes(Bitstream(header=plain_header(1), segments=[]).to_bytes() + framing)
+
+
+@pytest.mark.parametrize("change", [-2, -1])
+def test_first_band_of_a_wrong_length(change):
+    # under the cap, so the first band's own length check is what rejects it
+    first = segment_to_bytes(bytes(MAX_PAYLOAD[TAG_FIRST_BAND] + change))
+    blob = Bitstream(header=plain_header(1), segments=[(TAG_FIRST_BAND, first)]).to_bytes()
+    with pytest.raises(CorruptStreamError, match="first-band payload does not match"):
+        decode_cube(Bitstream.from_bytes(blob))
 
 
 @pytest.mark.parametrize("decode", [
@@ -138,13 +170,13 @@ def minimal_stream(bands: int) -> bytes:
     "assert run(['decode', str(stream), str(out)]) == 0",
 ], ids=["library", "cli"])
 def test_decode_memory_is_the_output_plus_one_band(tmp_path, decode):
-    # 3,762 bytes that decode to a 25 MiB cube: the decoder may hold the
+    # 3,361 bytes that decode to a 25 MiB cube: the decoder may hold the
     # output and one band's working arrays, not a second copy of every band.
     # tracemalloc's peak is the decode's own: numpy reports its buffers to
     # it, while ru_maxrss starts from what the child inherits through fork
     stream = tmp_path / "zeros.bip"
     stream.write_bytes(minimal_stream(200))
-    assert stream.stat().st_size == 3762
+    assert stream.stat().st_size == 3361
     call = "; ".join([
         "import tracemalloc",
         "from pathlib import Path",
@@ -317,8 +349,8 @@ def residual_segment(bs: Bitstream) -> bytes:
     return segment_from_bytes(body, MAX_PAYLOAD[tag])
 
 
-# a plane one byte long already declares more than the tag's cap of 2 bytes per pixel
-@pytest.mark.parametrize("change, error", [(-1, "residual payload"), (1, "at most")], ids=["short", "long"])
+# a plane one byte longer is already over the tag's cap of 2 bytes per pixel
+@pytest.mark.parametrize("change, error", [(-1, "residual payload"), (1, "over its cap")], ids=["short", "long"])
 def test_residual_payload_one_byte_off(change, error):
     bs = two_band_stream()
     payload = residual_segment(bs)
@@ -329,16 +361,16 @@ def test_residual_payload_one_byte_off(change, error):
 
 
 def test_residual_bomb_rejected_before_inflating(tmp_path):
-    # a 1.25 GiB inflation declared as a 2**40-byte residual plane
+    # a 1.25 GiB inflation as a residual plane: the plane's cap stops it one byte past 128 KiB
     bs = two_band_stream()
-    seg = bytes([1]) + VARINT_2_TO_40 + zlib_bomb(80)
+    seg = bytes([1]) + zlib_bomb(80)
     stream = tmp_path / "bomb.bip"
     stream.write_bytes(Bitstream(header=bs.header, segments=bs.segments[:2] + [(TAG_RESIDUAL, seg)]).to_bytes())
     call = (
         "from pathlib import Path; from hsicodec.codec import Bitstream, decode_cube; "
         f"decode_cube(Bitstream.from_bytes(Path({str(stream)!r}).read_bytes()))"
     )
-    assert outcome_under_rlimit(call) == "CorruptStreamError"
+    assert outcome_under_rlimit(call) == "CorruptStreamError: zlib payload inflates over its cap of 131072 bytes"
 
 
 def test_residual_segment_with_compensation_off():
