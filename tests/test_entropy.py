@@ -62,6 +62,17 @@ def test_corrupt_zlib_payload_detected():
             segment_from_bytes(bad, max_len)
 
 
+def test_declared_length_above_cap_rejected():
+    # the container's framing declares each segment's length; a segment whose payload is over
+    # its cap is rejected, raw ("abc") or zlib, and one at the cap comes back
+    for data, mode in ((b"abc", "raw"), (b"aaabbbccc" * 100, "zlib")):
+        wire = segment_to_bytes(data)
+        assert MODES[wire[0]] == mode
+        assert segment_from_bytes(wire, len(data)) == data
+        with pytest.raises(CorruptStreamError, match=f"over its cap of {len(data) - 1}"):
+            segment_from_bytes(wire, len(data) - 1)
+
+
 def test_unknown_mode_byte_rejected():
     for bad in (b"", b"\x02" + b"abc", b"\xff"):
         with pytest.raises(CorruptStreamError, match="empty segment|unknown segment mode"):
