@@ -2,7 +2,8 @@
 
 Encoding stores the first nonzero band losslessly, then walks the
 remaining bands: train the network to map the previous *reconstructed*
-band onto the current one, quantize the parameters, optionally patch
+band onto the current one, solve its output layer for the quantized
+hidden layer, quantize the parameters, optionally patch
 tolerance violations with transmitted offsets, and feed the reconstruction
 forward as the next band's input. The encoder rebuilds each band by
 running the decoder's band step (``_decode_band`` and ``_finish_band``) on
@@ -15,7 +16,9 @@ int16 byte planes; per predicted band 0x02 its params record, and with
 compensation on either 0x04 sparse offsets or 0x05 the residual plane of
 2 bytes per pixel, as ``compensate.compensation_payload`` picks per band),
 each varint-length-prefixed and coded by ``entropy``. ``quantize`` owns
-the params record; ``_fit_band`` is the one place the encoder fits a band.
+the params record; ``_fit_band`` is the one place the encoder fits a band:
+LM places the hidden layer on a sample of the block columns, and the
+output layer is solved in closed form over all of them.
 ``_band_blocks`` is the one builder of a band's scaled block columns, in
 ``cube.block_view``'s order: the network's input on both sides and the
 encoder's training target.
@@ -39,7 +42,7 @@ from .cube import BAND_SIZE, BLOCK, INT16, HyperCube, block_view, denormalize_ba
 from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, Workspace, train
-from .mlp import forward
+from .mlp import flatten, forward, layers, unpack
 from .quantize import RECORD, dequantize_params, quantize_params
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
 
@@ -198,10 +201,21 @@ def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, int, int]:
 def _fit_band(
     x: np.ndarray, band: np.ndarray, cfg: TrainConfig, workspace: Workspace
 ) -> tuple[bytes, TrainReport]:
-    """The params record predicting ``band`` from ``x``, the previous reconstructed band's blocks."""
+    """The params record predicting ``band`` from ``x``, the previous reconstructed band's blocks.
+
+    LM places the hidden layer on a sample of the columns. The decoder runs that layer in
+    8 bits on every column, so the output layer is then solved for it over all of them:
+    ridge least squares (G + rho I) [w2 | b2]' = H~ T' with H~ = [hidden; 1], G = H~ H~'
+    and rho = 1e-6 tr(G) / 11, which keeps G's collinear saturated units solvable.
+    """
     target, src_min, src_max = _band_blocks(band)
     params, report = train(x, target, cfg, workspace)
-    return quantize_params(params, src_min, src_max), report
+    shipped = dequantize_params(quantize_params(params, src_min, src_max))[0]
+    w1, b1 = unpack(shipped)[:2]
+    h1 = np.vstack([layers(shipped, x)[0], np.ones((1, x.shape[1]))])
+    g = h1 @ h1.T
+    w2b2 = np.linalg.solve(g + 1e-6 * np.trace(g) / len(g) * np.eye(len(g)), h1 @ target.T).T
+    return quantize_params(flatten(w1, b1, w2b2[:, :-1], w2b2[:, -1]), src_min, src_max), report
 
 
 def _decode_band(x: np.ndarray, record: bytes) -> np.ndarray:

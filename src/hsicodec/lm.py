@@ -14,10 +14,12 @@ factors an 11 x 11 and a 170 x 170 matrix with ``numpy.linalg``, never the
 strictly reduces the training MSE. Every candidate is evaluated once, by
 ``mlp.layers``, and each epoch's normal equations are built from the
 accepted step's own evaluation: its hidden layer and error. Columns are split
-train/validation by a seeded shuffle; early stopping watches
-consecutive validation-MSE failures and the best-validation parameters are
-what training returns (except when the MSE goal is hit, where the
-goal-hitting parameters win).
+train/validation by a seeded shuffle, and LM fits at most ``FIT_COLUMNS`` of
+the training slice: enough to place the hidden layer, as the encoder then
+solves the output layer over every column (``codec._fit_band``). Early stopping
+watches consecutive validation-MSE failures and the best-validation
+parameters are what training returns (except when the MSE goal is hit, where
+the goal-hitting parameters win).
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ StopReason = Literal["goal", "epochs", "time", "mu_overflow", "patience"]
 # by 10 after an accepted step and multiplied by 10 after a rejected one, and
 # stops training above 1e10; a 70/15/15 train/validation/test column split,
 # whose test slice is never evaluated and so is not drawn; and 6 consecutive
-# validation failures stop training
+# validation failures stop training. LM fits only the first FIT_COLUMNS of the
+# 70% slice (768 of a band's 2,868): the hidden layer it places needs no more
 MU_INIT = 1e-3
 MU_SCALE = 10.0
 MU_MAX = 1e10
 VALIDATION_FRACTION = 0.15
 PATIENCE = 6
+FIT_COLUMNS = 768
 
 
 @dataclass
@@ -225,7 +229,8 @@ def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
 
 
 def _split_columns(m: int, rng: np.random.Generator):
-    """Seeded shuffle of column indices into train / validation; n_train = M - 2 n_val."""
+    """Seeded shuffle of column indices into the first FIT_COLUMNS of the n_train = M - 2 n_val
+    training slice (all of it when it is smaller) and the validation slice that follows it."""
     perm = rng.permutation(m)
     n_val = int(round(VALIDATION_FRACTION * m))
     n_train = m - 2 * n_val
@@ -233,7 +238,7 @@ def _split_columns(m: int, rng: np.random.Generator):
         raise ValueError("split leaves no training columns")
     if n_val < 1:
         raise ValueError("split leaves no validation columns")
-    return perm[:n_train], perm[n_train : n_train + n_val]
+    return perm[: min(n_train, FIT_COLUMNS)], perm[n_train : n_train + n_val]
 
 
 def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.ndarray, TrainReport]:

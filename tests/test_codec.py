@@ -32,10 +32,10 @@ from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residua
 from hsicodec.cube import BAND_SIZE, BLOCK, HyperCube, normalize_band, resize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
-from hsicodec.lm import TrainConfig, Workspace
+from hsicodec.lm import TrainConfig, Workspace, train
 from hsicodec.metrics import psnr, psnr_db
-from hsicodec.mlp import N_INPUT
-from hsicodec.quantize import quantize_params
+from hsicodec.mlp import GROUPS, N_INPUT, layers, unpack
+from hsicodec.quantize import RECORD, dequantize_params, quantize_params
 from hsicodec.wire import from_byte_planes, to_byte_planes
 from test_blocks import block_columns
 from test_compensate import reference_offsets_to_bytes
@@ -236,8 +236,8 @@ def openblas_build() -> str | None:
 # on and zlib's deflate as well as on this code, so their digests hold on the recorded build only.
 DIGEST_BUILD = ("numpy 2.4.6", "zlib 1.2.13", "OpenBLAS SkylakeX, threads=1")
 STREAM_DIGESTS = {
-    0.0: "f3419df6f1f10e19c068c5321bf8d0ec60995c6fa007961c6052d42ef7e20298",
-    0.2: "1ab25265a51e861af38af121dec5b6f70f48722866ff3e5052c241e7bfb1adf8",
+    0.0: "c87d68a859dbc2f6e60f393d49ac53c1b7cf0783093a69f8f165e11292b55404",
+    0.2: "44def6759af2f4e5fa439fc8f5fdb07feced4cf106234662a1ee5b151ddbb6fa",
 }
 
 
@@ -307,6 +307,55 @@ def test_params_record_layout():
     x = _band_blocks(result.resized_bands[0])[0]
     expected, _ = _fit_band(x, result.resized_bands[1], cfg.train, Workspace())
     assert segment_from_bytes(body, MAX_PAYLOAD[tag]) == expected
+
+
+def lm_record(x, band, cfg):
+    """The record of LM's own trained network for ``band``: no output-layer solve."""
+    target, src_min, src_max = _band_blocks(band)
+    return quantize_params(train(x, target, cfg, Workspace())[0], src_min, src_max)
+
+
+def band_pairs(kind):
+    """The (previous, current) 256x256 band pairs of a smooth or a textured cube."""
+    from make_synthetic_cube import make_cube
+
+    cube = smooth_cube() if kind == "smooth" else make_cube(3, 64, 7, 12.0)
+    bands = [resize_band(cube.band(b)) for b in range(cube.bands)]
+    return list(zip(bands, bands[1:]))
+
+
+@pytest.mark.parametrize("kind", ["smooth", "textured"])
+def test_fit_band_keeps_the_hidden_layer_and_solves_the_output_layer(kind):
+    # the record ships LM's own 8-bit w1 and b1, and the ridge least-squares output
+    # layer for that hidden layer over every column, to within its 8-bit step
+    cfg = TrainConfig(max_epochs=2, seed=1)
+    w1_end = GROUPS[1][1]
+    for prev, band in band_pairs(kind):
+        x = _band_blocks(prev)[0]
+        record = _fit_band(x, band, cfg, Workspace())[0]
+        lm_bytes, *lm_ranges = RECORD.unpack(lm_record(x, band, cfg))[:9]
+        bytes_, *ranges = RECORD.unpack(record)[:9]
+        assert bytes_[:w1_end] == lm_bytes[:w1_end]
+        assert ranges[:4] == lm_ranges[:4]
+
+        params = dequantize_params(record)[0]
+        h1 = np.vstack([layers(params, x)[0], np.ones((1, x.shape[1]))])
+        ridge = np.sqrt(1e-6 * np.trace(h1 @ h1.T) / len(h1)) * np.eye(len(h1))
+        rhs = np.vstack([_band_blocks(band)[0].T, np.zeros((len(h1), N_INPUT))])
+        solved = np.linalg.lstsq(np.vstack([h1.T, ridge]), rhs)[0].T
+        for shipped, exact in zip(unpack(params)[2:], (solved[:, :-1], solved[:, -1])):
+            step = (shipped.max() - shipped.min()) / 255
+            assert np.abs(shipped - exact).max() <= 0.5 * step + 1e-6 * np.abs(exact).max()
+
+
+def test_fit_band_predicts_better_than_lm_alone():
+    # the solved output layer beats LM's own, which was fit in float on a sample of the columns
+    cfg = TrainConfig(max_epochs=2, seed=1)
+    for prev, band in band_pairs("smooth"):
+        x = _band_blocks(prev)[0]
+        records = _fit_band(x, band, cfg, Workspace())[0], lm_record(x, band, cfg)
+        solved, alone = (np.mean((_decode_band(x, r) - band) ** 2) for r in records)
+        assert solved < alone
 
 
 def test_header_holds_its_own_compensation_config():

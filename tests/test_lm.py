@@ -195,8 +195,8 @@ def test_normal_equations_do_not_depend_on_the_input_memory_order():
 
 
 def test_train_never_builds_the_jacobian():
-    # a full band's 2,868 training columns make a 127 MB Jacobian; training's
-    # own buffers for them peak near 10 MB
+    # a full band's 768 fitted columns make a 34 MB Jacobian; training's
+    # own buffers for them peak near 3 MB
     x = band_blocks(seed=7)
     target = 0.6 * x + 0.1
     cfg = TrainConfig(max_epochs=3, mse_goal=1e-12, seed=7)
@@ -207,7 +207,19 @@ def test_train_never_builds_the_jacobian():
     finally:
         tracemalloc.stop()
     assert report.epochs_run == 3
-    assert peak < 32 * 2**20, peak
+    assert peak < 8 * 2**20, peak
+
+
+def test_train_fits_a_sample_of_a_full_band():
+    # LM places the hidden layer on FIT_COLUMNS of a band's 4,096 columns, drawn
+    # from the training slice, so they never overlap the validation columns
+    x = band_blocks(seed=2)
+    workspace = Workspace()
+    train(x, 0.5 * x, TrainConfig(max_epochs=0), workspace)
+    assert workspace.x1.shape == (17, lm.FIT_COLUMNS)
+    fit, val = lm._split_columns(x.shape[1], np.random.default_rng(0))
+    assert (fit.size, val.size) == (lm.FIT_COLUMNS, 614)
+    assert not np.intersect1d(fit, val).size
 
 
 def test_train_evaluates_each_point_once(monkeypatch):
