@@ -13,13 +13,11 @@ factors an 11 x 11 and a 170 x 170 matrix with ``numpy.linalg``, never the
 346 x 346 J'J. Damped steps are proposed with increasing damping until one
 strictly reduces the training MSE. Every candidate is evaluated once, by
 ``mlp.layers``, and each epoch's normal equations are built from the
-accepted step's own evaluation: its hidden layer and error. Columns are split
-train/validation by a seeded shuffle, and LM fits at most ``FIT_COLUMNS`` of
-the training slice: enough to place the hidden layer, as the encoder then
-solves the output layer over every column (``codec._fit_band``). Early stopping
-watches consecutive validation-MSE failures and the best-validation
-parameters are what training returns (except when the MSE goal is hit, where
-the goal-hitting parameters win).
+accepted step's own evaluation: its hidden layer and error. LM fits at most
+``FIT_COLUMNS`` columns, drawn by a seeded shuffle: enough to place the hidden
+layer, as the encoder then solves the output layer over every column
+(``codec._fit_band``). The decoder runs that network on no unseen data, so no
+columns are held out, and training returns its last accepted parameters.
 """
 
 from __future__ import annotations
@@ -33,28 +31,27 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, flatten, forward, layers, mse, unpack
+from .mlp import N_HIDDEN, N_INPUT, N_OUTPUT, N_PARAMS, flatten, layers, unpack
 
-StopReason = Literal["goal", "epochs", "time", "mu_overflow", "patience"]
+StopReason = Literal["goal", "epochs", "time", "mu_overflow"]
 
 # the trainlm defaults (Hagan & Menhaj): damping mu starts at 1e-3, is divided
 # by 10 after an accepted step and multiplied by 10 after a rejected one, and
-# stops training above 1e10; a 70/15/15 train/validation/test column split,
-# whose test slice is never evaluated and so is not drawn; and 6 consecutive
-# validation failures stop training. LM fits only the first FIT_COLUMNS of the
-# 70% slice (768 of a band's 2,868): the hidden layer it places needs no more
+# stops training above 1e10. trainlm's validation split and patience guard a
+# fitted output layer that the encoder replaces, so LM holds out no columns.
+# It fits the first FIT_COLUMNS of a shuffle drawn right after the start: for
+# a 256 x 256 band these are the columns trainlm's training slice began with,
+# so streams keep their bytes, and a change to the draw order changes them all
 MU_INIT = 1e-3
 MU_SCALE = 10.0
 MU_MAX = 1e10
-VALIDATION_FRACTION = 0.15
-PATIENCE = 6
 FIT_COLUMNS = 768
 
 
 @dataclass
 class TrainConfig:
     mse_goal: float = 1e-4
-    max_epochs: int = 1000
+    max_epochs: int = 12  # by default training's only bound; enough to place the hidden layer
     # a finite limit makes the stream depend on how fast the host runs
     max_seconds: float = math.inf
     init_range: tuple[float, float] = (-1.0, 1.0)
@@ -77,7 +74,6 @@ class TrainReport:
     final_mse: float
     epochs_run: int
     stop_reason: StopReason
-    validation_mse_history: list[float] = field(default_factory=list)
     train_mse_history: list[float] = field(default_factory=list)
 
 
@@ -228,19 +224,6 @@ def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
     return step
 
 
-def _split_columns(m: int, rng: np.random.Generator):
-    """Seeded shuffle of column indices into the first FIT_COLUMNS of the n_train = M - 2 n_val
-    training slice (all of it when it is smaller) and the validation slice that follows it."""
-    perm = rng.permutation(m)
-    n_val = int(round(VALIDATION_FRACTION * m))
-    n_train = m - 2 * n_val
-    if n_train < 1:
-        raise ValueError("split leaves no training columns")
-    if n_val < 1:
-        raise ValueError("split leaves no validation columns")
-    return perm[: min(n_train, FIT_COLUMNS)], perm[n_train : n_train + n_val]
-
-
 def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.ndarray, TrainReport]:
     """Fit the network to map inputs to target, both 16 x M in [0, 1].
 
@@ -248,33 +231,27 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.nd
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if inputs.shape != target.shape or inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
+    if inputs.ndim != 2 or inputs.shape[0] != N_INPUT or inputs.shape != target.shape or not inputs.size:
         raise DimensionError(
-            f"input/target must both be {N_INPUT} x M, got {inputs.shape} and {target.shape}"
+            f"input/target must both be {N_INPUT} x M, M >= 1, got {inputs.shape} and {target.shape}"
         )
 
     rng = np.random.default_rng(cfg.seed)
-    params = rng.uniform(*cfg.init_range, N_PARAMS)  # the start, drawn before the column split
-    tr_idx, val_idx = _split_columns(inputs.shape[1], rng)
-    x_tr, t_tr = inputs[:, tr_idx], target[:, tr_idx]
-    x_val, t_val = inputs[:, val_idx], target[:, val_idx]
+    params = rng.uniform(*cfg.init_range, N_PARAMS)  # the start, drawn before the columns
+    columns = rng.permutation(inputs.shape[1])[:FIT_COLUMNS]
+    x_fit, t_fit = inputs[:, columns], target[:, columns]
 
     def evaluate(p: np.ndarray):
-        """The hidden layer, error and MSE of p on the training columns."""
-        hidden, out = layers(p, x_tr)
-        err = np.subtract(out, t_tr, out=out)
+        """The hidden layer, error and MSE of p on LM's columns."""
+        hidden, out = layers(p, x_fit)
+        err = np.subtract(out, t_fit, out=out)
         return hidden, err, float(np.mean(err * err))
 
-    workspace.load(x_tr)
+    workspace.load(x_fit)
     start = time.monotonic()
     mu = MU_INIT
     hidden, err, train_mse = evaluate(params)
-    best_params, best_train_mse = params, train_mse
-    best_val = np.inf
-    val_fail = 0
-    val_hist: list[float] = []
-    train_hist: list[float] = []
-    epochs_run = 0
+    history: list[float] = []
     stop: StopReason = "epochs"
 
     for _ in range(cfg.max_epochs):
@@ -300,32 +277,12 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.nd
         if not accepted:
             break
 
-        epochs_run += 1
-        train_hist.append(train_mse)
-
-        val_mse = mse(forward(params, x_val), t_val)
-        val_hist.append(val_mse)
-        if val_mse < best_val:
-            best_val = val_mse
-            best_params, best_train_mse = params, train_mse
-            val_fail = 0
-        else:
-            val_fail += 1
-
+        history.append(train_mse)
         if train_mse <= cfg.mse_goal:
-            # the caller asked for this fit: it wins over a better-validating epoch
-            best_params, best_train_mse = params, train_mse
             stop = "goal"
-            break
-        if val_fail >= PATIENCE:
-            stop = "patience"
             break
 
     report = TrainReport(
-        final_mse=best_train_mse,
-        epochs_run=epochs_run,
-        stop_reason=stop,
-        validation_mse_history=val_hist,
-        train_mse_history=train_hist,
+        final_mse=train_mse, epochs_run=len(history), stop_reason=stop, train_mse_history=history
     )
-    return best_params, report
+    return params, report

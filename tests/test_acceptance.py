@@ -89,7 +89,7 @@ def test_criterion_trainability_at_goal():
     """Affine band map at M=4096 reaches the 1e-4 MSE goal in time."""
     x = block_columns(normalize_band(smooth_band(seed=2))[0])
     target = 0.3 * x + 0.1
-    cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, max_seconds=60, seed=0)
+    cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, seed=0)
     start = time.monotonic()
     _, rep = train(x, target, cfg, Workspace())
     elapsed = time.monotonic() - start
@@ -207,7 +207,7 @@ def test_criterion_low_rate_quality():
     cube = HyperCube(data=np.stack(bands).astype(np.int16))
     cfg = EncoderConfig(
         train=TrainConfig(
-            mse_goal=1e-5, max_epochs=50, max_seconds=60, seed=3,
+            mse_goal=1e-5, max_epochs=50, seed=3,
             init_range=(-0.3, 0.3),  # smaller-norm solutions quantize better
         ),
         compensation=CompensationConfig(enabled=False),

@@ -9,7 +9,7 @@ from hsicodec.cube import normalize_band
 from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
 from hsicodec.lm import TrainConfig, Workspace, normal_equations, solve_step, train
-from hsicodec.mlp import N_PARAMS, SHAPES, flatten, forward, layers, unpack
+from hsicodec.mlp import N_PARAMS, SHAPES, flatten, forward, layers, mse, unpack
 
 from jacobian_oracle import compute_jacobian
 from test_blocks import block_columns
@@ -78,7 +78,7 @@ def test_init_params_range():
 @pytest.mark.parametrize("init", [0.3, 1.0, 3.0])
 def test_init_params_is_the_grouped_draw(seed, init):
     # one draw of 346 is the four draws of w1, b1, w2, b2 in turn, and leaves the
-    # generator where they did, so training's column split sees the same stream
+    # generator where they did, so training's column shuffle sees the same stream
     cfg = TrainConfig(init_range=(-init, init), seed=seed)
     rng = np.random.default_rng(seed)
     grouped = [rng.uniform(-init, init, shape) for shape in SHAPES]
@@ -210,28 +210,34 @@ def test_train_never_builds_the_jacobian():
     assert peak < 8 * 2**20, peak
 
 
+def fit_columns(cfg, m):
+    """LM's columns under cfg for m columns: a shuffle drawn right after the 346-value start."""
+    rng = np.random.default_rng(cfg.seed)
+    rng.uniform(*cfg.init_range, N_PARAMS)
+    return rng.permutation(m)[: lm.FIT_COLUMNS]
+
+
 def test_train_fits_a_sample_of_a_full_band():
-    # LM places the hidden layer on FIT_COLUMNS of a band's 4,096 columns, drawn
-    # from the training slice, so they never overlap the validation columns
+    # LM places the hidden layer on the first 768 of a band's 4,096 shuffled columns;
+    # a change to the draw order would change every stream
     x = band_blocks(seed=2)
     workspace = Workspace()
-    train(x, 0.5 * x, TrainConfig(max_epochs=0), workspace)
-    assert workspace.x1.shape == (17, lm.FIT_COLUMNS)
-    fit, val = lm._split_columns(x.shape[1], np.random.default_rng(0))
-    assert (fit.size, val.size) == (lm.FIT_COLUMNS, 614)
-    assert not np.intersect1d(fit, val).size
+    cfg = TrainConfig(max_epochs=0)
+    train(x, 0.5 * x, cfg, workspace)
+    assert lm.FIT_COLUMNS == 768
+    assert np.array_equal(workspace.x1[:16], x[:, fit_columns(cfg, x.shape[1])])
 
 
 def test_train_evaluates_each_point_once(monkeypatch):
     # one evaluation of the training columns for the initial point and one per
     # mu try; the accepted try's evaluation builds the next normal equations
     x = band_blocks(seed=8)[:, :512]
-    n_train = len(lm._split_columns(x.shape[1], np.random.default_rng(0))[0])
+    n_fit = min(x.shape[1], lm.FIT_COLUMNS)
     counts = {"layers": 0, "solve_step": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            if name == "solve_step" or args[1].shape[1] == n_train:
+            if name == "solve_step" or args[1].shape[1] == n_fit:
                 counts[name] += 1
             return fn(*args)
         return wrapper
@@ -427,17 +433,33 @@ def test_train_mu_overflow_on_exact_fit():
     assert np.array_equal(params, random_params(cfg.seed))
 
 
-def test_train_patience_stop_returns_best_validation():
-    rng = np.random.default_rng(1)
-    x = rng.uniform(0, 1, (16, 40))
-    target = rng.uniform(0, 1, (16, 40))  # noise: overfits the tiny split
-    cfg = TrainConfig(mse_goal=1e-30, max_epochs=60, seed=1)
+def noise_pair(seed=1, m=200):
+    """Inputs and a noise target that the network fits nowhere near the default goal."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (16, m)), rng.uniform(0, 1, (16, m))
+
+
+def test_train_returns_its_last_accepted_step():
+    x, target = noise_pair()
+    cfg = TrainConfig(mse_goal=1e-30, max_epochs=40, seed=1)
     params, report = train(x, target, cfg, Workspace())
-    assert report.stop_reason == "patience"
-    assert len(report.validation_mse_history) == report.epochs_run
-    # returned parameters are the ones from the best-validation epoch
-    best_epoch = int(np.argmin(report.validation_mse_history))
-    assert report.final_mse == report.train_mse_history[best_epoch]
+    cols = fit_columns(cfg, x.shape[1])
+    fitted = mse(forward(params, x[:, cols]), target[:, cols])
+    assert fitted == report.train_mse_history[-1] == report.final_mse
+    assert report.stop_reason == "epochs"
+
+
+def test_train_default_cap_bounds_an_unreachable_goal():
+    # with no goal in reach, the epoch cap is the only bound on training at the defaults
+    x, target = noise_pair()
+    _, report = train(x, target, TrainConfig(), Workspace())
+    assert report.stop_reason == "epochs"
+    assert report.epochs_run == len(report.train_mse_history) == 12
+
+
+def test_train_rejects_an_input_with_no_columns():
+    with pytest.raises(DimensionError):
+        train(np.empty((16, 0)), np.empty((16, 0)), TrainConfig(), Workspace())
 
 
 def test_config_validation():
