@@ -41,7 +41,7 @@ from .compensate import CompensationConfig, apply_offsets, apply_residual, compe
 from .cube import BAND_SIZE, BLOCK, INT16, HyperCube, block_view, denormalize_band, normalize_band, resize_band
 from .entropy import segment_from_bytes, segment_to_bytes
 from .errors import CorruptStreamError, DimensionError, NoContentError
-from .lm import TrainConfig, TrainReport, Workspace, train
+from .lm import TrainConfig, TrainReport, train
 from .mlp import flatten, forward, layers, unpack
 from .quantize import RECORD, dequantize_params, quantize_params
 from .wire import from_byte_planes, read_varint, to_byte_planes, write_varint
@@ -198,9 +198,7 @@ def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, int, int]:
     return normalize_band(block_view(band).reshape(BLOCK * BLOCK, -1))
 
 
-def _fit_band(
-    x: np.ndarray, band: np.ndarray, cfg: TrainConfig, workspace: Workspace
-) -> tuple[bytes, TrainReport]:
+def _fit_band(x: np.ndarray, band: np.ndarray, cfg: TrainConfig) -> tuple[bytes, TrainReport]:
     """The params record predicting ``band`` from ``x``, the previous reconstructed band's blocks.
 
     LM places the hidden layer on a sample of the columns. The decoder runs that layer in
@@ -209,7 +207,7 @@ def _fit_band(
     and rho = 1e-6 tr(G) / 11, which keeps G's collinear saturated units solvable.
     """
     target, src_min, src_max = _band_blocks(band)
-    params, report = train(x, target, cfg, workspace)
+    params, report = train(x, target, cfg)
     shipped = dequantize_params(quantize_params(params, src_min, src_max))[0]
     w1, b1 = unpack(shipped)[:2]
     h1 = np.vstack([layers(shipped, x)[0], np.ones((1, x.shape[1]))])
@@ -288,11 +286,10 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     recon[0] = resized[0]
     reports: list[TrainReport] = []
     predict_mse: list[float] = []
-    workspace = Workspace()  # training's band-sized buffers, shared by every band
 
     for k in range(1, len(coded)):
         x = _band_blocks(recon[k - 1])[0]
-        record, report = _fit_band(x, resized[k], cfg.train, workspace)
+        record, report = _fit_band(x, resized[k], cfg.train)
         reports.append(report)
         pred = _decode_band(x, record)
         # pred lies in the band's [min, max], so this integer sum of squares is exact

@@ -4,9 +4,9 @@ One epoch builds the layer blocks of the Gauss-Newton normal equations J'J
 and J'e on the training columns in closed form from the layer quantities,
 never storing the (16 M) x 346 Jacobian J (Wilamowski & Yu, "Improved
 Computation for Levenberg-Marquardt Training", IEEE TNN 21(6), 2010). The
-first-layer block is a Khatri-Rao product whose input half, the per-band
-input moments, is built once per band in a ``Workspace`` and reused by
-every epoch; the tests check the blocks against an exact Jacobian. Each
+first-layer block is a Khatri-Rao product whose input half, the pair
+products of the fitted inputs, is built once per ``train`` call and reused
+by every epoch; the tests check the blocks against an exact Jacobian. Each
 damped step eliminates the linear output layer in closed form, as variable
 projection does (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973), so it
 factors an 11 x 11 and a 170 x 170 matrix with ``numpy.linalg``, never the
@@ -109,36 +109,24 @@ _ZZ_GATHER = (
 ).reshape(N_FIRST, N_FIRST)
 
 
-class Workspace:
-    """Training's per-band buffers; ``load`` fills them and the next ``load`` overwrites them.
+def _buffers(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x1, q, scratch), one ``train`` call's buffers for its 16 x M fitted inputs.
 
-    x1 = [x; 1] (17 x M), and ``q`` (153 x M) holds the products x1[v] * x1[v'] for v <= v',
-    the input half of the Gram form; ``normal_equations`` overwrites ``scratch`` (110 x M).
-    ``encode_cube_full`` keeps one for every band, so no band or epoch faults in fresh pages.
-    All three are views of one block: as separate blocks, glibc returned them to the OS
-    between most encodes. x1 is column-major whatever the inputs' order, since OpenBLAS
-    rounds ``normal_equations``' products with x1' differently for the two orders.
+    x1 = [x; 1] (17 x M), and q (153 x M) holds the products x1[v] * x1[v'] for v <= v',
+    the input half of the Gram form; ``normal_equations`` overwrites scratch (110 x M).
+    All three are views of one block, so a call makes one band-sized allocation. x1 is
+    column-major whatever the inputs' order, since OpenBLAS rounds ``normal_equations``'
+    products with x1' differently for the two orders.
     """
-
-    def __init__(self):
-        self.x1 = self.q = self.scratch = np.empty((0, 0))
-
-    def load(self, inputs) -> Workspace:
-        """Build x1 and q for 16 x M inputs, reallocating the block only when M changes."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[0] != N_INPUT:
-            raise DimensionError(f"input must be {N_INPUT} x M, got {inputs.shape}")
-        m = inputs.shape[1]
-        if self.x1.shape != (N_X1, m):
-            n_q = N_X1 * (N_X1 + 1) // 2
-            rows = n_q + N_HIDDEN * N_H1
-            block = np.empty((rows + N_X1) * m)
-            self.q, self.scratch = np.split(block[: rows * m].reshape(rows, m), [n_q])
-            self.x1 = block[rows * m :].reshape(m, N_X1).T  # column-major
-        self.x1[:N_INPUT] = inputs
-        self.x1[N_INPUT] = 1.0
-        _pair_products(self.x1, out=self.q)
-        return self
+    m = inputs.shape[1]
+    n_q = N_X1 * (N_X1 + 1) // 2
+    rows = n_q + N_HIDDEN * N_H1
+    block = np.empty((rows + N_X1) * m)
+    q, scratch = np.split(block[: rows * m].reshape(rows, m), [n_q])
+    x1 = block[rows * m :].reshape(m, N_X1).T  # column-major
+    x1[:N_INPUT] = inputs
+    x1[N_INPUT] = 1.0
+    return x1, _pair_products(x1, out=q), scratch
 
 
 @dataclass(frozen=True)
@@ -158,28 +146,26 @@ class NormalEquations:
     g2: np.ndarray  # 16 x 11, J'e for [w2 | b2]
 
 
-def normal_equations(w2, workspace: Workspace, hidden, err) -> NormalEquations:
+def normal_equations(w2, x1, q, scratch, hidden, err) -> NormalEquations:
     """The blocks of J'J and J'e at one evaluated point, without forming J.
 
     ``hidden`` (h, 10 x M) and ``err`` (E = output - target, 16 x M) are
-    the point's evaluation on the inputs loaded in ``workspace`` by ``mlp.layers``,
+    the point's evaluation by ``mlp.layers`` on the inputs of x1 = [x; 1],
     and w2 are its output weights. With h~ = [h; 1] and dh = 1 - h^2:
     g = H~H~' and g2 = E H~'; c = Z H~' is the (dh (x) h~) rows times x1';
     g1 = ((W2'E) * dh) x1'. Z Z' is gathered from P Q', where P holds the
-    55 products dh[u] * dh[u'] for u <= u' and Q = ``workspace.q``, so no
-    170 x M matrix is formed (Wilamowski & Yu, IEEE TNN 21(6), 2010).
-    P is built in ``workspace.scratch``, and the (dh (x) h~) rows overwrite
-    it once P Q' is taken.
+    55 products dh[u] * dh[u'] for u <= u' and Q = q, x1's pair products, so
+    no 170 x M matrix is formed (Wilamowski & Yu, IEEE TNN 21(6), 2010).
+    P is built in scratch (110 x M), and the (dh (x) h~) rows overwrite it
+    once P Q' is taken.
     """
-    x1 = workspace.x1
     m = x1.shape[1]
     if hidden.shape != (N_HIDDEN, m) or err.shape != (N_OUTPUT, m):
         raise DimensionError(f"hidden, error must be 10, 16 x {m}, got {hidden.shape}, {err.shape}")
     dh = 1.0 - hidden * hidden                                       # 10 x M
     h1 = np.vstack([hidden, np.ones((1, m))])                        # 11 x M
 
-    scratch = workspace.scratch
-    pq = _pair_products(dh, out=scratch[: N_HIDDEN * N_H1 // 2]) @ workspace.q.T  # 55 x 153
+    pq = _pair_products(dh, out=scratch[: N_HIDDEN * N_H1 // 2]) @ q.T  # 55 x 153
     np.multiply(dh[:, None], h1[None], out=scratch.reshape(N_HIDDEN, N_H1, m))
     c = scratch @ x1.T                                               # 110 x 17, row 11u + t
     return NormalEquations(
@@ -224,11 +210,8 @@ def solve_step(eq: NormalEquations, mu: float) -> np.ndarray:
     return step
 
 
-def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.ndarray, TrainReport]:
-    """Fit the network to map inputs to target, both 16 x M in [0, 1].
-
-    The band-sized buffers live in ``workspace``; no result is a view of them.
-    """
+def train(inputs, target, cfg: TrainConfig) -> tuple[np.ndarray, TrainReport]:
+    """Fit the network to map inputs to target, both 16 x M in [0, 1]."""
     inputs = np.asarray(inputs, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] != N_INPUT or inputs.shape != target.shape or not inputs.size:
@@ -247,7 +230,7 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.nd
         err = np.subtract(out, t_fit, out=out)
         return hidden, err, float(np.mean(err * err))
 
-    workspace.load(x_fit)
+    buffers = _buffers(x_fit)
     start = time.monotonic()
     mu = MU_INIT
     hidden, err, train_mse = evaluate(params)
@@ -259,7 +242,7 @@ def train(inputs, target, cfg: TrainConfig, workspace: Workspace) -> tuple[np.nd
             stop = "time"
             break
 
-        eq = normal_equations(unpack(params)[2], workspace, hidden, err)
+        eq = normal_equations(unpack(params)[2], *buffers, hidden, err)
 
         accepted = False
         while not accepted:

@@ -22,7 +22,7 @@ from hsicodec.codec import (
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, normalize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
-from hsicodec.lm import TrainConfig, Workspace, train
+from hsicodec.lm import TrainConfig, train
 from hsicodec.metrics import correlation_coefficient, psnr, ssim
 from hsicodec.mlp import N_PARAMS, forward
 from hsicodec.quantize import RECORD
@@ -91,7 +91,7 @@ def test_criterion_trainability_at_goal():
     target = 0.3 * x + 0.1
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, seed=0)
     start = time.monotonic()
-    _, rep = train(x, target, cfg, Workspace())
+    _, rep = train(x, target, cfg)
     elapsed = time.monotonic() - start
     assert rep.final_mse <= 1e-4, f"final mse {rep.final_mse:.3e}"
     assert rep.epochs_run <= 200

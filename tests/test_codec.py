@@ -32,7 +32,7 @@ from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residua
 from hsicodec.cube import BAND_SIZE, BLOCK, HyperCube, normalize_band, resize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
-from hsicodec.lm import TrainConfig, Workspace, train
+from hsicodec.lm import TrainConfig, train
 from hsicodec.metrics import psnr, psnr_db
 from hsicodec.mlp import GROUPS, N_INPUT, layers, unpack
 from hsicodec.quantize import RECORD, dequantize_params, quantize_params
@@ -305,14 +305,14 @@ def test_params_record_layout():
     [_, (tag, body)] = result.bitstream.segments
     assert tag == TAG_PARAMS
     x = _band_blocks(result.resized_bands[0])[0]
-    expected, _ = _fit_band(x, result.resized_bands[1], cfg.train, Workspace())
+    expected, _ = _fit_band(x, result.resized_bands[1], cfg.train)
     assert segment_from_bytes(body, MAX_PAYLOAD[tag]) == expected
 
 
 def lm_record(x, band, cfg):
     """The record of LM's own trained network for ``band``: no output-layer solve."""
     target, src_min, src_max = _band_blocks(band)
-    return quantize_params(train(x, target, cfg, Workspace())[0], src_min, src_max)
+    return quantize_params(train(x, target, cfg)[0], src_min, src_max)
 
 
 def band_pairs(kind):
@@ -332,7 +332,7 @@ def test_fit_band_keeps_the_hidden_layer_and_solves_the_output_layer(kind):
     w1_end = GROUPS[1][1]
     for prev, band in band_pairs(kind):
         x = _band_blocks(prev)[0]
-        record = _fit_band(x, band, cfg, Workspace())[0]
+        record = _fit_band(x, band, cfg)[0]
         lm_bytes, *lm_ranges = RECORD.unpack(lm_record(x, band, cfg))[:9]
         bytes_, *ranges = RECORD.unpack(record)[:9]
         assert bytes_[:w1_end] == lm_bytes[:w1_end]
@@ -353,7 +353,7 @@ def test_fit_band_predicts_better_than_lm_alone():
     cfg = TrainConfig(max_epochs=2, seed=1)
     for prev, band in band_pairs("smooth"):
         x = _band_blocks(prev)[0]
-        records = _fit_band(x, band, cfg, Workspace())[0], lm_record(x, band, cfg)
+        records = _fit_band(x, band, cfg)[0], lm_record(x, band, cfg)
         solved, alone = (np.mean((_decode_band(x, r) - band) ** 2) for r in records)
         assert solved < alone
 

@@ -203,14 +203,15 @@ def cube_of_100_bands(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("encode", [
-    "out.write_bytes(encode_cube_full(load_cube(cube), cfg).bitstream.to_bytes())",
-    "assert run(['encode', str(cube), str(out), '--max-epochs', '0', '--lambda', '0.05']) == 0",
+@pytest.mark.parametrize("encode, slack_mib", [
+    ("out.write_bytes(encode_cube_full(load_cube(cube), cfg).bitstream.to_bytes())", 6),
+    ("assert run(['encode', str(cube), str(out), '--max-epochs', '0', '--lambda', '0.05']) == 0", 8),
 ], ids=["library", "cli"])
-def test_encode_memory_is_input_recon_and_stream(cube_of_100_bands, encode):
+def test_encode_memory_is_input_recon_and_stream(cube_of_100_bands, encode, slack_mib):
     # a 12.5 MiB cube of full-size bands: the encoder may hold the input, one
-    # int16 reconstruction, the stream, LM's Workspace (1.64 MiB for its 768
-    # columns) and one band's working arrays, not a further copy of every band
+    # int16 reconstruction, the stream and one band's working arrays, LM's
+    # buffers among them, not a further copy of every band; the CLI's further
+    # slack is for the per-band SSIM it reports after the encode
     out = cube_of_100_bands.with_name("cube.bip")
     call = "; ".join([
         "import tracemalloc",
@@ -230,7 +231,7 @@ def test_encode_memory_is_input_recon_and_stream(cube_of_100_bands, encode):
     assert outcome == "ok"
     peak = int(printed[-1])
     samples = 100 * 256 * 256 * 2
-    bound = 2 * samples + out.stat().st_size + (8 << 20)
+    bound = 2 * samples + out.stat().st_size + (slack_mib << 20)
     assert peak <= bound, f"encode peaked at {peak >> 20} MiB, over {bound >> 20} MiB"
 
 

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import tracemalloc
 
@@ -8,7 +7,7 @@ import pytest
 from hsicodec.cube import normalize_band
 from hsicodec.errors import DimensionError, NumericError
 from hsicodec import lm
-from hsicodec.lm import TrainConfig, Workspace, normal_equations, solve_step, train
+from hsicodec.lm import TrainConfig, normal_equations, solve_step, train
 from hsicodec.mlp import N_PARAMS, SHAPES, flatten, forward, layers, mse, unpack
 
 from jacobian_oracle import compute_jacobian
@@ -48,7 +47,7 @@ def train_start(cfg):
     """The initial parameters ``train`` runs from under cfg, which it returns after zero epochs:
     what the test_init_params_* tests check."""
     x = np.random.default_rng(0).uniform(0, 1, (16, 20))
-    return train(x, x, dataclasses.replace(cfg, max_epochs=0), Workspace())[0]
+    return train(x, x, dataclasses.replace(cfg, max_epochs=0))[0]
 
 
 def test_init_params_deterministic():
@@ -137,7 +136,7 @@ def assemble_normal_equations(eq):
 def evaluated_normal_equations(params, x, target):
     """``normal_equations`` at params, evaluated on x by ``mlp.layers`` as ``train`` does."""
     hidden, out = layers(params, x)
-    return normal_equations(unpack(params)[2], Workspace().load(x), hidden, out - target)
+    return normal_equations(unpack(params)[2], *lm._buffers(x), hidden, out - target)
 
 
 def lm_update(params, x, target, mu):
@@ -174,21 +173,21 @@ def test_normal_equations_reject_mismatched_error():
     x = np.random.default_rng(13).uniform(0, 1, (16, 5))
     hidden, out = layers(params, x)
     with pytest.raises(DimensionError):
-        normal_equations(unpack(params)[2], Workspace().load(x), hidden, out[:, :4])
+        normal_equations(unpack(params)[2], *lm._buffers(x), hidden, out[:, :4])
     with pytest.raises(DimensionError):
-        Workspace().load(x[:15])
+        train(x[:15], x[:15], TrainConfig())
 
 
 def test_normal_equations_do_not_depend_on_the_input_memory_order():
     # OpenBLAS rounds the products with x1' differently for a C- and an F-ordered
-    # x1; ``load`` fixes x1's order, so the caller's layout cannot reach the stream
+    # x1; ``train``'s buffers fix x1's order, so the caller's layout cannot reach the stream
     x = band_blocks(seed=3)[:, :2868]
     params = random_params(3)
     hidden, out = layers(params, x)
     err = out - (0.6 * x + 0.1)
     c_eq, f_eq = (
-        normal_equations(unpack(params)[2], Workspace().load(copy), hidden, err)
-        for copy in (np.ascontiguousarray(x), np.asfortranarray(x))
+        normal_equations(unpack(params)[2], *lm._buffers(ordered), hidden, err)
+        for ordered in (np.ascontiguousarray(x), np.asfortranarray(x))
     )
     for name, block in vars(c_eq).items():
         assert np.array_equal(block, getattr(f_eq, name)), name
@@ -202,7 +201,7 @@ def test_train_never_builds_the_jacobian():
     cfg = TrainConfig(max_epochs=3, mse_goal=1e-12, seed=7)
     tracemalloc.start()
     try:
-        _, report = train(x, target, cfg, Workspace())
+        _, report = train(x, target, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -217,15 +216,30 @@ def fit_columns(cfg, m):
     return rng.permutation(m)[: lm.FIT_COLUMNS]
 
 
-def test_train_fits_a_sample_of_a_full_band():
-    # LM places the hidden layer on the first 768 of a band's 4,096 shuffled columns;
-    # a change to the draw order would change every stream
-    x = band_blocks(seed=2)
-    workspace = Workspace()
-    cfg = TrainConfig(max_epochs=0)
-    train(x, 0.5 * x, cfg, workspace)
+@pytest.mark.parametrize("m", [300, 4096])
+def test_train_fits_a_sample_of_a_full_band(m):
+    # LM places the hidden layer on the first 768 of a band's shuffled columns, or on
+    # all of them when there are fewer; a change to the draw order would change every stream
     assert lm.FIT_COLUMNS == 768
-    assert np.array_equal(workspace.x1[:16], x[:, fit_columns(cfg, x.shape[1])])
+    x = band_blocks(seed=2)[:, :m]
+    target = 0.5 * x + 0.1
+    cfg = TrainConfig(max_epochs=3)
+    params, report = train(x, target, cfg)
+    fitted = fit_columns(cfg, m)
+    assert fitted.size == min(m, 768)
+
+    rng = np.random.default_rng(m)
+    x_out, t_out = x.copy(), target.copy()
+    unfitted = np.setdiff1d(np.arange(m), fitted)
+    x_out[:, unfitted] = rng.uniform(0, 1, (16, unfitted.size))
+    t_out[:, unfitted] = rng.uniform(0, 1, (16, unfitted.size))
+    out_params, out_report = train(x_out, t_out, cfg)
+    assert np.array_equal(out_params, params)
+    assert out_report == report
+
+    t_in = target.copy()
+    t_in[:, fitted[0]] = 1.0 - t_in[:, fitted[0]]
+    assert not np.array_equal(train(x, t_in, cfg)[0], params)
 
 
 def test_train_evaluates_each_point_once(monkeypatch):
@@ -244,7 +258,7 @@ def test_train_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(lm, "layers", counted("layers", lm.layers))
     monkeypatch.setattr(lm, "solve_step", counted("solve_step", lm.solve_step))
-    _, report = train(x, 0.6 * x + 0.1, TrainConfig(max_epochs=6, mse_goal=1e-12, seed=8), Workspace())
+    _, report = train(x, 0.6 * x + 0.1, TrainConfig(max_epochs=6, mse_goal=1e-12, seed=8))
     assert report.epochs_run == 6
     assert counts["solve_step"] >= report.epochs_run
     assert counts["layers"] == counts["solve_step"] + 1
@@ -337,7 +351,7 @@ def test_solve_step_rejects_indefinite_or_nonfinite_system():
 def test_train_identity_map_reaches_goal():
     x = band_blocks(seed=1)
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=100, seed=1)
-    params, report = train(x, x, cfg, Workspace())
+    params, report = train(x, x, cfg)
     assert report.stop_reason == "goal"
     assert report.final_mse <= 1e-4
 
@@ -346,7 +360,7 @@ def test_train_affine_map_reaches_goal_quickly():
     x = band_blocks(seed=2)
     target = 0.3 * x + 0.1
     cfg = TrainConfig(mse_goal=1e-4, max_epochs=200, seed=2)
-    params, report = train(x, target, cfg, Workspace())
+    params, report = train(x, target, cfg)
     assert report.stop_reason == "goal"
     assert report.final_mse <= 1e-4
     assert report.epochs_run <= 200
@@ -355,7 +369,7 @@ def test_train_affine_map_reaches_goal_quickly():
 def test_train_zero_epochs_returns_initial_params():
     x = band_blocks(seed=3)[:, :64]
     cfg = TrainConfig(max_epochs=0, seed=3)
-    params, report = train(x, 0.5 * x, cfg, Workspace())
+    params, report = train(x, 0.5 * x, cfg)
     assert report.stop_reason == "epochs"
     assert report.epochs_run == 0
     assert np.array_equal(params, random_params(cfg.seed))
@@ -365,49 +379,34 @@ def test_train_deterministic():
     x = band_blocks(seed=4)[:, :512]
     target = 0.4 * x + 0.2
     cfg = TrainConfig(max_epochs=5, seed=9)
-    p1, r1 = train(x, target, cfg, Workspace())
-    p2, r2 = train(x, target, cfg, Workspace())
+    p1, r1 = train(x, target, cfg)
+    p2, r2 = train(x, target, cfg)
     assert np.array_equal(p1, p2)
     assert r1.train_mse_history == r2.train_mse_history
 
 
-def test_train_through_one_workspace_matches_fresh_training():
-    # bands A, B, a narrower C, then A again through one workspace: B's and C's
-    # leftovers do not reach A, and C's width makes the workspace reallocate twice
+def test_train_is_a_pure_function_of_its_arguments():
+    # bands A, B and a narrower C, then C, B and A again: each call gives its first
+    # result whatever trained before it, and leaves its arguments as it found them
     x_a, x_b = band_blocks(seed=4)[:, :512], band_blocks(seed=6)[:, :512]
     x_c = band_blocks(seed=5)[:, :300]
+    calls = [(x_a, 0.4 * x_a + 0.2), (x_b, 0.8 * x_b), (x_c, 0.5 * x_c + 0.3)]
+    kept = [(x.copy(), t.copy()) for x, t in calls]
     cfg = TrainConfig(max_epochs=5, seed=9)
-    workspace = Workspace()
-    for x, target in [
-        (x_a, 0.4 * x_a + 0.2), (x_b, 0.8 * x_b), (x_c, 0.5 * x_c + 0.3), (x_a, 0.4 * x_a + 0.2)
-    ]:
-        params, report = train(x, target, cfg, workspace)
-        fresh_params, fresh_report = train(x, target, cfg, Workspace())
-        assert np.array_equal(params, fresh_params)
-        assert report == fresh_report
-
-
-def test_train_returns_no_view_of_its_workspace():
-    x = band_blocks(seed=7)[:, :512]
-    workspace = Workspace()
-    params, report = train(x, 0.5 * x + 0.1, TrainConfig(max_epochs=3, seed=2), workspace)
-    kept_params, kept_report = params.copy(), copy.deepcopy(report)
-    hidden, out = layers(params, x)
-    eq = normal_equations(unpack(params)[2], workspace.load(x), hidden, out - x)
-    buffers = (workspace.x1, workspace.q, workspace.scratch)
-    for a in [params, *vars(eq).values()]:
-        assert not any(np.shares_memory(a, buf) for buf in buffers)
-    for buf in buffers:
-        buf.fill(np.nan)
-    assert np.array_equal(params, kept_params)
-    assert report == kept_report
+    first = [train(x, t, cfg) for x, t in calls]
+    for (x, t), (params, report) in reversed(list(zip(calls, first))):
+        again_params, again_report = train(x, t, cfg)
+        assert np.array_equal(again_params, params)
+        assert again_report == report
+    for (x, t), (x_kept, t_kept) in zip(calls, kept):
+        assert np.array_equal(x, x_kept) and np.array_equal(t, t_kept)
 
 
 def test_train_accepted_mse_strictly_decreasing():
     x = band_blocks(seed=5)[:, :1024]
     target = 0.7 * x + 0.05
     cfg = TrainConfig(max_epochs=15, mse_goal=1e-12, seed=5)
-    _, report = train(x, target, cfg, Workspace())
+    _, report = train(x, target, cfg)
     hist = report.train_mse_history
     assert len(hist) >= 2
     assert all(b < a for a, b in zip(hist, hist[1:]))
@@ -416,7 +415,7 @@ def test_train_accepted_mse_strictly_decreasing():
 def test_train_time_limit():
     x = band_blocks(seed=6)
     cfg = TrainConfig(max_epochs=1000, max_seconds=0.0, mse_goal=1e-15, seed=6)
-    _, report = train(x, 0.9 * x, cfg, Workspace())
+    _, report = train(x, 0.9 * x, cfg)
     assert report.stop_reason == "time"
     assert report.epochs_run == 0
 
@@ -427,7 +426,7 @@ def test_train_mu_overflow_on_exact_fit():
     cfg = TrainConfig(mse_goal=1e-30, max_epochs=10, seed=3)
     x = np.random.default_rng(0).uniform(0, 1, (16, 64))
     target = forward(random_params(cfg.seed), x)
-    params, report = train(x, target, cfg, Workspace())
+    params, report = train(x, target, cfg)
     assert report.stop_reason == "mu_overflow"
     assert report.epochs_run == 0
     assert np.array_equal(params, random_params(cfg.seed))
@@ -442,7 +441,7 @@ def noise_pair(seed=1, m=200):
 def test_train_returns_its_last_accepted_step():
     x, target = noise_pair()
     cfg = TrainConfig(mse_goal=1e-30, max_epochs=40, seed=1)
-    params, report = train(x, target, cfg, Workspace())
+    params, report = train(x, target, cfg)
     cols = fit_columns(cfg, x.shape[1])
     fitted = mse(forward(params, x[:, cols]), target[:, cols])
     assert fitted == report.train_mse_history[-1] == report.final_mse
@@ -452,14 +451,14 @@ def test_train_returns_its_last_accepted_step():
 def test_train_default_cap_bounds_an_unreachable_goal():
     # with no goal in reach, the epoch cap is the only bound on training at the defaults
     x, target = noise_pair()
-    _, report = train(x, target, TrainConfig(), Workspace())
+    _, report = train(x, target, TrainConfig())
     assert report.stop_reason == "epochs"
     assert report.epochs_run == len(report.train_mse_history) == 12
 
 
 def test_train_rejects_an_input_with_no_columns():
     with pytest.raises(DimensionError):
-        train(np.empty((16, 0)), np.empty((16, 0)), TrainConfig(), Workspace())
+        train(np.empty((16, 0)), np.empty((16, 0)), TrainConfig())
 
 
 def test_config_validation():
