@@ -43,6 +43,15 @@ class CompensationConfig:
             raise ValueError("q_step must be a positive integer below 32768")
 
 
+def _flagged(target: np.ndarray, diff: np.ndarray, lam: float) -> np.ndarray:
+    """Whether each pixel's relative error |diff| / max(|target|, 1) exceeds lam (row-major),
+    formed in one float64 buffer."""
+    t = np.abs(target, dtype=np.int64).ravel()
+    ratio = np.abs(diff, dtype=np.float64)
+    np.divide(ratio, np.maximum(t, 1, out=t), out=ratio)
+    return ratio > lam
+
+
 def _zigzag_offsets(target: np.ndarray, recon: np.ndarray, cfg: CompensationConfig) -> np.ndarray:
     """Every pixel's zigzag offset (int64, row-major), 0 unless its relative error exceeds cfg.lam."""
     if np.shape(target) != np.shape(recon):
@@ -51,10 +60,10 @@ def _zigzag_offsets(target: np.ndarray, recon: np.ndarray, cfg: CompensationConf
     # the nearest multiple of q, halves away from zero, in exact integers
     q = cfg.q_step
     offs = diff if q == 1 else np.sign(diff) * ((np.abs(diff) + q // 2) // q * q)
-    # at lam 0 every nonzero offset is flagged, as its pixel's error is nonzero too
+    # at lam 0 every nonzero offset is flagged, as its pixel's error is nonzero too; offs is
+    # this call's own array (diff itself when q is 1, read before it is zeroed)
     if cfg.lam > 0:
-        t = np.abs(np.asarray(target, dtype=np.int64).ravel())
-        offs = np.where(np.abs(diff) / np.maximum(t, 1) > cfg.lam, offs, 0)
+        offs *= _flagged(target, diff, cfg.lam)
     return (offs << 1) ^ (offs >> 63)
 
 

@@ -236,8 +236,8 @@ def openblas_build() -> str | None:
 # on and zlib's deflate as well as on this code, so their digests hold on the recorded build only.
 DIGEST_BUILD = ("numpy 2.4.6", "zlib 1.2.13", "OpenBLAS SkylakeX, threads=1")
 STREAM_DIGESTS = {
-    0.0: "c87d68a859dbc2f6e60f393d49ac53c1b7cf0783093a69f8f165e11292b55404",
-    0.2: "44def6759af2f4e5fa439fc8f5fdb07feced4cf106234662a1ee5b151ddbb6fa",
+    0.0: "4307149d8523af5f8a090406ec226ce70a4db5600cdbe382203d27e487619b38",
+    0.2: "98f176cd875e9dc1019f6d3488db5a17c1aa030fa2eb25edf6f218136bc153b9",
 }
 
 

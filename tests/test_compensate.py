@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsicodec.compensate import (
     CompensationConfig,
+    _zigzag_offsets,
     apply_offsets,
     apply_residual,
     compensation_payload,
@@ -146,6 +147,40 @@ def test_offsets_payload_matches_reference(seed, lam, q_step, spread, ties):
         assert np.array_equal(apply_residual(recon.copy(), got[1]), reference_apply_offsets(recon, want))
     else:
         assert got == ((False, want) if isinstance(want, bytes) else want)
+
+
+def out_of_place_zigzag_offsets(target, recon, cfg):
+    """_zigzag_offsets with every step in a fresh array, as the in-place version must equal."""
+    diff = np.subtract(target, recon, dtype=np.int64).ravel()
+    q = cfg.q_step
+    offs = diff if q == 1 else np.sign(diff) * ((np.abs(diff) + q // 2) // q * q)
+    if cfg.lam > 0:
+        t = np.abs(np.asarray(target, dtype=np.int64).ravel())
+        offs = np.where(np.abs(diff) / np.maximum(t, 1) > cfg.lam, offs, 0)
+    return (offs << 1) ^ (offs >> 63)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.05, 0.2])
+@pytest.mark.parametrize("q_step", [1, 3, 17])
+def test_zigzag_offsets_in_place_match_out_of_place(lam, q_step):
+    rng = np.random.default_rng(int(1000 * lam) + q_step)
+    cfg = CompensationConfig(lam=lam, q_step=q_step)
+    for _ in range(4):
+        # bands around 0, where max(|t|, 1) clamps, and up to the int16 extremes
+        target = rng.integers(-40, 4000, (256, 256)).astype(np.int16)
+        picked = rng.random(target.shape) < 0.05
+        target[picked] = rng.choice([-32768, 0, 1, 32767], np.count_nonzero(picked))
+        recon = target + np.rint(rng.normal(0, 80, target.shape)).astype(np.int64)
+        exact = rng.random(target.shape) < 0.3
+        recon[exact] = target[exact]
+        kept = (target.copy(), recon.copy())
+        # the offsets, and so the flags and payload bytes, of a row-major and a transposed band
+        for t, r in ((target, recon), (target.T, recon.T)):
+            got = _zigzag_offsets(t, r, cfg)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, out_of_place_zigzag_offsets(t, r, cfg))
+        # the inputs are read, never written
+        assert np.array_equal(target, kept[0]) and np.array_equal(recon, kept[1])
 
 
 def test_apply_empty_map_is_identity():

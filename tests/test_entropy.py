@@ -1,9 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsicodec.entropy import MODES, segment_from_bytes, segment_to_bytes
+from hsicodec.entropy import MODES, WBITS, segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError
 
 
@@ -29,6 +31,24 @@ def test_compressible_data_uses_zlib():
     assert MODES[wire[0]] == "zlib"
     assert len(wire) < len(data)
     assert round_trip(data) == data
+
+
+def test_segment_deflated_with_a_32_kib_window_decodes():
+    # version-4 streams written at zlib level 6 and its default 32 KiB window stay readable:
+    # this payload repeats at a distance of 20 000 bytes, past an 8 KiB window
+    block = np.random.default_rng(6).integers(0, 16, 20_000, dtype=np.uint8).tobytes()
+    data = block * 3
+    old = b"\x01" + zlib.compress(data, 6)
+    assert old[1] == 0x78  # CMF: deflate, a 2**15-byte window
+    assert len(old) < len(block)  # the repeats were coded as matches 20 000 bytes back
+    assert segment_from_bytes(old, len(data)) == data
+
+
+def test_segment_header_declares_the_chosen_window():
+    # the zlib header's CMF byte is CINFO (log2 of the window, less 8) over CM 8 (deflate)
+    wire = segment_to_bytes(b"abcabcabd" * 300)
+    assert MODES[wire[0]] == "zlib"
+    assert WBITS == 13 and wire[1] == 0x58 == (WBITS - 8) << 4 | zlib.DEFLATED
 
 
 def test_determinism():
