@@ -27,6 +27,11 @@ encoder's training target.
 another band geometry or no coded band, and segments that break the
 grammar. ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
 ``entropy.segment_from_bytes``, which inflates at most one byte past it.
+
+zlib runs on ``entropy.worker``, a background thread: the encoder deflates
+band k's segments while it fits band k + 1, and the decoder inflates band
+k + 1's while it runs band k's step. Its calls are a sequential codec's, in
+stream order, so the stream bytes do not depend on the thread.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from .compensate import CompensationConfig, apply_offsets, apply_residual, compensation_payload
 from .cube import BAND_SIZE, BLOCK, INT16, HyperCube, block_view, denormalize_band, normalize_band, resize_band
-from .entropy import segment_from_bytes, segment_to_bytes
+from .entropy import inflate_ahead, segment_from_bytes, segment_to_bytes, worker
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
 from .mlp import flatten, forward, layers, unpack
@@ -279,7 +284,9 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         _pack_header(header)
     except struct.error as exc:
         raise DimensionError(f"cube does not fit the u16 header fields: {exc}") from exc
-    segments = [(TAG_FIRST_BAND, segment_to_bytes(to_byte_planes(resized[0], "<i2")))]
+    # band k - 1's segments are taken before band k's are handed to the worker
+    segments: list[tuple[int, bytes]] = []
+    pending = [(TAG_FIRST_BAND, worker().submit(segment_to_bytes, to_byte_planes(resized[0], "<i2")))]
 
     # the band step writes every later band, so only band 0 is copied
     recon = np.empty(resized.shape, np.int16)
@@ -302,7 +309,9 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
             offsets = (TAG_RESIDUAL if dense else TAG_OFFSETS, offset_bytes)
             payloads.append(offsets)
         _finish_band(pred, offsets, out=recon[k])
-        segments += [(tag, segment_to_bytes(p)) for tag, p in payloads]
+        segments += [(tag, future.result()) for tag, future in pending]
+        pending = [(tag, worker().submit(segment_to_bytes, p)) for tag, p in payloads]
+    segments += [(tag, future.result()) for tag, future in pending]
 
     return EncodeResult(
         bitstream=Bitstream(header=header, segments=segments),
@@ -318,12 +327,22 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     _check_grammar(bs.header, bs.segments)  # a Bitstream built in memory skips from_bytes
     h = bs.header
     comp = h.compensation
-    # inflated lazily, so only one band's payloads are held at a time; each
-    # band is written in place, so decoding holds the output and one band's work
-    payloads = ((tag, segment_from_bytes(body, MAX_PAYLOAD[tag])) for tag, body in bs.segments)
+    per_band = 2 if comp.enabled else 1
+
+    def inflating(k: int):
+        """Band k's (tag, payload) pairs, taken by next(); its zlib segments start inflating now."""
+        calls = [(tag, inflate_ahead(body, MAX_PAYLOAD[tag]))
+                 for tag, body in bs.segments[1 + (k - 1) * per_band : 1 + k * per_band]]
+        return ((tag, call()) for tag, call in calls)
+
+    # band k + 1's segments inflate on the worker while band k's step runs, and payloads are
+    # taken in stream order, so errors come in a sequential decode's order. Each band is written
+    # in place, so decoding holds the output, two bands' payloads and one band's work
     data = np.empty((h.coded_bands, h.rows, h.cols), np.int16)
-    data[0] = _unpack_band(next(payloads)[1], (h.rows, h.cols))
+    upcoming = inflating(1)
+    data[0] = _unpack_band(segment_from_bytes(bs.segments[0][1], MAX_PAYLOAD[TAG_FIRST_BAND]), data.shape[1:])
     for k in range(1, h.coded_bands):
+        payloads, upcoming = upcoming, inflating(k + 1)
         pred = _decode_band(_band_blocks(data[k - 1])[0], next(payloads)[1])
         _finish_band(pred, next(payloads) if comp.enabled else None, out=data[k])
     return HyperCube(data=data)

@@ -57,14 +57,20 @@ def _zigzag_offsets(target: np.ndarray, recon: np.ndarray, cfg: CompensationConf
     if np.shape(target) != np.shape(recon):
         raise DimensionError(f"shape mismatch {np.shape(target)} vs {np.shape(recon)}")
     diff = np.subtract(target, recon, dtype=np.int64).ravel()
-    # the nearest multiple of q, halves away from zero, in exact integers
+    # at lam 0 every nonzero offset is flagged, as its pixel's error is nonzero too
+    flags = _flagged(target, diff, cfg.lam) if cfg.lam > 0 else None
     q = cfg.q_step
-    offs = diff if q == 1 else np.sign(diff) * ((np.abs(diff) + q // 2) // q * q)
-    # at lam 0 every nonzero offset is flagged, as its pixel's error is nonzero too; offs is
-    # this call's own array (diff itself when q is 1, read before it is zeroed)
-    if cfg.lam > 0:
-        offs *= _flagged(target, diff, cfg.lam)
-    return (offs << 1) ^ (offs >> 63)
+    if q > 1:
+        # the nearest multiple of q, halves away from zero, in diff's own buffer: floor((diff +
+        # q // 2) / q) * q, less 1 on a negative diff when q is even, so its ties fall away too
+        if q % 2 == 0:
+            diff -= diff < 0
+        diff += q // 2
+        diff //= q
+        diff *= q
+    if flags is not None:
+        diff *= flags
+    return (diff << 1) ^ (diff >> 63)
 
 
 def compensation_payload(

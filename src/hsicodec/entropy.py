@@ -15,12 +15,19 @@ emit different, equally valid DEFLATE bytes, and any build decodes them.
 Decoding rejects a payload of more than the caller's ``max_len`` bytes,
 and inflates at most one byte past it.
 
+``worker`` is the one thread that runs these calls beside the codec's band
+loop, while zlib works without the GIL; a forked child starts its own.
+
 Segment wire layout: 1 mode byte, then the mode body; a zlib body marks its own end.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import zlib
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 
 from .errors import CorruptStreamError
 
@@ -62,3 +69,22 @@ def segment_from_bytes(blob: bytes, max_len: int) -> bytes:
     if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
         raise CorruptStreamError("zlib payload does not end where its segment ends")
     return out
+
+
+@functools.cache
+def worker() -> ThreadPoolExecutor:
+    """The zlib thread, started on first use."""
+    return ThreadPoolExecutor(1, thread_name_prefix="hsicodec-zlib")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no copy of the thread, and would wait forever on the parent's executor
+    os.register_at_fork(after_in_child=worker.cache_clear)
+
+
+def inflate_ahead(blob: bytes, max_len: int) -> Callable[[], bytes]:
+    """``segment_from_bytes(blob, max_len)`` as a call to make later: a zlib segment starts
+    inflating on the worker now, and any other is parsed, or raises, only when called."""
+    if blob[:1] == b"\x01":
+        return worker().submit(segment_from_bytes, blob, max_len).result
+    return functools.partial(segment_from_bytes, blob, max_len)

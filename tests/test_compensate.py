@@ -183,6 +183,26 @@ def test_zigzag_offsets_in_place_match_out_of_place(lam, q_step):
         assert np.array_equal(target, kept[0]) and np.array_equal(recon, kept[1])
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("q_step", [2, 3, 17, 32767])
+def test_zigzag_offsets_round_as_the_sign_and_magnitude_formula(lam, q_step):
+    # every difference within 3q of 0, every tie within 40q of 0 (q/2 past a multiple, for
+    # even q) and its neighbours, and the int16 extremes: 32767 - (-32768) and its negation
+    q = q_step
+    ties = np.arange(-40, 41) * q + q // 2
+    diff = np.concatenate([
+        np.arange(-3 * q, 3 * q + 1), ties - 1, ties, ties + 1, [-65535, -65534, 65534, 65535],
+    ])
+    diff = diff[np.abs(diff) <= 65535]
+    # targets near 0, where max(|t|, 1) clamps, and far from it; the extremes' targets are set by them
+    target = np.resize(np.array([0, 1, 20, -3000, 30000], np.int16), diff.size)
+    extreme = np.abs(diff) > 32767
+    target[extreme] = np.where(diff[extreme] > 0, 32767, -32768)
+    recon = target - diff
+    cfg = CompensationConfig(lam=lam, q_step=q)
+    assert np.array_equal(_zigzag_offsets(target, recon, cfg), out_of_place_zigzag_offsets(target, recon, cfg))
+
+
 def test_apply_empty_map_is_identity():
     band = np.arange(16).reshape(4, 4)
     assert np.array_equal(apply_offsets(band.copy(), b""), band)
