@@ -3,8 +3,8 @@
 Commands: encode, decode, metrics, rd, info. Human-readable progress goes
 to stderr; machine output (CSV tables, stream dumps) goes to stdout.
 
-Exit codes: 0 ok, 2 usage, 3 I/O or input format, 4 corrupt stream,
-5 numeric failure.
+Exit codes: 0 ok, 2 usage, 3 I/O, input format or a cube too large for
+memory, 4 corrupt stream, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from . import metrics as qm
 from .codec import (
     Bitstream,
     EncoderConfig,
-    MAX_PAYLOAD,
     TAG_NAMES,
     bitrate,
     decode_cube,
     encode_cube_full,
+    max_payload,
 )
 from .compensate import CompensationConfig
-from .cube import HyperCube, load_cube, store_cube
+from .cube import load_cube, store_cube
 from .entropy import MODES, segment_from_bytes
 from .errors import (
     CodecError,
@@ -100,8 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--lambda", type=float, default=CompensationConfig.lam, dest="lam",
                      help="maximum acceptable relative reconstruction error")
     _add_comp_flags(enc)
-    enc.add_argument("--emit-resized", metavar="PATH", default=None,
-                     help="also write the resized original bands (the metrics reference)")
 
     dec = sub.add_parser("decode", help="bitstream file -> cube file")
     dec.add_argument("input", help="input bitstream")
@@ -135,15 +133,12 @@ def _cmd_encode(args) -> int:
     except OSError as exc:
         raise WriteError(f"cannot write {args.output}: {exc}") from exc
 
-    if args.emit_resized:
-        store_cube(HyperCube(data=result.resized_bands), args.emit_resized)
-
     rate = bitrate(result.bitstream)
     print(f"coded {len(result.band_indices)} bands, {len(blob)} bytes, "
           f"{rate:.4f} bpppb", file=sys.stderr)
     records = qm.band_records(result.resized_bands, result.recon_bands)
     for k, (band_idx, r) in enumerate(zip(result.band_indices, records)):
-        line = f"band {band_idx}: psnr {r.psnr_db:.2f} dB, ssim {r.ssim:.4f}"
+        line = f"band {band_idx}: psnr {r.psnr_db:.2f} dB" + ("" if r.ssim is None else f", ssim {r.ssim:.4f}")
         if k > 0:
             rep = result.train_reports[k - 1]
             line += (f", predict psnr {qm.psnr_db(result.predict_mse[k - 1]):.2f} dB, "
@@ -172,16 +167,15 @@ def _cmd_decode(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = load_cube(args.reference)
     test = load_cube(args.test)
-    ref_bands = [ref.band(k) for k in range(ref.bands)]
-    records = qm.band_records(ref_bands, [test.band(k) for k in range(test.bands)], peak=args.peak)
+    records = qm.band_records(ref.data, test.data, peak=args.peak)
     print("band,mse,ssim,psnr_db,cc_next")
     for k, r in enumerate(records):
         # the reference's correlation with its next band; empty for the last and a constant pair
         cc = ""
-        if k + 1 < len(ref_bands):
+        if k + 1 < ref.bands:
             with contextlib.suppress(UndefinedCorrelationError):
-                cc = f"{qm.correlation_coefficient(ref_bands[k], ref_bands[k + 1]):.6g}"
-        print(f"{k},{r.mse:.6g},{r.ssim:.6g},{r.psnr_db:.6g},{cc}")
+                cc = f"{qm.correlation_coefficient(ref.band(k), ref.band(k + 1)):.6g}"
+        print(f"{k},{r.mse:.6g},{qm.csv_number(r.ssim)},{r.psnr_db:.6g},{cc}")
     return EXIT_OK
 
 
@@ -206,7 +200,7 @@ def _cmd_info(args) -> int:
     print(f"total: {len(blob)} bytes, {bitrate(bs):.4f} bpppb")
     for k, (tag, body) in enumerate(bs.segments):
         try:
-            original = len(segment_from_bytes(body, MAX_PAYLOAD[tag]))
+            original = len(segment_from_bytes(body, max_payload(h.rows, h.cols)[tag]))
             detail = f"mode={MODES[body[0]]} original={original}"
         except CorruptStreamError:
             detail = "unparsed"
@@ -237,7 +231,7 @@ def run(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorruptInputError, FormatError, WriteError, OSError) as exc:
+    except (CorruptInputError, FormatError, WriteError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (CodecError, ValueError) as exc:

@@ -1,14 +1,16 @@
 """The encode/decode pipeline and its bitstream container.
 
-Encoding stores the first nonzero band losslessly, then walks the
-remaining bands: train the network to map the previous *reconstructed*
-band onto the current one, solve its output layer for the quantized
-hidden layer, quantize the parameters, optionally patch
-tolerance violations with transmitted offsets, and feed the reconstruction
-forward as the next band's input. The encoder rebuilds each band by
-running the decoder's band step (``_decode_band`` and ``_finish_band``) on
-the payload bytes it emits, so decoder output matches the encoder-side
-reconstruction bit for bit by construction.
+Bands are coded at the input's own size, padded to whole 4x4 blocks
+(``cube.pad_band``), and outputs are views cropped back. Encoding stores
+the first nonzero band losslessly, then walks the remaining bands: train
+the network to map the previous *reconstructed* band onto the current one,
+solve its output layer for the quantized hidden layer, quantize the
+parameters, optionally patch tolerance violations with transmitted
+offsets, and feed the reconstruction forward as the next band's input.
+The encoder rebuilds each band by running the decoder's band step
+(``_decode_band`` and ``_finish_band``) on the payload bytes it emits, so
+decoder output matches the encoder-side reconstruction bit for bit by
+construction.
 
 Bitstream layout (version 4): magic "BIPN", version byte, fixed-width
 little-endian header fields, then tagged segments (0x01 first band as
@@ -23,9 +25,9 @@ output layer is solved in closed form over all of them.
 ``cube.block_view``'s order: the network's input on both sides and the
 encoder's training target.
 ``Bitstream.from_bytes`` rejects invalid compensation settings; it and
-``decode_cube`` both run ``_check_grammar``, which rejects a header with
-another band geometry or no coded band, and segments that break the
-grammar. ``decode_cube`` passes each tag's ``MAX_PAYLOAD`` to
+``decode_cube`` both run ``_check_grammar``, which rejects a geometry past
+``_check_geometry``'s caps, no coded band, and segments that break the
+grammar. ``decode_cube`` passes each tag's ``max_payload`` to
 ``entropy.segment_from_bytes``, which inflates at most one byte past it.
 
 zlib runs on ``entropy.worker``, a background thread: the encoder deflates
@@ -43,7 +45,7 @@ from numbers import Integral
 import numpy as np
 
 from .compensate import CompensationConfig, apply_offsets, apply_residual, compensation_payload
-from .cube import BAND_SIZE, BLOCK, INT16, HyperCube, block_view, denormalize_band, normalize_band, resize_band
+from .cube import BLOCK, INT16, HyperCube, block_view, denormalize_band, normalize_band, pad_band, padded_shape
 from .entropy import inflate_ahead, segment_from_bytes, segment_to_bytes, worker
 from .errors import CorruptStreamError, DimensionError, NoContentError
 from .lm import TrainConfig, TrainReport, train
@@ -66,13 +68,15 @@ TAG_NAMES = {
     TAG_RESIDUAL: "residual",
 }
 
-# the most pre-entropy bytes a segment of each tag may hold
-MAX_PAYLOAD = {
-    TAG_FIRST_BAND: 2 * BAND_SIZE * BAND_SIZE,
-    TAG_PARAMS: RECORD.size,
-    TAG_OFFSETS: 8 * BAND_SIZE * BAND_SIZE,
-    TAG_RESIDUAL: 2 * BAND_SIZE * BAND_SIZE,
-}
+# the most padded pixels of one band, whose sparse offsets then inflate to 32 MiB, and of
+# all coded bands: 65,535 bands of 256 x 256, an 8 GiB output
+MAX_BAND_PIXELS, MAX_CUBE_PIXELS = 1 << 22, 65535 * 65536
+
+
+def max_payload(rows: int, cols: int) -> dict[int, int]:
+    """The most pre-entropy bytes a segment of each tag may hold, for bands of rows x cols."""
+    n = int(np.prod(padded_shape(rows, cols)))
+    return {TAG_FIRST_BAND: 2 * n, TAG_PARAMS: RECORD.size, TAG_OFFSETS: 8 * n, TAG_RESIDUAL: 2 * n}
 
 
 @dataclass
@@ -91,13 +95,19 @@ class BitstreamHeader:
     compensation: CompensationConfig
 
 
+def _check_geometry(rows: int, cols: int, bands: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless there are ``bands`` > 0 non-empty bands of rows x cols within the caps."""
+    pixels = int(np.prod(padded_shape(rows, cols)))
+    if not 0 < pixels <= MAX_BAND_PIXELS:
+        raise error(f"band geometry {rows}x{cols} is empty or over {MAX_BAND_PIXELS} padded pixels")
+    if not 0 < bands * pixels <= MAX_CUBE_PIXELS:
+        raise error(f"{bands} coded bands of {rows}x{cols}: none, or over {MAX_CUBE_PIXELS} padded pixels")
+
+
 def _check_grammar(header: BitstreamHeader, segments: list[tuple[int, bytes]]) -> None:
-    """Raise CorruptStreamError unless ``header`` declares 256x256 bands, at least one coded,
-    and the segment tags follow the bands it declares."""
-    if (header.rows, header.cols) != (BAND_SIZE, BAND_SIZE):
-        raise CorruptStreamError(f"unsupported band geometry {header.rows}x{header.cols}")
-    if header.coded_bands < 1:
-        raise CorruptStreamError("stream declares no coded bands")
+    """Raise CorruptStreamError unless ``header`` declares coded bands within the caps and the
+    segment tags follow the bands it declares."""
+    _check_geometry(header.rows, header.cols, header.coded_bands, CorruptStreamError)
     comp = header.compensation
     # a band's second segment may be either layout, so residual tags check as offsets tags
     per_band = [TAG_PARAMS] + ([TAG_OFFSETS] if comp.enabled else [])
@@ -184,9 +194,9 @@ class EncodeResult:
 
     bitstream: Bitstream
     band_indices: list[int]    # original cube indices of coded bands
-    resized_bands: np.ndarray  # int16 (coded, rows, cols), read-only: resized originals, the codec's reference;
-                               # a view of the input cube where its coded bands need no resize or gather
-    recon_bands: np.ndarray    # int16 (coded, rows, cols): encoder-side reconstructions
+    resized_bands: np.ndarray  # int16 (coded, rows, cols), read-only: the input's coded bands, the codec's
+                               # reference; a view of the input cube where its coded bands need no gather
+    recon_bands: np.ndarray    # int16 (coded, rows, cols): encoder-side reconstructions, cropped from padded bands
     train_reports: list[TrainReport]
     predict_mse: list[float]   # per predicted band: MSE of the params-only prediction, before offsets
 
@@ -221,8 +231,8 @@ def _fit_band(x: np.ndarray, band: np.ndarray, cfg: TrainConfig) -> tuple[bytes,
     return quantize_params(flatten(w1, b1, w2b2[:, :-1], w2b2[:, -1]), src_min, src_max), report
 
 
-def _decode_band(x: np.ndarray, record: bytes) -> np.ndarray:
-    """The one step both codec sides run: a band predicted from its params record.
+def _decode_band(x: np.ndarray, record: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """The one step both codec sides run: a padded band of ``shape`` predicted from its params record.
 
     ``x`` holds the previous reconstructed band's blocks; ``record`` is the
     pre-entropy params record. An invalid record, or one that predicts
@@ -232,7 +242,7 @@ def _decode_band(x: np.ndarray, record: bytes) -> np.ndarray:
     pred = forward(params, x)
     if not np.all(np.isfinite(pred)):
         raise CorruptStreamError("band payload predicts non-finite values")
-    band = np.empty((BAND_SIZE, BAND_SIZE), np.int64)
+    band = np.empty(shape, np.int64)
     denormalize_band(pred, src_min, src_max, out=block_view(band))
     return band
 
@@ -253,30 +263,20 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
 
     # leading all-zero bands join the exclusion list so the stream grammar
     # stays uniform and the decoder needs no special case
-    full_size = (cube.rows, cube.cols) == (BAND_SIZE, BAND_SIZE)
     coded: list[int] = []
     for b in range(cube.bands):
         if b in exclusions:
             continue
-        if not coded and not (cube.band(b) if full_size else resize_band(cube.band(b))).any():
+        if not coded and not cube.band(b).any():
             exclusions.add(b)
             continue
         coded.append(b)
     if not coded:
         raise NoContentError("cube has no nonzero non-excluded band")
-    # the codec's reference: a read-only view of full-size bands that sit in the
-    # cube as one C-ordered run, else the one array the coded bands are filled into
-    run = cube.data[coded[0] : coded[-1] + 1]
-    if full_size and len(run) == len(coded) and run.flags.c_contiguous:
-        resized = run
-    else:
-        resized = np.empty((len(coded), BAND_SIZE, BAND_SIZE), np.int16)
-        for k, b in enumerate(coded):
-            resized[k] = cube.band(b) if full_size else resize_band(cube.band(b))
-    resized.flags.writeable = False
 
+    rows, cols = cube.rows, cube.cols
     header = BitstreamHeader(
-        rows=BAND_SIZE, cols=BAND_SIZE, coded_bands=len(coded), exclusions=tuple(sorted(exclusions)),
+        rows=rows, cols=cols, coded_bands=len(coded), exclusions=tuple(sorted(exclusions)),
         compensation=replace(cfg.compensation),  # the header's own copy, not the caller's object
     )
     comp = header.compensation
@@ -284,28 +284,33 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
         _pack_header(header)
     except struct.error as exc:
         raise DimensionError(f"cube does not fit the u16 header fields: {exc}") from exc
+    _check_geometry(rows, cols, len(coded), DimensionError)
+    # the reference: a read-only view of coded bands that are one C-ordered run, else their copy
+    run = cube.data[coded[0] : coded[-1] + 1]
+    ref = np.ascontiguousarray(run if len(run) == len(coded) else cube.data[coded])
+    ref.flags.writeable = False
+    # the band step writes every later band, so only band 0 is copied, padded
+    recon = np.empty((len(coded), *padded_shape(rows, cols)), np.int16)
+    recon[0] = pad_band(ref[0])
     # band k - 1's segments are taken before band k's are handed to the worker
     segments: list[tuple[int, bytes]] = []
-    pending = [(TAG_FIRST_BAND, worker().submit(segment_to_bytes, to_byte_planes(resized[0], "<i2")))]
-
-    # the band step writes every later band, so only band 0 is copied
-    recon = np.empty(resized.shape, np.int16)
-    recon[0] = resized[0]
+    pending = [(TAG_FIRST_BAND, worker().submit(segment_to_bytes, to_byte_planes(recon[0], "<i2")))]
     reports: list[TrainReport] = []
     predict_mse: list[float] = []
 
     for k in range(1, len(coded)):
         x = _band_blocks(recon[k - 1])[0]
-        record, report = _fit_band(x, resized[k], cfg.train)
+        target = pad_band(ref[k])
+        record, report = _fit_band(x, target, cfg.train)
         reports.append(report)
-        pred = _decode_band(x, record)
-        # pred lies in the band's [min, max], so this integer sum of squares is exact
-        d = (pred - resized[k]).ravel()
+        pred = _decode_band(x, record, target.shape)
+        # pred lies in the band's [min, max], so this integer sum of squares (pad left out) is exact
+        d = (pred[:rows, :cols] - ref[k]).ravel()
         predict_mse.append(float(np.dot(d, d)) / d.size)
         payloads = [(TAG_PARAMS, record)]
         offsets = None
         if comp.enabled:
-            dense, offset_bytes = compensation_payload(resized[k], pred, comp)
+            dense, offset_bytes = compensation_payload(target, pred, comp)
             offsets = (TAG_RESIDUAL if dense else TAG_OFFSETS, offset_bytes)
             payloads.append(offsets)
         _finish_band(pred, offsets, out=recon[k])
@@ -316,8 +321,8 @@ def encode_cube_full(cube: HyperCube, cfg: EncoderConfig) -> EncodeResult:
     return EncodeResult(
         bitstream=Bitstream(header=header, segments=segments),
         band_indices=coded,
-        resized_bands=resized,
-        recon_bands=recon,
+        resized_bands=ref,
+        recon_bands=recon[:, :rows, :cols],
         train_reports=reports,
         predict_mse=predict_mse,
     )
@@ -328,24 +333,25 @@ def decode_cube(bs: Bitstream) -> HyperCube:
     h = bs.header
     comp = h.compensation
     per_band = 2 if comp.enabled else 1
+    caps = max_payload(h.rows, h.cols)
 
     def inflating(k: int):
         """Band k's (tag, payload) pairs, taken by next(); its zlib segments start inflating now."""
-        calls = [(tag, inflate_ahead(body, MAX_PAYLOAD[tag]))
+        calls = [(tag, inflate_ahead(body, caps[tag]))
                  for tag, body in bs.segments[1 + (k - 1) * per_band : 1 + k * per_band]]
         return ((tag, call()) for tag, call in calls)
 
     # band k + 1's segments inflate on the worker while band k's step runs, and payloads are
-    # taken in stream order, so errors come in a sequential decode's order. Each band is written
-    # in place, so decoding holds the output, two bands' payloads and one band's work
-    data = np.empty((h.coded_bands, h.rows, h.cols), np.int16)
+    # taken in stream order, so errors come in a sequential decode's order. Each padded band is
+    # written in place, so decoding holds the output, two bands' payloads and one band's work
+    data = np.empty((h.coded_bands, *padded_shape(h.rows, h.cols)), np.int16)
     upcoming = inflating(1)
-    data[0] = _unpack_band(segment_from_bytes(bs.segments[0][1], MAX_PAYLOAD[TAG_FIRST_BAND]), data.shape[1:])
+    data[0] = _unpack_band(segment_from_bytes(bs.segments[0][1], caps[TAG_FIRST_BAND]), data.shape[1:])
     for k in range(1, h.coded_bands):
         payloads, upcoming = upcoming, inflating(k + 1)
-        pred = _decode_band(_band_blocks(data[k - 1])[0], next(payloads)[1])
+        pred = _decode_band(_band_blocks(data[k - 1])[0], next(payloads)[1], data.shape[1:])
         _finish_band(pred, next(payloads) if comp.enabled else None, out=data[k])
-    return HyperCube(data=data)
+    return HyperCube(data=data[:, : h.rows, : h.cols])
 
 
 def bitrate(bs: Bitstream) -> float:

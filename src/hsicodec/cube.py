@@ -4,16 +4,16 @@ Cubes live on disk as raw band-sequential little-endian int16 samples
 (``<name>.raw``) with a plain-text sidecar header (``<name>.hdr``) carrying
 ``rows=``, ``cols=``, ``bands=``, ``dtype=i16le``, ``order=bsq``.
 
-Every band the codec touches is first resized to BAND_SIZE x BAND_SIZE by
-nearest-neighbor sampling and normalized to [0, 1]; ``normalize_band``
-returns the values with the band's (src_min, src_max), and that pair makes
-the normalization exactly invertible on integers.
+The codec codes each band at its own size, normalized to [0, 1]:
+``normalize_band`` returns the values with the band's (src_min, src_max),
+and that pair makes the normalization exactly invertible on integers.
 
 A band's 4x4 blocks are the network's 16 inputs and outputs. Blocks are
 scanned row-major, and so are the pixels within a block: pixel (i, j) lands
 at row 4*(i mod 4) + (j mod 4) of column (cols/4)*(i div 4) + (j div 4).
-``block_view`` lays a band out in that order; the codec reads a band's block
-columns and writes a predicted band's pixels back through it.
+``pad_band`` edge-replicates a band out to whole blocks and ``block_view``
+lays it out in that order; the codec reads a band's block columns and
+writes a predicted band's pixels back through it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import CorruptInputError, DimensionError, FormatError, WriteError
 
-BAND_SIZE = 256
 BLOCK = 4
 INT16 = np.iinfo(np.int16)
 
@@ -133,31 +132,25 @@ def store_cube(cube: HyperCube, path) -> None:
     hdr = _header_path(raw)
     if hdr == raw:
         raise WriteError(f"cannot write cube samples to {raw}: the sidecar header goes there")
-    text = (
-        f"rows={cube.rows}\ncols={cube.cols}\nbands={cube.bands}\n"
-        "dtype=i16le\norder=bsq\n"
-    )
+    text = f"rows={cube.rows}\ncols={cube.cols}\nbands={cube.bands}\ndtype=i16le\norder=bsq\n"
     try:
-        cube.data.astype("<i2", copy=False).tofile(raw)
+        with raw.open("wb") as out:
+            for band in cube.data:  # a band at a time: a cropped cube is written with no copy of it
+                np.ascontiguousarray(band, "<i2").tofile(out)
         hdr.write_text(text)
     except OSError as exc:
         raise WriteError(f"cannot write cube to {raw}: {exc}") from exc
 
 
-def resize_band(band: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor resize to BAND_SIZE x BAND_SIZE, as a new array.
+def padded_shape(rows: int, cols: int) -> tuple[int, int]:
+    """(rows, cols) rounded up to whole 4x4 blocks."""
+    return rows + -rows % BLOCK, cols + -cols % BLOCK
 
-    Source coordinate for output pixel i is floor((i + 0.5) * rows / BAND_SIZE),
-    computed in exact integer arithmetic.
-    """
-    band = np.asarray(band)
-    if band.ndim != 2 or min(band.shape) < 1:
-        raise DimensionError(f"band must be a non-empty 2-D matrix, got {band.shape}")
-    rows, cols = band.shape
-    out = np.arange(BAND_SIZE)
-    src_i = ((2 * out + 1) * rows) // (2 * BAND_SIZE)
-    src_j = ((2 * out + 1) * cols) // (2 * BAND_SIZE)
-    return band[np.ix_(src_i, src_j)]
+
+def pad_band(band: np.ndarray) -> np.ndarray:
+    """``band`` edge-replicated at its bottom and right to whole 4x4 blocks; ``band`` if it has them."""
+    pad = [(0, -n % BLOCK) for n in band.shape]
+    return np.pad(band, pad, mode="edge") if pad[0][1] or pad[1][1] else band
 
 
 def block_view(band: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Rate-distortion evaluation: correlation, PSNR, SSIM, sweep tables.
 
 SSIM uses the standard configuration (11x11 Gaussian window, sigma 1.5,
-K1 = 0.01, K2 = 0.03) computed over valid windows only. PSNR's peak and
-SSIM's dynamic range default to 255, the 8-bit mapped domain the per-band
-quality numbers are quoted in, and ``band_records`` passes its peak to both.
+K1 = 0.01, K2 = 0.03) over valid windows only, so a smaller band has none.
+PSNR's peak and SSIM's dynamic range default to 255, the 8-bit domain the
+per-band quality numbers are quoted in; ``band_records`` passes its peak to both.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SSIM_RANGE = 255.0  # the default dynamic range
 class MetricsRecord:
     mse: float
     psnr_db: float
-    ssim: float
+    ssim: float | None  # None on a band smaller than the SSIM window
 
 
 def correlation_coefficient(a: np.ndarray, b: np.ndarray) -> float:
@@ -97,7 +97,7 @@ def ssim(ref: np.ndarray, test: np.ndarray, peak: float = SSIM_RANGE) -> float:
 
 
 def band_records(ref_bands, test_bands, peak: int = 255) -> list[MetricsRecord]:
-    """Per-band MSE, PSNR and SSIM of test against ref, both for peak ``peak``."""
+    """Per-band MSE, PSNR and SSIM (None on a band under its window) of test against ref, for peak ``peak``."""
     if len(ref_bands) != len(test_bands):
         raise DimensionError(
             f"band count mismatch: {len(ref_bands)} reference vs {len(test_bands)} test"
@@ -105,7 +105,8 @@ def band_records(ref_bands, test_bands, peak: int = 255) -> list[MetricsRecord]:
     records = []
     for ref, test in zip(ref_bands, test_bands):
         err = mse(ref, test)
-        records.append(MetricsRecord(mse=err, psnr_db=psnr_db(err, peak), ssim=ssim(ref, test, peak)))
+        s = ssim(ref, test, peak) if min(np.shape(ref)) >= SSIM_WINDOW else None
+        records.append(MetricsRecord(mse=err, psnr_db=psnr_db(err, peak), ssim=s))
     return records
 
 
@@ -114,7 +115,7 @@ class RdPoint:
     lam: float
     bpppb: float
     mean_psnr_db: float
-    mean_ssim: float
+    mean_ssim: float | None  # None on bands smaller than the SSIM window
 
 
 def rd_points(cube: HyperCube, lambda_sweep, cfg: EncoderConfig) -> list[RdPoint]:
@@ -130,23 +131,27 @@ def rd_points(cube: HyperCube, lambda_sweep, cfg: EncoderConfig) -> list[RdPoint
         run_cfg = replace(cfg, compensation=replace(cfg.compensation, lam=float(lam)))
         result = encode_cube_full(cube, run_cfg)
         records = band_records(result.resized_bands[1:], result.recon_bands[1:])
+        ssims = [r.ssim for r in records]
         points.append(
             RdPoint(
                 lam=float(lam),
                 bpppb=bitrate(result.bitstream),
                 mean_psnr_db=float(np.mean([r.psnr_db for r in records])) if records else math.inf,
-                mean_ssim=float(np.mean([r.ssim for r in records])) if records else 1.0,
+                mean_ssim=None if None in ssims else float(np.mean(ssims)) if ssims else 1.0,
             )
         )
     points.sort(key=lambda p: p.bpppb)
     return points
 
 
+def csv_number(value: float | None) -> str:
+    """``value`` at 6 significant digits, or an empty field for None."""
+    return "" if value is None else f"{value:.6g}"
+
+
 def rd_csv(points: list[RdPoint]) -> str:
     """CSV table: lambda,bpppb,mean_psnr_db,mean_ssim at 6 significant digits."""
     lines = ["lambda,bpppb,mean_psnr_db,mean_ssim"]
     for p in points:
-        lines.append(
-            f"{p.lam:.6g},{p.bpppb:.6g},{p.mean_psnr_db:.6g},{p.mean_ssim:.6g}"
-        )
+        lines.append(f"{p.lam:.6g},{p.bpppb:.6g},{p.mean_psnr_db:.6g},{csv_number(p.mean_ssim)}")
     return "\n".join(lines) + "\n"

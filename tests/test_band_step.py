@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from hsicodec import codec
 from hsicodec.codec import TAG_OFFSETS, TAG_RESIDUAL, _band_blocks, _decode_band, _finish_band
 from hsicodec.compensate import apply_offsets, apply_residual
-from hsicodec.cube import BAND_SIZE, INT16, block_view, denormalize_band
+from hsicodec.cube import INT16, block_view, denormalize_band
 from hsicodec.mlp import flatten, forward
 from hsicodec.quantize import dequantize_params, quantize_params
 from hsicodec.wire import to_byte_planes
-from test_codec import block_order_bands
+from test_codec import BAND_SIZE, block_order_bands
 
 INT32 = np.iinfo(np.int32)
 APPLY = {TAG_OFFSETS: apply_offsets, TAG_RESIDUAL: apply_residual}
@@ -56,7 +56,7 @@ def reference_step(pred, record, offsets, shape):
 def run_step(x, record, offsets):
     """The codec's band step on one band: the int16 band, checking that x is left alone."""
     kept = x.copy()
-    pred = _decode_band(x, record)
+    pred = _decode_band(x, record, (BAND_SIZE, BAND_SIZE))
     assert pred.dtype == np.int64
     got = np.empty((BAND_SIZE, BAND_SIZE), np.int16)
     _finish_band(pred, offsets, out=got)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _encoder_config, run
-from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, BitstreamHeader, EncoderConfig
+from hsicodec.codec import TAG_PARAMS, Bitstream, BitstreamHeader, EncoderConfig
 from hsicodec.compensate import CompensationConfig
 from hsicodec.cube import HyperCube, load_cube, store_cube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.metrics import correlation_coefficient
+from hsicodec.quantize import RECORD
 
 
 @pytest.fixture
@@ -26,11 +27,9 @@ FAST = ["--max-epochs", "2", "--seed", "1"]
 
 def test_encode_decode_metrics_pipeline(tmp_path, cube_file, capsys):
     out = tmp_path / "out.bip"
-    resized = tmp_path / "resized.raw"
-    rc = run(["encode", str(cube_file), str(out), "--lambda", "0",
-              "--emit-resized", str(resized), *FAST])
+    rc = run(["encode", str(cube_file), str(out), "--lambda", "0", *FAST])
     assert rc == EXIT_OK
-    assert out.exists() and resized.exists()
+    assert out.exists()
     band_lines = capsys.readouterr().err.splitlines()[2:]
     assert len(band_lines) == 2
     for line in band_lines:
@@ -39,11 +38,11 @@ def test_encode_decode_metrics_pipeline(tmp_path, cube_file, capsys):
     rec = tmp_path / "rec.raw"
     assert run(["decode", str(out), str(rec)]) == EXIT_OK
 
-    # lossless limit: decoded equals the emitted resized reference exactly
-    assert np.array_equal(load_cube(rec).data, load_cube(resized).data)
+    # lossless limit: the decoded file equals the input file byte for byte
+    assert rec.read_bytes() == cube_file.read_bytes()
 
     capsys.readouterr()
-    assert run(["metrics", str(resized), str(rec)]) == EXIT_OK
+    assert run(["metrics", str(cube_file), str(rec)]) == EXIT_OK
     table = capsys.readouterr().out.strip().split("\n")
     assert table[0] == "band,mse,ssim,psnr_db,cc_next"
     assert len(table) == 4
@@ -113,11 +112,51 @@ def test_info_names_the_residual_segment(tmp_path, cube_file, capsys):
 
 def test_hdr_output_path_is_refused(tmp_path, cube_file):
     stream = tmp_path / "out.bip"
-    ref = tmp_path / "ref.hdr"
-    assert run(["encode", str(cube_file), str(stream), "--emit-resized", str(ref), *FAST]) == EXIT_IO
+    assert run(["encode", str(cube_file), str(stream), *FAST]) == EXIT_OK
     rec = tmp_path / "rec.hdr"
     assert run(["decode", str(stream), str(rec)]) == EXIT_IO
-    assert not ref.exists() and not rec.exists()
+    assert not rec.exists()
+
+
+def test_encode_has_no_emit_resized_flag(tmp_path, cube_file):
+    # the reference is the input itself, so there is no resized copy to write
+    ref = tmp_path / "ref.raw"
+    assert run(["encode", str(cube_file), str(tmp_path / "o.bip"), "--emit-resized", str(ref)]) == EXIT_USAGE
+    assert not ref.exists()
+
+
+@pytest.mark.parametrize("shape", [(3, 250, 301), (3, 4, 4), (3, 1, 1)], ids="{0[1]}x{0[2]}".format)
+def test_lossless_decode_is_the_input_file(tmp_path, shape):
+    # bands that need a pad and bands that need none: the decoded file is the input file
+    data = np.random.default_rng(7).integers(-300, 4000, shape).astype(np.int16)
+    cube, stream, rec = tmp_path / "in.raw", tmp_path / "in.bip", tmp_path / "rec.raw"
+    store_cube(HyperCube(data=data), cube)
+    assert run(["encode", str(cube), str(stream), "--lambda", "0", *FAST]) == EXIT_OK
+    assert run(["decode", str(stream), str(rec)]) == EXIT_OK
+    assert rec.read_bytes() == cube.read_bytes()
+    assert rec.with_suffix(".hdr").read_text() == cube.with_suffix(".hdr").read_text()
+
+
+def test_commands_on_a_cube_smaller_than_the_ssim_window(tmp_path, capsys):
+    # a 5 x 7 cube: SSIM is undefined, so each command leaves it empty and still exits 0
+    data = np.random.default_rng(6).integers(0, 900, (3, 5, 7)).astype(np.int16)
+    cube, stream, rec = tmp_path / "small.raw", tmp_path / "small.bip", tmp_path / "rec.raw"
+    store_cube(HyperCube(data=data), cube)
+    assert run(["encode", str(cube), str(stream), "--lambda", "0", *FAST]) == EXIT_OK
+    band_lines = capsys.readouterr().err.splitlines()[1:]
+    assert len(band_lines) == 3 and not any("ssim" in line for line in band_lines)
+    assert run(["decode", str(stream), str(rec)]) == EXIT_OK
+    assert rec.read_bytes() == cube.read_bytes()
+    capsys.readouterr()
+    assert run(["info", str(stream)]) == EXIT_OK
+    assert "geometry: 5x7, 3 coded bands" in capsys.readouterr().out
+    assert run(["metrics", str(cube), str(rec)]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[1], row[2], row[3]) for row in rows] == [("0", "", "inf")] * 3
+    assert run(["rd", str(cube), "--lambdas", "0,0.05", *FAST]) == EXIT_OK
+    by_lam = {row[0]: row for row in (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])}
+    assert sorted(by_lam) == ["0", "0.05"] and all(row[3] == "" for row in by_lam.values())
+    assert by_lam["0"][2] == "inf"
 
 
 def test_info_on_truncated_stream(tmp_path, cube_file):
@@ -215,7 +254,7 @@ def test_decode_short_params_payload(tmp_path, cube_file):
     assert run(["encode", str(cube_file), str(out), *FAST]) == EXIT_OK
     bs = Bitstream.from_bytes(out.read_bytes())
     assert bs.segments[1][0] == TAG_PARAMS
-    payload = segment_from_bytes(bs.segments[1][1], MAX_PAYLOAD[TAG_PARAMS])
+    payload = segment_from_bytes(bs.segments[1][1], RECORD.size)
     bs.segments[1] = (TAG_PARAMS, segment_to_bytes(payload[:10]))
     out.write_bytes(bs.to_bytes())
     assert run(["decode", str(out), str(tmp_path / "x.raw")]) == EXIT_CORRUPT

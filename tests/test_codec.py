@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hsicodec.codec import (
-    MAX_PAYLOAD,
     Bitstream,
     BitstreamHeader,
     EncoderConfig,
@@ -27,9 +26,10 @@ from hsicodec.codec import (
     bitrate,
     decode_cube,
     encode_cube_full,
+    max_payload,
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual
-from hsicodec.cube import BAND_SIZE, BLOCK, HyperCube, normalize_band, resize_band
+from hsicodec.cube import BLOCK, HyperCube, normalize_band
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
 from hsicodec.errors import CorruptStreamError, DimensionError, NoContentError
 from hsicodec.lm import TrainConfig, train
@@ -40,6 +40,9 @@ from hsicodec.wire import from_byte_planes, to_byte_planes
 from test_blocks import block_columns
 from test_compensate import reference_offsets_to_bytes
 from test_mlp import random_params
+
+# the bench cubes' band size
+BAND_SIZE = 256
 
 
 def fast_cfg(lam=0.0, enabled=True, seed=1, epochs=2):
@@ -63,10 +66,11 @@ def smooth_cube(seed=0, bands=3, size=64, scale=1.0):
 def rule_tags(result, comp) -> list[int]:
     """Each predicted band's offsets tag as the layout rule picks it, read from its sparse payload."""
     segments = result.bitstream.segments
+    shape = result.recon_bands.shape[1:]
     tags = []
     for k in range(1, len(result.recon_bands)):
-        record = segment_from_bytes(segments[2 * k - 1][1], MAX_PAYLOAD[TAG_PARAMS])
-        pred = _decode_band(_band_blocks(result.recon_bands[k - 1])[0], record)
+        record = segment_from_bytes(segments[2 * k - 1][1], RECORD.size)
+        pred = _decode_band(_band_blocks(result.recon_bands[k - 1])[0], record, shape)
         sparse = reference_offsets_to_bytes(result.resized_bands[k], pred, comp)
         zigzag = from_byte_planes(sparse[len(sparse) // 2 :], "<u4")
         dense = 4 * zigzag.size > pred.size and zigzag.max(initial=0) < 2**16
@@ -112,7 +116,7 @@ def test_network_input_is_a_contiguous_array_of_its_own():
     for band in (result.recon_bands[1], decoded[1]):
         x = _band_blocks(band)[0]
         assert x.dtype == np.float64
-        assert x.shape == (N_INPUT, BAND_SIZE * BAND_SIZE // N_INPUT)
+        assert x.shape == (N_INPUT, 64 * 64 // N_INPUT)
         assert x.flags.c_contiguous
         assert x.flags.owndata
 
@@ -135,7 +139,7 @@ def test_closed_loop_bitwise_equality():
         assert np.array_equal(decoded.band(k), result.recon_bands[k])
     # both codec sides hold one int16 array per cube, not a list of wider bands
     for cube_data in (result.recon_bands, result.resized_bands, decoded.data):
-        assert cube_data.dtype == np.int16 and cube_data.shape == (3, 256, 256)
+        assert cube_data.dtype == np.int16 and cube_data.shape == (3, 64, 64)
 
 
 def test_lossless_limit_round_trip():
@@ -144,6 +148,7 @@ def test_lossless_limit_round_trip():
     decoded = decode_cube(result.bitstream)
     for k in range(3):
         assert np.array_equal(decoded.band(k), result.resized_bands[k])
+    assert decoded.data.tobytes() == cube.data.tobytes()
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.05, 0.2])
@@ -159,9 +164,9 @@ def test_offset_pixels_decode_to_their_target(lam):
     offset_segments = [(tag, body) for tag, body in result.bitstream.segments if tag in apply]
     assert [tag for tag, _ in offset_segments] == rule_tags(result, cfg.compensation)
     for k, (tag, body) in enumerate(offset_segments, start=1):
-        payload = segment_from_bytes(body, MAX_PAYLOAD[tag])
+        payload = segment_from_bytes(body, max_payload(64, 64)[tag])
         # offsets are nonzero, so the corrected pixels are the nonzero ones
-        indices = np.flatnonzero(apply[tag](np.zeros((256, 256), np.int64), payload))
+        indices = np.flatnonzero(apply[tag](np.zeros((64, 64), np.int64), payload))
         assert len(indices) > 0
         got = decoded.band(k).ravel()[indices]
         assert np.array_equal(got, result.resized_bands[k].ravel()[indices])
@@ -236,8 +241,8 @@ def openblas_build() -> str | None:
 # on and zlib's deflate as well as on this code, so their digests hold on the recorded build only.
 DIGEST_BUILD = ("numpy 2.4.6", "zlib 1.2.13", "OpenBLAS SkylakeX, threads=1")
 STREAM_DIGESTS = {
-    0.0: "4307149d8523af5f8a090406ec226ce70a4db5600cdbe382203d27e487619b38",
-    0.2: "98f176cd875e9dc1019f6d3488db5a17c1aa030fa2eb25edf6f218136bc153b9",
+    0.0: "e09f3785262067dbfe9a69062aef2249f704c3d535980a87805d2bfe039edf63",
+    0.2: "ca2e153368413239a7f41c691ca2db64f50d4ae2a5e0444ff853acaf98006a9c",
 }
 
 
@@ -306,7 +311,7 @@ def test_params_record_layout():
     assert tag == TAG_PARAMS
     x = _band_blocks(result.resized_bands[0])[0]
     expected, _ = _fit_band(x, result.resized_bands[1], cfg.train)
-    assert segment_from_bytes(body, MAX_PAYLOAD[tag]) == expected
+    assert segment_from_bytes(body, RECORD.size) == expected
 
 
 def lm_record(x, band, cfg):
@@ -316,12 +321,11 @@ def lm_record(x, band, cfg):
 
 
 def band_pairs(kind):
-    """The (previous, current) 256x256 band pairs of a smooth or a textured cube."""
+    """The (previous, current) 64x64 band pairs of a smooth or a textured cube."""
     from make_synthetic_cube import make_cube
 
     cube = smooth_cube() if kind == "smooth" else make_cube(3, 64, 7, 12.0)
-    bands = [resize_band(cube.band(b)) for b in range(cube.bands)]
-    return list(zip(bands, bands[1:]))
+    return list(zip(cube.data, cube.data[1:]))
 
 
 @pytest.mark.parametrize("kind", ["smooth", "textured"])
@@ -354,7 +358,7 @@ def test_fit_band_predicts_better_than_lm_alone():
     for prev, band in band_pairs("smooth"):
         x = _band_blocks(prev)[0]
         records = _fit_band(x, band, cfg)[0], lm_record(x, band, cfg)
-        solved, alone = (np.mean((_decode_band(x, r) - band) ** 2) for r in records)
+        solved, alone = (np.mean((_decode_band(x, r, band.shape) - band) ** 2) for r in records)
         assert solved < alone
 
 
@@ -399,25 +403,29 @@ def reference_cases():
         "trailing excluded band": (data, (3,), True),
         "excluded middle band": (data, (1,), False),
         "Fortran order": (np.asfortranarray(data), (), False),
-        "200x200": (smooth_cube(bands=3, size=200).data, (), False),
+        "200x200": (smooth_cube(bands=3, size=200).data, (), True),
+        "250x301": (np.ascontiguousarray(smooth_cube(bands=3, size=301).data[:, :250]), (), True),
     }
 
 
 @pytest.mark.parametrize("case", list(reference_cases()))
 def test_reference_is_the_resized_coded_bands(case):
+    # the reference keeps its old name, and holds the input's coded bands at their own size
     data, exclusions, view = reference_cases()[case]
     cube = HyperCube(data=data)
     before = cube.data.copy()
     cfg = dataclasses.replace(fast_cfg(lam=0.02, epochs=0), band_exclusions=exclusions)
     result = encode_cube_full(cube, cfg)
     resized, recon = result.resized_bands, result.recon_bands
-    assert np.array_equal(resized, np.stack([resize_band(cube.band(b)) for b in result.band_indices]))
+    assert np.array_equal(resized, np.stack([cube.band(b) for b in result.band_indices]))
     assert resized.dtype == np.int16 and resized.flags.c_contiguous
     assert not resized.flags.writeable
     assert np.shares_memory(resized, cube.data) == view
     # encoding neither writes the caller's cube nor takes its write access away
     assert np.array_equal(cube.data, before) and cube.data.flags.writeable
-    assert recon.dtype == np.int16 and recon.flags.c_contiguous and recon.flags.writeable
+    # recon is cropped from padded bands, so it is C-contiguous where no pad was needed
+    assert recon.dtype == np.int16 and recon.flags.writeable and recon.shape == resized.shape
+    assert recon.flags.c_contiguous == (cube.rows % 4 == cube.cols % 4 == 0)
     assert not np.shares_memory(recon, cube.data)
     assert np.array_equal(decode_cube(result.bitstream).data, recon)
 
@@ -515,7 +523,7 @@ def test_header_declaring_more_bands_than_segments_rejected():
         decode_cube(Bitstream.from_bytes(Bitstream(header=header, segments=bs.segments).to_bytes()))
 
 
-@pytest.mark.parametrize("rows, coded", [(128, 2), (256, 0)], ids=["128x128", "no coded band"])
+@pytest.mark.parametrize("rows, coded", [(256, 0)], ids=["no coded band"])
 def test_bad_header_in_memory_rejected(rows, coded):
     # a Bitstream built in memory skips from_bytes, so decode_cube checks its header as from_bytes does
     bs = encode_cube_full(smooth_cube(bands=2), fast_cfg()).bitstream
@@ -536,7 +544,7 @@ def test_bitrate_arithmetic(lam, enabled, per_band):
     cfg = dataclasses.replace(fast_cfg(lam=lam, enabled=enabled), band_exclusions=(1,))
     bs = encode_cube_full(smooth_cube(bands=4), cfg).bitstream
     assert [t for t, _ in bs.segments] == [TAG_FIRST_BAND] + per_band * 2
-    assert bitrate(bs) == len(bs.to_bytes()) * 8 / (256 * 256 * 3)
+    assert bitrate(bs) == len(bs.to_bytes()) * 8 / (64 * 64 * 3)
 
 
 def test_serializing_holds_one_copy_of_the_stream():
@@ -563,7 +571,7 @@ def test_serializing_holds_one_copy_of_the_stream():
 
 
 def test_params_only_band_payload_under_budget():
-    cube = smooth_cube(bands=2)
+    cube = smooth_cube(bands=2, size=256)
     bs = encode_cube_full(cube, fast_cfg(enabled=False)).bitstream
     per_band = [len(body) for tag, body in bs.segments if tag == TAG_PARAMS]
     assert sum(per_band) <= 500
@@ -609,11 +617,41 @@ def test_predict_mse_is_taken_before_offsets():
     assert all(err > 0 for err in result.predict_mse)
 
 
-def test_nonsquare_input_cube_resized():
+def test_nonsquare_input_cube_at_its_own_size():
+    # 90 columns pad to 92: the stream's header and the decode keep the input's 40 x 90
     rng = np.random.default_rng(5)
     data = rng.integers(0, 200, (2, 40, 90), dtype=np.int16)
     result = encode_cube_full(HyperCube(data=data), fast_cfg(lam=0.0))
-    decoded = decode_cube(result.bitstream)
-    assert decoded.rows == decoded.cols == 256
-    for k in range(2):
-        assert np.array_equal(decoded.band(k), result.resized_bands[k])
+    h = result.bitstream.header
+    assert (h.rows, h.cols) == (40, 90)
+    decoded = decode_cube(Bitstream.from_bytes(result.bitstream.to_bytes()))
+    assert decoded.data.shape == (2, 40, 90)
+    assert decoded.data.tobytes() == data.tobytes()
+    assert np.array_equal(result.recon_bands, data)
+
+
+@pytest.mark.parametrize("shape", [(3, 250, 301), (3, 4, 4), (3, 1, 1), (3, 5, 7)], ids="{0[1]}x{0[2]}".format)
+def test_lossless_decode_equals_the_input(shape):
+    # lambda 0 reproduces the input cube itself, on bands that need a pad and on bands that need none
+    data = np.random.default_rng(8).integers(-300, 4000, shape).astype(np.int16)
+    result = encode_cube_full(HyperCube(data=data), fast_cfg(lam=0.0))
+    assert (result.bitstream.header.rows, result.bitstream.header.cols) == shape[1:]
+    decoded = decode_cube(Bitstream.from_bytes(result.bitstream.to_bytes()))
+    assert decoded.data.shape == shape
+    assert decoded.data.tobytes() == data.tobytes()
+
+
+def test_first_band_is_stored_padded_by_edge_replication():
+    # a 5 x 7 band pads to 8 x 8: its last row and column repeat out to the block edge
+    data = np.arange(35, dtype=np.int16).reshape(1, 5, 7) + 1
+    bs = encode_cube_full(HyperCube(data=data), fast_cfg()).bitstream
+    assert max_payload(5, 7)[TAG_FIRST_BAND] == 2 * 8 * 8
+    first = _unpack_band(segment_from_bytes(bs.segments[0][1], 2 * 8 * 8), (8, 8))
+    assert np.array_equal(first, np.pad(data[0], ((0, 3), (0, 1)), mode="edge"))
+
+
+def test_predict_mse_counts_only_the_bands_own_pixels():
+    data = np.random.default_rng(2).integers(0, 500, (2, 6, 9)).astype(np.int16)
+    result = encode_cube_full(HyperCube(data=data), fast_cfg(enabled=False))
+    d = result.recon_bands[1].astype(np.int64) - data[1]
+    assert result.predict_mse == [float(np.sum(d * d)) / data[1].size]

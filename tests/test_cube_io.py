@@ -8,8 +8,9 @@ from hsicodec.cube import (
     denormalize_band,
     load_cube,
     normalize_band,
+    pad_band,
+    padded_shape,
     read_header,
-    resize_band,
     store_cube,
 )
 from hsicodec.errors import CorruptInputError, FormatError, WriteError
@@ -80,32 +81,22 @@ def test_bad_header_rejected(tmp_path):
         read_header(hdr)
 
 
-def test_resize_identity_on_256():
-    band = np.arange(256 * 256).reshape(256, 256)
-    assert np.array_equal(resize_band(band), band)
-    assert not np.shares_memory(resize_band(band), band)
+def test_aligned_band_is_not_padded():
+    band = np.arange(8 * 12).reshape(8, 12)
+    assert pad_band(band) is band
+    assert padded_shape(8, 12) == (8, 12)
 
 
-def test_resize_512_index_oracle():
-    rng = np.random.default_rng(1)
-    band = rng.integers(0, 1000, (512, 512))
-    out = resize_band(band)
-    # floor((i + 0.5) * 512 / 256) = 2i + 1
-    expected = band[1::2, 1::2]
-    assert np.array_equal(out, expected)
-
-
-def test_resize_constant_expansion():
-    out = resize_band(np.array([[42]]))
-    assert out.shape == (256, 256)
-    assert np.all(out == 42)
-
-
-def test_resize_idempotent_on_target_size():
-    rng = np.random.default_rng(2)
-    band = rng.integers(0, 100, (200, 300))
-    once = resize_band(band)
-    assert np.array_equal(resize_band(once), once)
+@pytest.mark.parametrize("rows, cols", [(1, 1), (5, 7), (4, 9), (250, 301)])
+def test_pad_replicates_the_right_and_bottom_edges(rows, cols):
+    band = np.random.default_rng(rows * cols).integers(-500, 500, (rows, cols))
+    padded = pad_band(band)
+    assert padded.shape == padded_shape(rows, cols) == (-(-rows // 4) * 4, -(-cols // 4) * 4)
+    assert np.array_equal(padded[:rows, :cols], band)
+    # every pad pixel repeats the nearest edge pixel of the band
+    i = np.minimum(np.arange(padded.shape[0]), rows - 1)
+    j = np.minimum(np.arange(padded.shape[1]), cols - 1)
+    assert np.array_equal(padded, band[np.ix_(i, j)])
 
 
 def test_normalize_endpoints():

@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsicodec import codec
+from hsicodec.cli import EXIT_CORRUPT, EXIT_IO, run
 from hsicodec.codec import (
-    MAX_PAYLOAD,
+    MAX_BAND_PIXELS,
     TAG_FIRST_BAND,
     TAG_OFFSETS,
     TAG_PARAMS,
@@ -32,11 +34,12 @@ from hsicodec.codec import (
     _decode_band,
     decode_cube,
     encode_cube_full,
+    max_payload,
 )
 from hsicodec.compensate import CompensationConfig, apply_offsets, apply_residual
 from hsicodec.cube import HyperCube, store_cube
 from hsicodec.entropy import segment_from_bytes, segment_to_bytes
-from hsicodec.errors import CorruptStreamError
+from hsicodec.errors import CorruptStreamError, DimensionError
 from hsicodec.lm import TrainConfig
 from hsicodec.quantize import RECORD
 from hsicodec.wire import to_byte_planes
@@ -71,12 +74,14 @@ def outcome_under_rlimit(call: str) -> str:
 
 
 VARINT_2_TO_40 = bytes([0x80, 0x80, 0x80, 0x80, 0x80, 0x20])
+# the segment caps of plain_header's 256 x 256 bands
+FULL_CAPS = max_payload(256, 256)
 
 
 @pytest.mark.parametrize("mode", [0, 1], ids=["raw", "zlib"])
 def test_segment_of_max_len_bytes(mode):
     # a payload of max_len bytes comes back, one of max_len + 1 is rejected, in either mode
-    for max_len in (0, 1, RECORD.size, MAX_PAYLOAD[TAG_FIRST_BAND]):
+    for max_len in (0, 1, RECORD.size, FULL_CAPS[TAG_FIRST_BAND]):
         data = bytes(max_len + 1)
         fits, over = (bytes([mode]) + (zlib.compress(d) if mode else d) for d in (data[:-1], data))
         assert segment_from_bytes(fits, max_len) == data[:-1]
@@ -107,10 +112,10 @@ def test_zlib_bomb_is_valid():
     assert zlib.decompress(zlib_bomb(3, chunk=1 << 12)) == bytes(3 << 12)
 
 
-def plain_header(bands: int) -> BitstreamHeader:
-    """The header of a stream of ``bands`` full-size bands with compensation off."""
+def plain_header(bands: int, rows: int = 256, cols: int = 256) -> BitstreamHeader:
+    """The header of a stream of ``bands`` bands of rows x cols with compensation off."""
     return BitstreamHeader(
-        rows=256, cols=256, coded_bands=bands, exclusions=(),
+        rows=rows, cols=cols, coded_bands=bands, exclusions=(),
         compensation=CompensationConfig(enabled=False),
     )
 
@@ -141,7 +146,7 @@ def test_bomb_with_a_cap_of_0_is_bounded(tmp_path):
 def minimal_stream(bands: int) -> bytes:
     """The smallest valid stream of ``bands`` bands: compensation off, every payload zero."""
     band = (TAG_PARAMS, segment_to_bytes(bytes(RECORD.size)))
-    first = (TAG_FIRST_BAND, segment_to_bytes(bytes(MAX_PAYLOAD[TAG_FIRST_BAND])))
+    first = (TAG_FIRST_BAND, segment_to_bytes(bytes(FULL_CAPS[TAG_FIRST_BAND])))
     return Bitstream(header=plain_header(bands), segments=[first] + [band] * (bands - 1)).to_bytes()
 
 
@@ -159,10 +164,97 @@ def test_bad_segment_framing(framing, error):
 @pytest.mark.parametrize("change", [-2, -1])
 def test_first_band_of_a_wrong_length(change):
     # under the cap, so the first band's own length check is what rejects it
-    first = segment_to_bytes(bytes(MAX_PAYLOAD[TAG_FIRST_BAND] + change))
+    first = segment_to_bytes(bytes(FULL_CAPS[TAG_FIRST_BAND] + change))
     blob = Bitstream(header=plain_header(1), segments=[(TAG_FIRST_BAND, first)]).to_bytes()
     with pytest.raises(CorruptStreamError, match="first-band payload does not match"):
         decode_cube(Bitstream.from_bytes(blob))
+
+
+@pytest.mark.parametrize("rows, cols, bands, error", [
+    (2048, 2049, 1, "band geometry 2048x2049 is empty or over 4194304 padded pixels"),
+    (0, 256, 1, "band geometry 0x256 is empty"),
+    (1024, 1024, 4097, "4097 coded bands of 1024x1024: none, or over 4294901760 padded pixels"),
+], ids=["2048x2049", "0 rows", "4097 bands of 1024x1024"])
+def test_geometry_past_the_caps_is_corrupt(tmp_path, capsys, rows, cols, bands, error):
+    # 2048 x 2049 pads to 2048 x 2052, 4,202,496 pixels; 4,097 bands of 2**20 pixels are over
+    # the 65,535 x 65,536 pixels of the largest cube a stream may declare. The segments
+    # follow the grammar, so the geometry is what rejects the stream
+    segments = [(TAG_FIRST_BAND, segment_to_bytes(b""))] + [(TAG_PARAMS, segment_to_bytes(b""))] * (bands - 1)
+    bs = Bitstream(header=plain_header(bands, rows, cols), segments=segments)
+    with pytest.raises(CorruptStreamError, match=error):
+        Bitstream.from_bytes(bs.to_bytes())
+    with pytest.raises(CorruptStreamError, match=error):
+        decode_cube(bs)
+    stream = tmp_path / "geometry.bip"
+    stream.write_bytes(bs.to_bytes())
+    capsys.readouterr()
+    assert run(["info", str(stream)]) == EXIT_CORRUPT
+    assert run(["decode", str(stream), str(tmp_path / "x.raw")]) == EXIT_CORRUPT
+    assert capsys.readouterr().err.count(error) == 2
+    assert not (tmp_path / "x.raw").exists()
+
+
+@pytest.mark.parametrize("shape, error", [
+    ((1, 2048, 2049), "band geometry 2048x2049 is empty or over 4194304 padded pixels"),
+    ((4097, 1024, 1024), "4097 coded bands of 1024x1024: none, or over 4294901760 padded pixels"),
+], ids=["2048x2049", "4097 bands of 1024x1024"])
+def test_encode_past_the_caps_is_refused(monkeypatch, shape, error):
+    # the 4,097 bands are one broadcast sample, so the 8 GiB cube costs no memory;
+    # the encoder refuses either cube before it trains a band
+    monkeypatch.setattr(codec, "train", lambda *args: pytest.fail("LM ran on a cube past the caps"))
+    cube = HyperCube(data=np.broadcast_to(np.int16(3), shape))
+    with pytest.raises(DimensionError, match=error):
+        encode_cube_full(cube, EncoderConfig())
+
+
+def test_first_band_bomb_at_the_band_cap_inflates_at_most_the_cap(tmp_path):
+    # a 1.25 GiB inflation as the first band of a 2048 x 2048 header, at the band pixel cap:
+    # the first band's 8 MiB cap stops it one byte past
+    cap = max_payload(2048, 2048)[TAG_FIRST_BAND]
+    assert cap == 2 * MAX_BAND_PIXELS
+    seg = bytes([1]) + zlib_bomb(80)
+    stream = tmp_path / "bomb.bip"
+    stream.write_bytes(Bitstream(header=plain_header(1, 2048, 2048), segments=[(TAG_FIRST_BAND, seg)]).to_bytes())
+    call = "; ".join([
+        "import atexit, tracemalloc",
+        "from pathlib import Path",
+        "from hsicodec.codec import Bitstream, decode_cube",
+        f"blob = Path({str(stream)!r}).read_bytes()",
+        "atexit.register(lambda: print(tracemalloc.get_traced_memory()[1]))",
+        "tracemalloc.start()",
+        "decode_cube(Bitstream.from_bytes(blob))",
+    ])
+    outcome, peak = outcome_under_rlimit(call).split("\n")
+    assert outcome == f"CorruptStreamError: zlib payload inflates over its cap of {cap} bytes"
+    # the decoder holds its one-band output, the size of the cap; zlib joins its output blocks
+    # into one bytes object, so it holds the cap + 1 bytes twice at the end; and the segment's
+    # body is copied as the stream is parsed and as its mode byte is cut
+    bound = cap + 2 * (cap + 1) + 3 * len(seg) + (1 << 20)
+    assert int(peak) <= bound, f"inflating peaked at {int(peak)} bytes, over {bound}"
+
+
+def test_cube_too_large_for_memory_exits_3(tmp_path):
+    # 131,094 bytes declaring 65,535 bands of 256 x 256, every segment empty: the largest cube
+    # a stream may declare, 8 GiB, which a 2 GiB address space cannot hold. The decoder
+    # allocates it before it parses the first band, and decode exits 3 with one error line
+    limit = 2 << 30
+    stream = tmp_path / "huge.bip"
+    segments = [(TAG_FIRST_BAND, b"")] + [(TAG_PARAMS, b"")] * 65534
+    stream.write_bytes(Bitstream(header=plain_header(65535), segments=segments).to_bytes())
+    assert stream.stat().st_size == 131094
+    code = "; ".join([
+        "import resource, runpy, sys",
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))",
+        f"sys.argv = ['hsicodec', 'decode', {str(stream)!r}, {str(tmp_path / 'x.raw')!r}]",
+        "runpy.run_module('hsicodec.cli', run_name='__main__')",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: Unable to allocate") and "(65535, 256, 256)" in proc.stderr
+    assert not (tmp_path / "x.raw").exists()
 
 
 @pytest.mark.parametrize("decode", [
@@ -256,9 +348,13 @@ def test_arbitrary_offsets_bytes(blob):
     assert np.count_nonzero(band) == len(blob) // 8
 
 
+# the segment caps of two_band_stream's 64 x 64 bands
+SMALL_CAPS = max_payload(64, 64)
+
+
 @functools.lru_cache(maxsize=None)
 def two_band_stream(lam: float | None = 0.02) -> Bitstream:
-    """A valid 2-band stream: first band, params record, and offsets at tolerance lam.
+    """A valid 2-band stream of 64 x 64 bands: first band, params record, and offsets at tolerance lam.
 
     lam None turns compensation off, so the stream carries no offsets segment.
     Band 1 is noise that no map of band 0 predicts, so at lam 0.02 most of
@@ -286,7 +382,7 @@ def test_mutated_band_payload(index, flips, cut):
     # mutate one payload before entropy coding, so the segment itself stays well formed
     bs = two_band_stream()
     tag, body = bs.segments[index]
-    payload = bytearray(segment_from_bytes(body, MAX_PAYLOAD[tag]))
+    payload = bytearray(segment_from_bytes(body, SMALL_CAPS[tag]))
     for bit in flips if payload else []:
         payload[bit // 8 % len(payload)] ^= 1 << bit % 8
     if cut is not None:
@@ -298,7 +394,7 @@ def test_mutated_band_payload(index, flips, cut):
         out = decode_cube(Bitstream.from_bytes(blob))
     except CorruptStreamError:
         return
-    assert out.data.shape == (2, 256, 256)
+    assert out.data.shape == (2, 64, 64)
 
 
 @settings(max_examples=300, deadline=None)
@@ -331,8 +427,8 @@ def test_offsets_past_int16_saturate():
     # so the decoder must clip them to the int16 range, not let them wrap
     bs = two_band_stream()
     decoded = decode_cube(bs).data.astype(np.int64)
-    record = segment_from_bytes(bs.segments[1][1], MAX_PAYLOAD[TAG_PARAMS])
-    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0])[0], record)
+    record = segment_from_bytes(bs.segments[1][1], SMALL_CAPS[TAG_PARAMS])
+    offsets = decoded[1] - _decode_band(_band_blocks(decoded[0])[0], record, (64, 64))
     # the layout rule: dense when over a quarter of the pixels carry an offset, each within int16
     dense = 4 * np.count_nonzero(offsets) > offsets.size and -(2**15) <= offsets.min() <= offsets.max() < 2**15
     assert bs.segments[2][0] == (TAG_RESIDUAL if dense else TAG_OFFSETS)
@@ -347,7 +443,7 @@ def residual_segment(bs: Bitstream) -> bytes:
     """The dense residual payload of band 1 of ``bs``."""
     tag, body = bs.segments[2]
     assert tag == TAG_RESIDUAL
-    return segment_from_bytes(body, MAX_PAYLOAD[tag])
+    return segment_from_bytes(body, SMALL_CAPS[tag])
 
 
 # a plane one byte longer is already over the tag's cap of 2 bytes per pixel
@@ -362,7 +458,7 @@ def test_residual_payload_one_byte_off(change, error):
 
 
 def test_residual_bomb_rejected_before_inflating(tmp_path):
-    # a 1.25 GiB inflation as a residual plane: the plane's cap stops it one byte past 128 KiB
+    # a 1.25 GiB inflation as a residual plane: the plane's cap stops it one byte past 8 KiB
     bs = two_band_stream()
     seg = bytes([1]) + zlib_bomb(80)
     stream = tmp_path / "bomb.bip"
@@ -371,7 +467,7 @@ def test_residual_bomb_rejected_before_inflating(tmp_path):
         "from pathlib import Path; from hsicodec.codec import Bitstream, decode_cube; "
         f"decode_cube(Bitstream.from_bytes(Path({str(stream)!r}).read_bytes()))"
     )
-    assert outcome_under_rlimit(call) == "CorruptStreamError: zlib payload inflates over its cap of 131072 bytes"
+    assert outcome_under_rlimit(call) == "CorruptStreamError: zlib payload inflates over its cap of 8192 bytes"
 
 
 def test_residual_segment_with_compensation_off():
@@ -384,7 +480,7 @@ def test_residual_segment_with_compensation_off():
 def test_sparse_only_stream_still_decodes():
     # the same offsets as index deltas and values: the sparse layout decodes to the same cube
     bs = two_band_stream()
-    offsets = apply_residual(np.zeros(256 * 256, np.int64), residual_segment(bs))
+    offsets = apply_residual(np.zeros(64 * 64, np.int64), residual_segment(bs))
     idx = np.flatnonzero(offsets)
     zigzag = (offsets[idx] << 1) ^ (offsets[idx] >> 63)
     sparse = to_byte_planes(np.diff(idx, prepend=0), "<u4") + to_byte_planes(zigzag, "<u4")
@@ -400,7 +496,7 @@ def test_huge_parameter_ranges():
     bs = two_band_stream()
     segments = list(bs.segments)
     tag, body = segments[1]
-    param_bytes, *_, src_min, src_max = RECORD.unpack(segment_from_bytes(body, MAX_PAYLOAD[tag]))
+    param_bytes, *_, src_min, src_max = RECORD.unpack(segment_from_bytes(body, SMALL_CAPS[tag]))
     payload = RECORD.pack(param_bytes, *[-3e38, 3e38] * 4, src_min, src_max)
     segments[1] = (tag, segment_to_bytes(payload))
     try:
@@ -408,5 +504,5 @@ def test_huge_parameter_ranges():
     except CorruptStreamError:
         return
     x = _band_blocks(decode_cube(bs).data[0])[0]
-    pred = _decode_band(x, payload)
+    pred = _decode_band(x, payload, (64, 64))
     assert src_min <= pred.min() and pred.max() <= src_max

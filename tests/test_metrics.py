@@ -212,3 +212,14 @@ def test_rd_csv_format():
     fields = lines[1].split(",")
     assert float(fields[0]) == 0.05
     assert float(fields[1]) > 0
+
+
+def test_ssim_of_a_band_under_the_window_is_empty():
+    # a 5 x 7 band has no 11 x 11 window: its record holds no SSIM, and the sweep's table leaves it empty
+    a = np.arange(35, dtype=np.float64).reshape(5, 7)
+    (record,) = band_records([a], [a + 1])
+    assert record.ssim is None and record.mse == 1.0
+    small = HyperCube(data=np.stack([np.arange(35).reshape(5, 7) * (b + 1) for b in range(2)]).astype(np.int16))
+    (point,) = rd_points(small, [0.0], rd_cfg())
+    assert point.mean_ssim is None and point.mean_psnr_db == math.inf
+    assert rd_csv([point]).splitlines()[1].endswith(",inf,")

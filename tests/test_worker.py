@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from hsicodec import codec, entropy
-from hsicodec.codec import MAX_PAYLOAD, TAG_PARAMS, Bitstream, decode_cube, encode_cube_full
+from hsicodec.codec import TAG_PARAMS, Bitstream, decode_cube, encode_cube_full
 from hsicodec.entropy import MODES, segment_from_bytes
 from hsicodec.errors import CorruptStreamError
+from hsicodec.quantize import RECORD
 from test_codec import fast_cfg, smooth_cube
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +53,7 @@ def test_forked_child_codes_with_a_worker_of_its_own():
 
 def record(bs: Bitstream, band: int) -> bytes:
     """Band ``band``'s params record, whichever mode its segment has."""
-    return segment_from_bytes(bs.segments[2 * band - 1][1], MAX_PAYLOAD[TAG_PARAMS])
+    return segment_from_bytes(bs.segments[2 * band - 1][1], RECORD.size)
 
 
 def zlib_params(bs: Bitstream) -> Bitstream:
