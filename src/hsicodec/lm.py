@@ -114,19 +114,21 @@ def _buffers(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     x1 = [x; 1] (17 x M), and q (153 x M) holds the products x1[v] * x1[v'] for v <= v',
     the input half of the Gram form; ``normal_equations`` overwrites scratch (110 x M).
-    All three are views of one block, so a call makes one band-sized allocation. x1 is
-    column-major whatever the inputs' order, since OpenBLAS rounds ``normal_equations``'
-    products with x1' differently for the two orders.
+    All three are views of one block. x1 is column-major whatever the inputs' order,
+    since OpenBLAS rounds ``normal_equations``' products with x1' differently for the
+    two orders; q is built from a row-major copy, whose rows are contiguous.
     """
     m = inputs.shape[1]
     n_q = N_X1 * (N_X1 + 1) // 2
     rows = n_q + N_HIDDEN * N_H1
     block = np.empty((rows + N_X1) * m)
     q, scratch = np.split(block[: rows * m].reshape(rows, m), [n_q])
+    rows_x1 = np.empty((N_X1, m))
+    rows_x1[:N_INPUT] = inputs
+    rows_x1[N_INPUT] = 1.0
     x1 = block[rows * m :].reshape(m, N_X1).T  # column-major
-    x1[:N_INPUT] = inputs
-    x1[N_INPUT] = 1.0
-    return x1, _pair_products(x1, out=q), scratch
+    x1[...] = rows_x1
+    return x1, _pair_products(rows_x1, out=q), scratch
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_fresh(code: str, **preset) -> str:
-    """Stdout of ``code`` in a fresh interpreter that sees only the thread variables in ``preset``."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    """Stdout of ``code`` in a fresh interpreter that sees only the thread and malloc settings in ``preset``."""
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in THREAD_VARS and not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"
+    }
     env.update(preset)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
